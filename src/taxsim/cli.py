@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,10 +60,12 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        if args.log_base <= 1:
-            raise ModelError(f"--log-base must be > 1, got {args.log_base}")
-        if args.lch_floor <= 0:
-            raise ModelError(f"--lch-floor must be positive, got {args.lch_floor}")
+        if not math.isfinite(args.log_base) or args.log_base <= 1:
+            raise ModelError(f"--log-base must be finite and > 1, got {args.log_base}")
+        if not math.isfinite(args.lch_floor) or args.lch_floor <= 0:
+            raise ModelError(
+                f"--lch-floor must be finite and positive, got {args.lch_floor}"
+            )
         measures = tuple(dict.fromkeys(args.measure)) if args.measure else WORD_MEASURES
         benchmark = getattr(args, "benchmark", None)
         json_out = getattr(args, "json_out", None)

@@ -47,9 +47,13 @@ def pearson(xs: list[float], ys: list[float]) -> float:
     lost to cancellation.  Deviations are rescaled by their largest
     magnitude first; the correlation is scale-invariant and this keeps
     every intermediate within [0, n], immune to under- and overflow.
+    Any NaN or infinite input is rejected, since no correlation of it
+    is meaningful.
     """
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
+    if not all(map(math.isfinite, xs)) or not all(map(math.isfinite, ys)):
+        raise EvaluationError("non-finite input: correlation undefined")
     n = len(xs)
     if n < 2:
         raise EvaluationError(f"need at least 2 points, got {n}")
@@ -143,6 +147,10 @@ def load_benchmark(path: str | os.PathLike, name: str | None = None) -> Benchmar
                 raise EvaluationError(
                     f"{label}:{lineno}: malformed rating {rating!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise EvaluationError(
+                    f"{label}:{lineno}: non-finite rating {rating!r}"
+                )
             rows.append((w1.strip().lower(), w2.strip().lower(), value))
     return Benchmark(name=name or label, rows=tuple(rows))
 

@@ -123,15 +123,20 @@ def sim_resnik_words(model: ProbabilityModel, t: Taxonomy,
 
 
 def _min_sense_path(t: Taxonomy, w1: str, w2: str) -> tuple[int, tuple[str, str]]:
-    """Shortest undirected IS-A path over all sense pairs of two words."""
+    """Shortest undirected IS-A path over all sense pairs of two words.
+
+    After the first pair, each search is limited to ``best - 1`` edges:
+    only a strictly shorter path can replace the best pair, so ties keep
+    the first pair in sorted index order.
+    """
     s1 = _sense_indices(t, w1)
     s2 = _sense_indices(t, w2)
     best = None
     best_pair = (-1, -1)
     for i1 in s1:
         for i2 in s2:
-            length = t._path_len_idx(i1, i2)
-            if best is None or length < best:
+            length = t._path_len_idx(i1, i2, None if best is None else best - 1)
+            if length is not None:
                 best, best_pair = length, (i1, i2)
     return best, (t._ids[best_pair[0]], t._ids[best_pair[1]])
 
@@ -180,10 +185,10 @@ def sim_lch(t: Taxonomy, w1: str, w2: str, *,
     the score finite while leaving synonyms strictly most similar.  The
     floor is a local convention, not a published constant.
     """
-    if log_base <= 1:
-        raise ValueError(f"log_base must be > 1, got {log_base}")
-    if floor <= 0:
-        raise ValueError(f"floor must be positive, got {floor}")
+    if not math.isfinite(log_base) or log_base <= 1:
+        raise ValueError(f"log_base must be finite and > 1, got {log_base}")
+    if not math.isfinite(floor) or floor <= 0:
+        raise ValueError(f"floor must be finite and positive, got {floor}")
     if t.max_depth < 1:
         raise SimilarityError(
             "taxonomy depth is 0; path-normalized similarity is undefined"

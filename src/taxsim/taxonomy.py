@@ -263,16 +263,9 @@ class Taxonomy:
     def words(self) -> frozenset[str]:
         return frozenset(self._senses)
 
-    def has_concept(self, concept: str) -> bool:
-        return concept in self._index
-
     def parents_of(self, concept: str) -> frozenset[str]:
         i = self._idx(concept)
         return frozenset(self._ids[p] for p in self._parents[i])
-
-    def children_of(self, concept: str) -> frozenset[str]:
-        i = self._idx(concept)
-        return frozenset(self._ids[c] for c in self._children[i])
 
     # ------------------------------------------------------------------
     # queries
@@ -295,26 +288,52 @@ class Taxonomy:
 
     def shortest_path_len(self, c1: str, c2: str) -> int:
         """Minimum number of IS-A edges between two concepts, treating
-        edges as traversable in both directions."""
+        edges as traversable in both directions.
+
+        The path may run down through a shared child as well as up
+        through a common subsumer.  Found by a bidirectional
+        breadth-first search from both concepts, run without a length
+        limit, so the result is always the exact length."""
         return self._path_len_idx(self._idx(c1), self._idx(c2))
 
-    def _path_len_idx(self, i: int, j: int) -> int:
+    def _path_len_idx(self, i: int, j: int, limit: int | None = None) -> int | None:
+        """Undirected shortest path length between concept indices.
+
+        Bidirectional BFS: each step expands the smaller of the two
+        frontiers by one whole level over parents and children.  While
+        the searched balls (radii ``d_a`` from ``i`` and ``d_b`` from
+        ``j``) are disjoint, the distance exceeds ``d_a + d_b``; so the
+        first node one side reaches inside the other's ball closes a
+        path of exactly ``d_a + d_b + 1``, the minimum over every
+        meeting node of that level.
+
+        With ``limit`` set, returns None as soon as the distance is
+        known to exceed ``limit`` (once ``d_a + d_b >= limit`` without a
+        meeting), and the exact length otherwise.
+        """
         if i == j:
-            return 0
-        seen = {i}
-        frontier = [i]
-        dist = 0
-        while frontier:
-            dist += 1
+            return 0 if limit is None or limit >= 0 else None
+        parents, children = self._parents, self._children
+        seen_a, seen_b = {i}, {j}
+        front_a, front_b = [i], [j]
+        reach = 0  # d_a + d_b
+        while front_a and front_b:
+            if limit is not None and reach >= limit:
+                return None
+            if len(front_a) > len(front_b):
+                front_a, front_b = front_b, front_a
+                seen_a, seen_b = seen_b, seen_a
             nxt = []
-            for u in frontier:
-                for v in self._parents[u] + self._children[u]:
-                    if v == j:
-                        return dist
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
+            for u in front_a:
+                for adjacent in (parents[u], children[u]):
+                    for v in adjacent:
+                        if v in seen_b:
+                            return reach + 1
+                        if v not in seen_a:
+                            seen_a.add(v)
+                            nxt.append(v)
+            front_a = nxt
+            reach += 1
         raise TaxonomyError(
             f"no path between {self._ids[i]!r} and {self._ids[j]!r}"
         )  # unreachable after validation: the root connects everything

@@ -107,6 +107,18 @@ def random_instance(rng: random.Random, max_concepts: int = 50,
     return concepts, edges, senses, counts
 
 
+#: Size of the fixed random-DAG suite the oracle tests share.
+N_RANDOM_INSTANCES = 200
+
+
+def random_instances(seed: int = 20240101, count: int = N_RANDOM_INSTANCES):
+    """The fixed, seeded sequence of random instances behind the oracle
+    suites."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield random_instance(rng)
+
+
 # ----------------------------------------------------------------------
 # brute-force oracles
 # ----------------------------------------------------------------------
@@ -209,6 +221,19 @@ def oracle_min_sense_path(concepts, edges, senses, w1, w2):
         for c1 in senses[w1]
         for c2 in senses[w2]
     )
+
+
+def oracle_min_sense_pair(order, edges, senses, w1, w2):
+    """The first sense pair, in ``order`` (the taxonomy's concept index
+    order, as :meth:`Taxonomy.concepts` returns it), whose deque-BFS path
+    length is the minimum over all sense pairs of the two words."""
+    rank = {c: k for k, c in enumerate(order)}
+    pairs = sorted(
+        ((c1, c2) for c1 in senses[w1] for c2 in senses[w2]),
+        key=lambda pair: (rank[pair[0]], rank[pair[1]]),
+    )
+    lengths = [oracle_path_len(order, edges, c1, c2) for c1, c2 in pairs]
+    return pairs[lengths.index(min(lengths))]
 
 
 def oracle_resnik_words(concepts, edges, senses, model, w1, w2):

@@ -40,15 +40,6 @@ from taxsim import (
     uniform_weights,
 )
 
-N_RANDOM_INSTANCES = 200
-
-
-def _instances(seed=20240101, count=N_RANDOM_INSTANCES):
-    rng = random.Random(seed)
-    for _ in range(count):
-        yield helpers.random_instance(rng)
-
-
 def test_1_reference_correlations_reproduced():
     started = time.perf_counter()
     computed = reference_correlations()
@@ -91,7 +82,7 @@ def test_4_propagation_oracle_suite():
     checked = 0
     with_multi_parents = 0
     with_polysemy = 0
-    for concepts, edges, senses, counts in _instances():
+    for concepts, edges, senses, counts in helpers.random_instances():
         t = Taxonomy.build(edges, senses, concepts=concepts)
         model = build_model(t, FrequencyTable.from_counts(counts))
         expected = helpers.oracle_freq(concepts, edges, senses, counts)
@@ -123,7 +114,7 @@ def test_4_propagation_oracle_suite():
 def test_5_similarity_oracle_suite():
     checked_instances = 0
     checked_pairs = 0
-    for concepts, edges, senses, counts in _instances():
+    for concepts, edges, senses, counts in helpers.random_instances():
         t = Taxonomy.build(edges, senses, concepts=concepts)
         model = build_model(t, FrequencyTable.from_counts(counts))
         rng = random.Random(checked_instances)

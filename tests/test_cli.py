@@ -129,6 +129,18 @@ class TestSim:
         assert code == 1
         assert "--log-base" in err
 
+    @pytest.mark.parametrize("flag", ["--log-base", "--lch-floor"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_parameter_exits_1(self, capsys, toy_files, flag, bad):
+        code, out, err = _run(
+            capsys,
+            ["sim", "x", "y"] + _base_args(toy_files)
+            + ["--measure", "lch", flag, bad],
+        )
+        assert code == 1
+        assert out == ""
+        assert flag in err and "finite" in err
+
     def test_lch_floor_flag(self, capsys, toy_files):
         code, out, _ = _run(
             capsys,
@@ -199,6 +211,20 @@ class TestEvalLive:
         )
         assert code == 4
         assert "usable rows" in err
+
+    def test_nan_rating_exits_4_with_line(self, capsys, tmp_path, toy_files):
+        bench = tmp_path / "nan.csv"
+        bench.write_text(
+            "word1,word2,rating\nx,y,3.5\nx,z,nan\ny,z,1.0\n", encoding="utf-8"
+        )
+        code, out, err = _run(
+            capsys,
+            ["eval", "--benchmark", str(bench)] + _base_args(toy_files)
+            + ["--measure", "edge"],
+        )
+        assert code == 4
+        assert out == ""
+        assert f"{bench}:3" in err and "non-finite rating" in err
 
     def test_missing_benchmark_flag_exits_1(self, capsys, toy_files):
         code, _, err = _run(capsys, ["eval"] + _base_args(toy_files))

@@ -1,6 +1,7 @@
 """Correlation statistics, the bundled reference data, and live evaluation."""
 
 import hashlib
+import math
 import statistics
 
 import pytest
@@ -87,6 +88,14 @@ class TestPearson:
         flipped = [shift - scale * x for x in xs]
         assume(len(set(flipped)) > 1)
         assert pearson(flipped, ys) == pytest.approx(-r, abs=1e-9)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        # NaN used to pass through the final clamp as r = 1.0
+        with pytest.raises(EvaluationError, match="non-finite"):
+            pearson([1, 2, bad], [1, 3, 2])
+        with pytest.raises(EvaluationError, match="non-finite"):
+            pearson([1, 3, 2], [1, 2, bad])
 
     def test_symmetric_in_arguments(self):
         xs = [1.0, 4.0, 2.5, 7.0]
@@ -198,6 +207,13 @@ class TestLoadBenchmark:
         with pytest.raises(EvaluationError, match="malformed rating"):
             load_benchmark(path)
 
+    @pytest.mark.parametrize("rating", ["nan", "NaN", "inf", "-Infinity"])
+    def test_non_finite_rating(self, tmp_path, rating):
+        path = tmp_path / "b.csv"
+        path.write_text(f"word1,word2,rating\nx,y,1\nx,z,{rating}\n", encoding="utf-8")
+        with pytest.raises(EvaluationError, match=rf"b\.csv:3: non-finite rating"):
+            load_benchmark(path)
+
 
 class TestEvaluate:
     def test_exclusion_accounting(self, toy_taxonomy, toy_model):
@@ -232,6 +248,13 @@ class TestEvaluate:
         bench = Benchmark(name="toy", rows=(("x", "y", 3.0), ("x", "z", 1.0)))
         with pytest.raises(ValueError, match="unknown measure"):
             evaluate("weighted", bench, toy_taxonomy, toy_model)
+
+    def test_non_finite_human_rating_rejected(self, toy_taxonomy):
+        bench = Benchmark(
+            name="nan", rows=(("x", "y", 3.0), ("x", "z", 1.0), ("y", "z", math.nan))
+        )
+        with pytest.raises(EvaluationError, match="non-finite"):
+            evaluate("edge", bench, toy_taxonomy)
 
     def test_per_item_scores_recorded(self, toy_taxonomy, toy_model):
         bench = Benchmark(name="toy", rows=(("x", "y", 3.0), ("x", "z", 1.0)))

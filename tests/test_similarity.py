@@ -112,6 +112,61 @@ class TestEdge:
             sim_edge(toy_taxonomy, "x", "unlisted")
 
 
+class TestPathSensePair:
+    def test_shared_child_beats_route_through_root(self):
+        # two depth-3 branches joined only by a shared child s: the
+        # shortest path a3 -> s -> b3 runs down, not up through top
+        edges = [
+            ("a1", "top"), ("a2", "a1"), ("a3", "a2"),
+            ("b1", "top"), ("b2", "b1"), ("b3", "b2"),
+            ("s", "a3"), ("s", "b3"),
+        ]
+        t = Taxonomy.build(edges, {"p": {"a3"}, "q": {"b3"}})
+        assert t.max_depth == 4
+        assert t.shortest_path_len("a3", "b3") == 2
+        edge = sim_edge(t, "p", "q")
+        assert edge.value == 2 * 4 - 2
+        assert edge.sense_pair == ("a3", "b3")
+        assert sim_lch(t, "p", "q").value == 2.0  # -log2(2/8)
+
+    def test_tied_second_sense_pair_keeps_first(self):
+        # "p" has senses a1 and b1, each 4 edges from c1: the pruned
+        # search of the second pair must not displace the first
+        edges = [("a", "top"), ("b", "top"), ("c", "top"),
+                 ("a1", "a"), ("b1", "b"), ("c1", "c")]
+        t = Taxonomy.build(edges, {"p": {"a1", "b1"}, "q": {"c1"}})
+        assert t.concepts().index("a1") < t.concepts().index("b1")
+        assert t.shortest_path_len("a1", "c1") == t.shortest_path_len("b1", "c1") == 4
+        for score in (sim_edge(t, "p", "q"), sim_lch(t, "p", "q")):
+            assert score.sense_pair == ("a1", "c1")
+        assert sim_edge(t, "q", "p").sense_pair == ("c1", "a1")
+
+    def test_sense_pair_matches_oracle_on_random_dags(self):
+        checked = 0
+        ties = 0
+        for k, (concepts, edges, senses, _) in enumerate(helpers.random_instances()):
+            t = Taxonomy.build(edges, senses, concepts=concepts)
+            order = t.concepts()
+            rng = random.Random(k)
+            words = sorted(senses)
+            pairs = [(rng.choice(words), rng.choice(words)) for _ in range(8)]
+            pairs.append((words[0], words[0]))
+            for w1, w2 in pairs:
+                expected = helpers.oracle_min_sense_pair(order, edges, senses, w1, w2)
+                assert sim_edge(t, w1, w2).sense_pair == expected
+                if t.max_depth >= 1:
+                    assert sim_lch(t, w1, w2).sense_pair == expected
+                lengths = [
+                    helpers.oracle_path_len(order, edges, c1, c2)
+                    for c1 in senses[w1] for c2 in senses[w2]
+                ]
+                ties += lengths.count(min(lengths)) > 1
+                checked += 1
+        assert checked == 9 * helpers.N_RANDOM_INSTANCES
+        # the tie-break must actually be exercised, not only unique minima
+        assert ties > checked // 10
+
+
 class TestProb:
     def test_toy(self, toy_model, toy_taxonomy):
         score = sim_prob(toy_model, toy_taxonomy, "x", "y")
@@ -165,6 +220,16 @@ class TestLch:
             sim_lch(toy_taxonomy, "x", "y", log_base=1.0)
         with pytest.raises(ValueError, match="floor"):
             sim_lch(toy_taxonomy, "x", "y", floor=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_log_base_rejected(self, toy_taxonomy, bad):
+        with pytest.raises(ValueError, match="log_base"):
+            sim_lch(toy_taxonomy, "x", "y", log_base=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_floor_rejected(self, toy_taxonomy, bad):
+        with pytest.raises(ValueError, match="floor"):
+            sim_lch(toy_taxonomy, "x", "y", floor=bad)
 
 
 class TestWeighted:
@@ -349,24 +414,28 @@ def test_weighted_bounds_and_point_mass(seed):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_superordinates_never_win(seed):
-    # the max over all common subsumers equals the max over just the
-    # minimal upper bounds: every ancestor of a subsumer is at most as
-    # informative, so widening the candidate set cannot change the result
+    # the max over all finite-ic common subsumers equals the max over just
+    # the minimal ones among them: every ancestor of a subsumer is at most
+    # as informative, so widening the candidate set cannot change the
+    # result.  Minimality is taken after dropping zero-frequency subsumers,
+    # which the measure skips: an unseen minimal upper bound can have a
+    # seen parent more informative than every seen minimal bound.
     rng, concepts, edges, _, _, t, model = _built_instance(
         seed, max_concepts=30, max_words=15
     )
     anc = helpers.oracle_ancestors(concepts, edges)
     for _ in range(5):
         c1, c2 = rng.choice(concepts), rng.choice(concepts)
-        common = anc[c1] & anc[c2]
+        finite = {c for c in anc[c1] & anc[c2] if not math.isinf(model.ic(c))}
         minimal = {
-            c for c in common
-            if not any(d != c and c in anc[d] for d in common)
+            c for c in finite
+            if not any(d != c and c in anc[d] for d in finite)
         }
-        finite = [model.ic(c) for c in minimal if not math.isinf(model.ic(c))]
-        if not finite:
+        if not minimal:
             continue
-        assert sim_resnik_concepts(model, t, c1, c2).value == max(finite)
+        assert sim_resnik_concepts(model, t, c1, c2).value == max(
+            model.ic(c) for c in minimal
+        )
 
 
 @settings(max_examples=30, deadline=None)

@@ -251,6 +251,27 @@ def test_random_dags_path_lengths_match_bfs_oracle(seed):
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
+def test_random_dags_path_limit_matches_bfs_oracle(seed):
+    # the limited kernel returns None exactly when the true distance
+    # exceeds the limit, the exact length otherwise, symmetrically
+    rng = random.Random(seed)
+    concepts, edges, _, _ = helpers.random_instance(rng, max_concepts=25)
+    t = Taxonomy.build(edges, concepts=concepts)
+    table = helpers.oracle_all_pairs_path_len(concepts, edges)
+    index = {c: k for k, c in enumerate(t.concepts())}
+    for c1 in concepts:
+        for c2 in concepts:
+            i, j = index[c1], index[c2]
+            expected = table[c1][c2]
+            assert t._path_len_idx(i, j) == expected
+            for limit in range(-1, expected + 2):
+                got = t._path_len_idx(i, j, limit)
+                assert got == (None if expected > limit else expected)
+                assert t._path_len_idx(j, i, limit) == got
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
 def test_random_dags_depth_bounded_by_root_path(seed):
     rng = random.Random(seed)
     concepts, edges, _, _ = helpers.random_instance(rng, max_concepts=30)
