@@ -23,7 +23,6 @@ from .evaluation import (
     REFERENCE_TARGETS,
     REFERENCE_TOLERANCE,
     evaluate,
-    flip_check,
     load_benchmark,
     load_reference_scores,
     pearson,
@@ -78,7 +77,6 @@ __all__ = [
     "build_model",
     "evaluate",
     "finite_common_subsumers",
-    "flip_check",
     "load_benchmark",
     "load_counts",
     "load_reference_scores",

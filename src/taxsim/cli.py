@@ -34,7 +34,7 @@ from .evaluation import (
     reference_correlations,
 )
 from .probability import build_model, load_counts
-from .similarity import WORD_MEASURES, word_similarity
+from .similarity import CORPUS_MEASURES, WORD_MEASURES, word_similarity
 from .taxonomy import load_taxonomy
 
 EXIT_OK = 0
@@ -66,7 +66,8 @@ class RunConfig:
             raise ModelError(
                 f"--lch-floor must be finite and positive, got {args.lch_floor}"
             )
-        measures = tuple(dict.fromkeys(args.measure)) if args.measure else WORD_MEASURES
+        chosen = args.measure or WORD_MEASURES
+        measures = tuple(m for m in WORD_MEASURES if m in chosen)
         benchmark = getattr(args, "benchmark", None)
         json_out = getattr(args, "json_out", None)
         return cls(
@@ -102,7 +103,7 @@ def _load_model(config: RunConfig, taxonomy):
 
 
 def _needs_model(measures) -> bool:
-    return any(m in ("resnik", "prob") for m in measures)
+    return any(m in CORPUS_MEASURES for m in measures)
 
 
 def cmd_validate(config: RunConfig) -> int:
@@ -117,9 +118,7 @@ def cmd_validate(config: RunConfig) -> int:
 def cmd_sim(config: RunConfig, w1: str, w2: str) -> int:
     t = _load(config)
     model = _load_model(config, t) if _needs_model(config.measures) else None
-    for measure in WORD_MEASURES:
-        if measure not in config.measures:
-            continue
+    for measure in config.measures:
         score = word_similarity(
             measure, t, w1, w2, model,
             log_base=config.log_base, lch_floor=config.lch_floor,
@@ -153,9 +152,7 @@ def cmd_eval(config: RunConfig) -> int:
     model = _load_model(config, t) if _needs_model(config.measures) else None
     benchmark = load_benchmark(config.benchmark)
     json_lines: list[str] = []
-    for measure in WORD_MEASURES:
-        if measure not in config.measures:
-            continue
+    for measure in config.measures:
         report = evaluate(
             measure, benchmark, t, model,
             log_base=config.log_base, lch_floor=config.lch_floor,

@@ -97,16 +97,6 @@ def spearman(xs: list[float], ys: list[float]) -> float:
     return pearson(_ranks(xs), _ranks(ys))
 
 
-def flip_check(xs: list[float], ys: list[float], a: float) -> tuple[float, float]:
-    """Correlations of ``xs`` against ``ys`` and against ``a - ys``.
-
-    Converting a distance into a similarity by subtracting from a
-    constant flips the correlation's sign but not its magnitude; the
-    returned pair makes that directly assertable.
-    """
-    return pearson(xs, ys), pearson(xs, [a - y for y in ys])
-
-
 # ----------------------------------------------------------------------
 # benchmarks
 # ----------------------------------------------------------------------
@@ -124,7 +114,7 @@ def load_benchmark(path: str | os.PathLike, name: str | None = None) -> Benchmar
     """Read a benchmark CSV with header ``word1,word2,rating``."""
     label = str(path)
     rows: list[tuple[str, str, float]] = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header] != [
@@ -271,7 +261,7 @@ def evaluate(
         )
     items: list[EvalItem] = []
     for w1, w2, human in benchmark.rows:
-        missing = [w for w in (w1, w2) if not taxonomy.senses_of(w)]
+        missing = [w for w in (w1, w2) if not taxonomy.sense_indices(w)]
         if missing:
             reason = "word not in taxonomy: " + ", ".join(sorted(set(missing)))
             items.append(EvalItem(w1, w2, human, None, False, reason))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterator, Mapping
 
 from .errors import ModelError
-from .taxonomy import Taxonomy
+from .taxonomy import Taxonomy, _parse_pair_lines
 
 
 def _neg_log(x: float, base: float) -> float:
@@ -45,10 +45,12 @@ class FrequencyTable:
         Words are lowercased.  With ``plural_fold`` on, a word ending in
         "s" whose stripped form is in ``known_words`` has its count folded
         into the stripped form.  The rule is deliberately naive; counts
-        files are expected to arrive pre-lemmatized.
+        files are expected to arrive pre-lemmatized.  Counts must be ints >= 0.
         """
         merged: dict[str, int] = {}
         for word, count in counts.items():
+            if isinstance(count, bool) or not isinstance(count, int):
+                raise ModelError(f"count for word {word!r} is not an integer: {count!r}")
             if count < 0:
                 raise ModelError(f"negative count for word {word!r}: {count}")
             word = word.strip().lower()
@@ -78,29 +80,17 @@ def load_counts(
 ) -> FrequencyTable:
     """Read a ``word<TAB>count`` file into a :class:`FrequencyTable`.
 
-    Counts are non-negative base-10 integers; duplicate words are summed.
-    ``#`` lines and blank lines are ignored.
+    Counts are non-negative integers written in ASCII decimal digits;
+    duplicate words are summed.  ``#`` lines and blank lines are ignored.
     """
     label = str(path)
     counts: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2 or not fields[0]:
-                raise ModelError(
-                    f"{label}:{lineno}: expected 'word<TAB>count', got {line!r}"
-                )
-            word = fields[0].strip().lower()
-            try:
-                count = int(fields[1])
-            except ValueError:
-                raise ModelError(
-                    f"{label}:{lineno}: malformed count {fields[1]!r}"
-                ) from None
+    with open(path, encoding="utf-8-sig") as fh:
+        for lineno, word, field in _parse_pair_lines(fh, label, ModelError):
+            digits = field.removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):
+                raise ModelError(f"{label}:{lineno}: malformed count {field!r}")
+            count = int(field)
             if count < 0:
                 raise ModelError(f"{label}:{lineno}: negative count {count}")
             counts[word] = counts.get(word, 0) + count
@@ -121,39 +111,48 @@ class ProbabilityModel:
         self._taxonomy = taxonomy
         self._freq = freq
         self.log_base = log_base
-        n_total = freq[taxonomy._root]
+        n_total = freq[taxonomy.index_of(taxonomy.root)]
         if n_total <= 0:
             raise ModelError(
                 "no counted word attaches to the taxonomy (N = 0); "
                 "check that counts words appear in the lexicon"
             )
         self.N = n_total
-        self._p = [f / n_total for f in freq]
-        self._ic = [
+        self._p = tuple(f / n_total for f in freq)
+        self._ic = tuple(
             math.inf if f == 0 else _neg_log(p, log_base)
             for f, p in zip(freq, self._p)
-        ]
+        )
 
     @property
     def taxonomy(self) -> Taxonomy:
         return self._taxonomy
 
+    @property
+    def p_by_index(self) -> tuple[float, ...]:
+        """p of every concept, indexed by :meth:`Taxonomy.index_of`."""
+        return self._p
+
+    @property
+    def ic_by_index(self) -> tuple[float, ...]:
+        """ic of every concept, indexed by :meth:`Taxonomy.index_of`."""
+        return self._ic
+
     def freq(self, concept: str) -> int:
-        return self._freq[self._taxonomy._idx(concept)]
+        return self._freq[self._taxonomy.index_of(concept)]
 
     def p(self, concept: str) -> float:
-        return self._p[self._taxonomy._idx(concept)]
+        return self._p[self._taxonomy.index_of(concept)]
 
     def ic(self, concept: str) -> float:
         """Information content of ``concept``; ``+inf`` when its frequency
         is zero."""
-        return self._ic[self._taxonomy._idx(concept)]
+        return self._ic[self._taxonomy.index_of(concept)]
 
     def dump_rows(self) -> Iterator[tuple[str, int, float, float]]:
         """(concept_id, freq, p, ic) rows sorted by concept id."""
-        t = self._taxonomy
-        for cid in sorted(t._ids):
-            i = t._index[cid]
+        for cid in sorted(self._taxonomy.concepts()):
+            i = self._taxonomy.index_of(cid)
             yield cid, self._freq[i], self._p[i], self._ic[i]
 
     def __repr__(self) -> str:
@@ -174,14 +173,12 @@ def build_model(
     inheritance.  Words absent from the lexicon are ignored and do not
     contribute to N.
     """
-    if log_base <= 1:
-        raise ValueError(f"log_base must be > 1, got {log_base}")
+    if not math.isfinite(log_base) or log_base <= 1:
+        raise ValueError(f"log_base must be finite and > 1, got {log_base}")
     freq = [0] * taxonomy.concept_count
     for word, count in table.counts.items():
-        sense_idx = taxonomy._senses.get(word)
-        if not sense_idx:
-            continue
-        covered = frozenset().union(*(taxonomy._ancestors[s] for s in sense_idx))
+        senses = taxonomy.sense_indices(word)  # () for a word not in the lexicon
+        covered = frozenset().union(*map(taxonomy.ancestor_indices, senses))
         for i in covered:
             freq[i] += count
     return ProbabilityModel(taxonomy, freq, log_base)

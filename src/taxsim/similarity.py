@@ -14,17 +14,17 @@ Five measures share one query surface:
   of the information content of all common subsumers, instead of the
   single maximizing one.
 
-Ties in any argmax are broken toward the smallest internal concept
-index, which is the order of first appearance in the input, so results
-are deterministic.  All functions are pure over immutable inputs and
-safe to call from multiple threads.
+Ties in any argmax are broken toward the first sense pair, then the
+smallest internal concept index (the order of first appearance in the
+input), so results are deterministic.  All functions are pure over
+immutable inputs and safe to call from multiple threads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import SimilarityError, UnknownWordError
 from .probability import ProbabilityModel, _neg_log
@@ -34,6 +34,9 @@ from .taxonomy import Taxonomy
 #: ``weighted`` is excluded: lifting it to words would require choosing a
 #: sense pair, which the measure exists to avoid.
 WORD_MEASURES = ("resnik", "edge", "prob", "lch")
+
+#: Word-level measures that need a probability model.
+CORPUS_MEASURES = ("resnik", "prob")
 
 #: Tolerance on the sum of alpha weights.
 WEIGHT_SUM_TOLERANCE = 1e-9
@@ -53,28 +56,47 @@ class SimScore:
     sense_pair: tuple[str, str] | None = None
 
 
-def _sense_indices(t: Taxonomy, word: str) -> list[int]:
-    senses = t._senses.get(word.strip().lower())
+def _sense_indices(t: Taxonomy, word: str) -> tuple[int, ...]:
+    senses = t.sense_indices(word)
     if not senses:
         raise UnknownWordError(f"word not in taxonomy: {word!r}")
-    return sorted(senses)
+    return senses
 
 
-def _best_finite_ic(model: ProbabilityModel, t: Taxonomy,
-                    i1: int, i2: int) -> tuple[float, int] | None:
-    """Max finite information content over common subsumers, with its
-    argmax; None when every candidate is infinite."""
+def _best_subsumer(t: Taxonomy, s1: tuple[int, ...], s2: tuple[int, ...],
+                   value: Callable[[int], float | None]) -> tuple | None:
+    """(value, witness, i1, i2) maximizing ``value(c)`` over sense pairs
+    ``s1`` x ``s2`` x sorted common subsumers ``c``, the one rule behind
+    resnik and prob; None if ``value`` skips (returns None for) every c.
+    Only a strictly greater value replaces the best, so ties keep the
+    first pair, then the smallest c."""
     best = None
-    best_at = -1
-    for c in sorted(t._ancestors[i1] & t._ancestors[i2]):
-        v = model._ic[c]
-        if math.isinf(v):
-            continue
-        if best is None or v > best:
-            best, best_at = v, c
+    for i1 in s1:
+        for i2 in s2:
+            for c in sorted(t.ancestor_indices(i1) & t.ancestor_indices(i2)):
+                v = value(c)
+                if v is not None and (best is None or v > best[0]):
+                    best = (v, c, i1, i2)
+    return best
+
+
+def _word_score(t: Taxonomy, best: tuple) -> SimScore:
+    value, witness, i1, i2 = best
+    return SimScore(value=value, witness=t.concept_id(witness),
+                    sense_pair=(t.concept_id(i1), t.concept_id(i2)))
+
+
+def _resnik(model: ProbabilityModel, t: Taxonomy, s1: tuple[int, ...],
+            s2: tuple[int, ...], a: str, b: str) -> SimScore:
+    """resnik over sense pairs ``s1`` x ``s2``: zero-frequency subsumers are
+    skipped, and ``a``, ``b`` name the query in the error if none is left."""
+    ic = model.ic_by_index
+    best = _best_subsumer(t, s1, s2, lambda c: None if math.isinf(ic[c]) else ic[c])
     if best is None:
-        return None
-    return best, best_at
+        raise SimilarityError(
+            f"every common subsumer of {a!r} and {b!r} has zero frequency"
+        )
+    return _word_score(t, best)
 
 
 def sim_resnik_concepts(model: ProbabilityModel, t: Taxonomy,
@@ -85,41 +107,14 @@ def sim_resnik_concepts(model: ProbabilityModel, t: Taxonomy,
     common subsumer has finite information content the model is
     degenerate and the query fails.
     """
-    i1, i2 = t._idx(c1), t._idx(c2)
-    best = _best_finite_ic(model, t, i1, i2)
-    if best is None:
-        raise SimilarityError(
-            f"every common subsumer of {c1!r} and {c2!r} has zero frequency"
-        )
-    value, witness = best
-    return SimScore(value=value, witness=t._ids[witness])
+    score = _resnik(model, t, (t.index_of(c1),), (t.index_of(c2),), c1, c2)
+    return SimScore(value=score.value, witness=score.witness)
 
 
 def sim_resnik_words(model: ProbabilityModel, t: Taxonomy,
                      w1: str, w2: str) -> SimScore:
     """Word similarity: the concept measure maximized over all sense pairs."""
-    s1 = _sense_indices(t, w1)
-    s2 = _sense_indices(t, w2)
-    best = None
-    best_witness = -1
-    best_pair = (-1, -1)
-    for i1 in s1:
-        for i2 in s2:
-            found = _best_finite_ic(model, t, i1, i2)
-            if found is None:
-                continue
-            value, witness = found
-            if best is None or value > best:
-                best, best_witness, best_pair = value, witness, (i1, i2)
-    if best is None:
-        raise SimilarityError(
-            f"every common subsumer of {w1!r} and {w2!r} has zero frequency"
-        )
-    return SimScore(
-        value=best,
-        witness=t._ids[best_witness],
-        sense_pair=(t._ids[best_pair[0]], t._ids[best_pair[1]]),
-    )
+    return _resnik(model, t, _sense_indices(t, w1), _sense_indices(t, w2), w1, w2)
 
 
 def _min_sense_path(t: Taxonomy, w1: str, w2: str) -> tuple[int, tuple[str, str]]:
@@ -135,10 +130,10 @@ def _min_sense_path(t: Taxonomy, w1: str, w2: str) -> tuple[int, tuple[str, str]
     best_pair = (-1, -1)
     for i1 in s1:
         for i2 in s2:
-            length = t._path_len_idx(i1, i2, None if best is None else best - 1)
+            length = t.path_len(i1, i2, None if best is None else best - 1)
             if length is not None:
                 best, best_pair = length, (i1, i2)
-    return best, (t._ids[best_pair[0]], t._ids[best_pair[1]])
+    return best, (t.concept_id(best_pair[0]), t.concept_id(best_pair[1]))
 
 
 def sim_edge(t: Taxonomy, w1: str, w2: str) -> SimScore:
@@ -161,20 +156,8 @@ def sim_prob(model: ProbabilityModel, t: Taxonomy, w1: str, w2: str) -> SimScore
     """
     s1 = _sense_indices(t, w1)
     s2 = _sense_indices(t, w2)
-    best = None
-    best_witness = -1
-    best_pair = (-1, -1)
-    for i1 in s1:
-        for i2 in s2:
-            for c in sorted(t._ancestors[i1] & t._ancestors[i2]):
-                v = 1.0 - model._p[c]
-                if best is None or v > best:
-                    best, best_witness, best_pair = v, c, (i1, i2)
-    return SimScore(
-        value=best,
-        witness=t._ids[best_witness],
-        sense_pair=(t._ids[best_pair[0]], t._ids[best_pair[1]]),
-    )
+    p = model.p_by_index
+    return _word_score(t, _best_subsumer(t, s1, s2, lambda c: 1.0 - p[c]))
 
 
 def sim_lch(t: Taxonomy, w1: str, w2: str, *,
@@ -203,11 +186,12 @@ def finite_common_subsumers(model: ProbabilityModel, t: Taxonomy,
                             c1: str, c2: str) -> frozenset[str]:
     """Common subsumers of two concepts with finite information content;
     the valid weight domain for :func:`sim_weighted`."""
-    i1, i2 = t._idx(c1), t._idx(c2)
+    i1, i2 = t.index_of(c1), t.index_of(c2)
+    ic = model.ic_by_index
     return frozenset(
-        t._ids[c]
-        for c in t._ancestors[i1] & t._ancestors[i2]
-        if not math.isinf(model._ic[c])
+        t.concept_id(c)
+        for c in t.ancestor_indices(i1) & t.ancestor_indices(i2)
+        if not math.isinf(ic[c])
     )
 
 
@@ -260,15 +244,13 @@ def word_similarity(measure: str, t: Taxonomy, w1: str, w2: str,
     only affects lch; the corpus measures inherit the base the model was
     built with.
     """
+    if measure in CORPUS_MEASURES and model is None:
+        raise ValueError(f"measure {measure!r} requires a probability model")
     if measure == "resnik":
-        if model is None:
-            raise ValueError("measure 'resnik' requires a probability model")
         return sim_resnik_words(model, t, w1, w2)
     if measure == "edge":
         return sim_edge(t, w1, w2)
     if measure == "prob":
-        if model is None:
-            raise ValueError("measure 'prob' requires a probability model")
         return sim_prob(model, t, w1, w2)
     if measure == "lch":
         return sim_lch(t, w1, w2, log_base=log_base, floor=lch_floor)

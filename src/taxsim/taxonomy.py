@@ -39,11 +39,12 @@ class DepthInfo:
     max_depth: int
 
 
-def _parse_pair_lines(lines: Iterable[str], label: str) -> Iterator[tuple[str, str]]:
-    """Yield (left, right) pairs from ``left<TAB>right`` lines.
+def _parse_pair_lines(lines: Iterable[str], label: str, error: type = TaxonomyError
+                      ) -> Iterator[tuple[int, str, str]]:
+    """Yield (lineno, left, right) from ``left<TAB>right`` lines.
 
     Blank lines and lines starting with ``#`` are skipped.  ``label`` is
-    the file path used in diagnostics.
+    the file path used in diagnostics, which are raised as ``error``.
     """
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
@@ -52,13 +53,13 @@ def _parse_pair_lines(lines: Iterable[str], label: str) -> Iterator[tuple[str, s
             continue
         fields = line.split("\t")
         if len(fields) != 2:
-            raise TaxonomyError(
+            raise error(
                 f"{label}:{lineno}: expected 2 tab-separated fields, got {len(fields)}"
             )
         left, right = fields
         if not left or not right:
-            raise TaxonomyError(f"{label}:{lineno}: empty field")
-        yield left, right
+            raise error(f"{label}:{lineno}: empty field")
+        yield lineno, left, right
 
 
 class Taxonomy:
@@ -72,7 +73,7 @@ class Taxonomy:
         self,
         ids: list[str],
         parents: list[tuple[int, ...]],
-        senses: dict[str, frozenset[int]],
+        senses: dict[str, tuple[int, ...]],
     ):
         n = len(ids)
         self._ids = ids
@@ -86,9 +87,6 @@ class Taxonomy:
         self._senses = senses
 
         self._topo = self._toposort()
-        roots = [i for i in range(n) if not self._parents[i]]
-        # build() guarantees exactly one parentless node before we get here
-        self._root = roots[0]
         self._ancestors = self._compute_ancestors()
         self._depths, self.max_depth = self._compute_depths()
 
@@ -143,7 +141,7 @@ class Taxonomy:
         if not ids:
             raise TaxonomyError("empty input: no concepts")
 
-        sense_map: dict[str, frozenset[int]] = {}
+        sense_map: dict[str, tuple[int, ...]] = {}
         for word, cids in (senses or {}).items():
             word = word.strip().lower()
             if not word:
@@ -158,16 +156,13 @@ class Taxonomy:
                 targets.add(index[cid])
             if not targets:
                 raise TaxonomyError(f"empty sense set for word {word!r}")
-            sense_map[word] = frozenset(targets)
+            sense_map[word] = tuple(sorted(targets))
 
         parent_lists: list[set[int]] = [set() for _ in ids]
         for child, parent in edge_set:
             parent_lists[child].add(parent)
 
         parentless = [i for i in range(len(ids)) if not parent_lists[i]]
-        if not parentless:
-            # every concept has a parent, so some IS-A chain must loop
-            raise TaxonomyError(cls._find_cycle_message(ids, parent_lists))
         if len(parentless) > 1:
             if SYNTHETIC_ROOT in index:
                 raise TaxonomyError(
@@ -183,7 +178,8 @@ class Taxonomy:
         return cls(ids, parents, sense_map)
 
     def _toposort(self) -> list[int]:
-        """Topological order, parents before children; raises on a cycle."""
+        """Topological order, parents before children; the only cycle check,
+        which names the loop reached from the smallest unordered index."""
         n = len(self._ids)
         pending = [len(ps) for ps in self._parents]
         order = [i for i in range(n) if pending[i] == 0]
@@ -194,29 +190,16 @@ class Taxonomy:
                 pending[child] -= 1
                 if pending[child] == 0:
                     order.append(child)
-        if len(order) != n:
-            leftover = [set(ps) for ps in self._parents]
-            raise TaxonomyError(self._find_cycle_message(self._ids, leftover,
-                                                         done=set(order)))
-        return order
-
-    @staticmethod
-    def _find_cycle_message(
-        ids: list[str], parent_sets: list[set[int]], done: set[int] = frozenset()
-    ) -> str:
-        """Walk parent links among unfinished nodes until one repeats."""
-        remaining = set(range(len(ids))) - set(done)
-        cur = min(remaining)
-        path = [cur]
-        seen = {cur: 0}
-        while True:
-            cur = next(p for p in sorted(parent_sets[cur]) if p in remaining)
-            if cur in seen:
-                cycle = path[seen[cur]:] + [cur]
-                chain = " -> ".join(ids[i] for i in cycle)
-                return f"cycle detected: {chain}"
-            seen[cur] = len(path)
-            path.append(cur)
+        if len(order) == n:
+            return order
+        done = set(order)
+        cur = min(i for i in range(n) if i not in done)
+        path: dict[int, int] = {}  # node -> position, in walk order
+        while cur not in path:
+            path[cur] = len(path)
+            cur = next(p for p in self._parents[cur] if p not in done)
+        chain = " -> ".join(self._ids[i] for i in list(path)[path[cur]:] + [cur])
+        raise TaxonomyError(f"cycle detected: {chain}")
 
     def _compute_ancestors(self) -> list[frozenset[int]]:
         anc: list[frozenset[int]] = [frozenset()] * len(self._ids)
@@ -235,15 +218,28 @@ class Taxonomy:
     # lookups
     # ------------------------------------------------------------------
 
-    def _idx(self, concept: str) -> int:
+    def index_of(self, concept: str) -> int:
+        """Index of ``concept`` (its order of first appearance in the input)."""
         try:
             return self._index[concept]
         except KeyError:
             raise UnknownConceptError(f"unknown concept: {concept!r}") from None
 
+    def concept_id(self, i: int) -> str:
+        """The concept id at index ``i``; inverse of :meth:`index_of`."""
+        return self._ids[i]
+
+    def sense_indices(self, word: str) -> tuple[int, ...]:
+        """Sorted sense indices of ``word`` (case-insensitive); () if absent."""
+        return self._senses.get(word.strip().lower(), ())
+
+    def ancestor_indices(self, i: int) -> frozenset[int]:
+        """Indices of the ancestors of index ``i``, ``i`` and the root included."""
+        return self._ancestors[i]
+
     @property
     def root(self) -> str:
-        return self._ids[self._root]
+        return self._ids[self._topo[0]]  # build() leaves one parentless node
 
     @property
     def concept_count(self) -> int:
@@ -264,7 +260,7 @@ class Taxonomy:
         return frozenset(self._senses)
 
     def parents_of(self, concept: str) -> frozenset[str]:
-        i = self._idx(concept)
+        i = self.index_of(concept)
         return frozenset(self._ids[p] for p in self._parents[i])
 
     # ------------------------------------------------------------------
@@ -277,14 +273,15 @@ class Taxonomy:
         Subsumption is reflexive, so the result always contains both the
         queried concept and the root.
         """
-        i = self._idx(concept)
-        return frozenset(self._ids[a] for a in self._ancestors[i])
+        i = self.index_of(concept)
+        return frozenset(self._ids[a] for a in self.ancestor_indices(i))
 
     def common_subsumers(self, c1: str, c2: str) -> frozenset[str]:
         """Concepts subsuming both ``c1`` and ``c2``; never empty because
         the root subsumes everything."""
-        i1, i2 = self._idx(c1), self._idx(c2)
-        return frozenset(self._ids[a] for a in self._ancestors[i1] & self._ancestors[i2])
+        i1, i2 = self.index_of(c1), self.index_of(c2)
+        common = self.ancestor_indices(i1) & self.ancestor_indices(i2)
+        return frozenset(self._ids[a] for a in common)
 
     def shortest_path_len(self, c1: str, c2: str) -> int:
         """Minimum number of IS-A edges between two concepts, treating
@@ -294,9 +291,9 @@ class Taxonomy:
         through a common subsumer.  Found by a bidirectional
         breadth-first search from both concepts, run without a length
         limit, so the result is always the exact length."""
-        return self._path_len_idx(self._idx(c1), self._idx(c2))
+        return self.path_len(self.index_of(c1), self.index_of(c2))
 
-    def _path_len_idx(self, i: int, j: int, limit: int | None = None) -> int | None:
+    def path_len(self, i: int, j: int, limit: int | None = None) -> int | None:
         """Undirected shortest path length between concept indices.
 
         Bidirectional BFS: each step expands the smaller of the two
@@ -339,7 +336,7 @@ class Taxonomy:
         )  # unreachable after validation: the root connects everything
 
     def depth_of(self, concept: str) -> int:
-        return self._depths[self._idx(concept)]
+        return self._depths[self.index_of(concept)]
 
     def depth_info(self) -> DepthInfo:
         """Per-concept longest-path depths and the taxonomy maximum."""
@@ -352,8 +349,7 @@ class Taxonomy:
         """The sense set of ``word`` (case-insensitive); empty if the word
         is absent.  Absence is not an error here: callers decide whether a
         missing word is fatal or merely excludes a pair."""
-        indices = self._senses.get(word.strip().lower(), frozenset())
-        return frozenset(self._ids[i] for i in indices)
+        return frozenset(self._ids[i] for i in self.sense_indices(word))
 
     def __repr__(self) -> str:
         return (
@@ -365,12 +361,12 @@ class Taxonomy:
 def load_taxonomy(edges_path: str | os.PathLike,
                   lexicon_path: str | os.PathLike) -> Taxonomy:
     """Load and validate a taxonomy from an edge file and a lexicon file."""
-    with open(edges_path, encoding="utf-8") as fh:
-        edges = list(_parse_pair_lines(fh, str(edges_path)))
+    with open(edges_path, encoding="utf-8-sig") as fh:
+        edges = [pair[1:] for pair in _parse_pair_lines(fh, str(edges_path))]
     if not edges:
         raise TaxonomyError(f"{edges_path}: empty input")
     senses: dict[str, set[str]] = {}
-    with open(lexicon_path, encoding="utf-8") as fh:
-        for word, cid in _parse_pair_lines(fh, str(lexicon_path)):
+    with open(lexicon_path, encoding="utf-8-sig") as fh:
+        for _, word, cid in _parse_pair_lines(fh, str(lexicon_path)):
             senses.setdefault(word.strip().lower(), set()).add(cid)
     return Taxonomy.build(edges, senses)

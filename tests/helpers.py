@@ -13,6 +13,8 @@ import math
 import random
 from collections import deque
 
+from taxsim import pearson
+
 # ----------------------------------------------------------------------
 # hand-checked fixture data
 # ----------------------------------------------------------------------
@@ -263,6 +265,35 @@ def oracle_prob_words(concepts, edges, senses, model, w1, w2):
     return best
 
 
+def oracle_best_subsumer(concepts, edges, senses, value):
+    """(value, witness, sense_pair) maximizing ``value(c)`` over every
+    sense pair and every common subsumer ``c`` of it, by full
+    enumeration; None when ``value`` skips every candidate.
+
+    ``concepts`` is the taxonomy's concept index order (as
+    :meth:`Taxonomy.concepts` returns it) and ``senses`` a pair of sense
+    collections.  ``value`` returns None to skip a candidate.  Among
+    maximal candidates the documented tie-break picks the first sense
+    pair in index order, then the subsumer of smallest index.
+    """
+    anc = oracle_ancestors(concepts, edges)
+    rank = {c: k for k, c in enumerate(concepts)}
+    candidates = [
+        (v, (rank[c1], rank[c2], rank[c]), c, (c1, c2))
+        for c1 in senses[0]
+        for c2 in senses[1]
+        for c in anc[c1] & anc[c2]
+        if (v := value(c)) is not None
+    ]
+    if not candidates:
+        return None
+    best = max(v for v, *_ in candidates)
+    _, _, witness, pair = min(
+        (cand for cand in candidates if cand[0] == best), key=lambda cand: cand[1]
+    )
+    return best, witness, pair
+
+
 def oracle_edge_words(concepts, edges, senses, w1, w2):
     minlen = oracle_min_sense_path(concepts, edges, senses, w1, w2)
     return float(2 * oracle_max_depth(concepts, edges) - minlen)
@@ -279,3 +310,18 @@ def oracle_lch_words(concepts, edges, senses, w1, w2, log_base=2.0, floor=1.0):
 def oracle_finite_common_subsumers(concepts, edges, model, c1, c2):
     anc = oracle_ancestors(concepts, edges)
     return {c for c in anc[c1] & anc[c2] if not math.isinf(model.ic(c))}
+
+
+# ----------------------------------------------------------------------
+# correlation helpers
+# ----------------------------------------------------------------------
+
+
+def flip_check(xs, ys, a):
+    """Correlations of ``xs`` against ``ys`` and against ``a - ys``.
+
+    Converting a distance into a similarity by subtracting from a
+    constant flips the correlation's sign but not its magnitude; the
+    returned pair makes that directly assertable.
+    """
+    return pearson(xs, ys), pearson(xs, [a - y for y in ys])

@@ -96,10 +96,11 @@ class TestSim:
         code, out, _ = _run(
             capsys,
             ["sim", "x", "y"] + _base_args(toy_files)
-            + ["--measure", "edge", "--measure", "lch"],
+            + ["--measure", "lch", "--measure", "edge", "--measure", "lch"],
         )
         assert code == 0
-        assert len(out.splitlines()) == 2
+        # one row per measure, in the order of WORD_MEASURES
+        assert [line.split("\t")[2] for line in out.splitlines()] == ["edge", "lch"]
 
     def test_corpus_measure_without_counts_exits_1(self, capsys, toy_files):
         code, _, err = _run(

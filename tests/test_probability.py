@@ -41,8 +41,10 @@ class TestLoadCounts:
 
     def test_duplicates_summed(self, tmp_path):
         path = tmp_path / "c.tsv"
-        path.write_text("x\t2\nx\t3\n", encoding="utf-8")
-        assert load_counts(path).counts == {"x": 5}
+        # a UTF-8 byte order mark and CRLF line ends change nothing
+        for raw in (b"x\t2\nx\t3\n", b"\xef\xbb\xbfx\t2\r\nx\t3\r\n"):
+            path.write_bytes(raw)
+            assert load_counts(path).counts == {"x": 5}
 
     def test_case_folded(self, tmp_path):
         path = tmp_path / "c.tsv"
@@ -52,14 +54,16 @@ class TestLoadCounts:
     def test_negative_count(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_text("x\t-1\n", encoding="utf-8")
-        with pytest.raises(ModelError, match="negative count"):
+        with pytest.raises(ModelError, match=r"c\.tsv:1: negative count -1"):
             load_counts(path)
 
     def test_malformed_count(self, tmp_path):
         path = tmp_path / "c.tsv"
-        path.write_text("x\ttwo\n", encoding="utf-8")
-        with pytest.raises(ModelError, match=r"c\.tsv:1"):
-            load_counts(path)
+        # int() accepts "1_000", "+5", " 3 " and "\u0663"; counts take ASCII digits
+        for count in ("two", "2.0", "1_000", "+5", " 3 ", "\u0663", "--1"):
+            path.write_text(f"x\t{count}\n", encoding="utf-8")
+            with pytest.raises(ModelError, match=r"c\.tsv:1: malformed count"):
+                load_counts(path)
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "c.tsv"
@@ -95,6 +99,13 @@ class TestPluralFold:
     def test_off_by_default(self):
         table = FrequencyTable.from_counts({"cars": 3, "car": 1})
         assert table.counts == {"cars": 3, "car": 1}
+
+
+class TestFromCounts:
+    @pytest.mark.parametrize("count", [math.nan, math.inf, 2.5, True, "3"])
+    def test_non_integer_count_rejected(self, count):
+        with pytest.raises(ModelError, match="not an integer"):
+            FrequencyTable.from_counts({"x": 1, "y": count})
 
 
 class TestBuildModel:
@@ -141,7 +152,7 @@ class TestBuildModel:
 
     def test_bad_log_base(self, toy_taxonomy):
         table = FrequencyTable.from_counts(TOY_COUNTS)
-        for base in (1.0, 0.5, -2.0):
+        for base in (1.0, 0.5, -2.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="log_base"):
                 build_model(toy_taxonomy, table, log_base=base)
 

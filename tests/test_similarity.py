@@ -193,6 +193,87 @@ class TestProb:
         assert resnik.witness == "A"
 
 
+def _finite_ic(model):
+    return lambda c: None if math.isinf(model.ic(c)) else model.ic(c)
+
+
+def _one_minus_p(model):
+    return lambda c: 1.0 - model.p(c)
+
+
+class TestBestSubsumerOracle:
+    """Witness and sense pair of resnik and prob against full enumeration."""
+
+    def test_tied_sense_pairs_keep_first(self):
+        # p = {a1, b1}, q = {a2, b2}: pairs (a1, a2) and (b1, b2) meet at a
+        # and b, which are equally informative; the first pair wins
+        edges = [("a", "top"), ("b", "top"), ("c", "top"),
+                 ("a1", "a"), ("a2", "a"), ("b1", "b"), ("b2", "b")]
+        senses = {"p": {"a1", "b1"}, "q": {"a2", "b2"}, "r": {"c"}}
+        t = Taxonomy.build(edges, senses)
+        model = build_model(t, FrequencyTable.from_counts({"p": 1, "q": 1, "r": 2}))
+        assert model.ic("a") == model.ic("b") == 1.0
+        order = t.concepts()
+        for w1, w2, pair, witness in (("p", "q", ("a1", "a2"), "a"),
+                                      ("q", "p", ("a2", "a1"), "a")):
+            score = sim_resnik_words(model, t, w1, w2)
+            assert (score.value, score.witness, score.sense_pair) == (1.0, witness, pair)
+            assert helpers.oracle_best_subsumer(
+                order, edges, (senses[w1], senses[w2]), _finite_ic(model)
+            ) == (1.0, witness, pair)
+
+    def test_tied_subsumers_keep_smallest_index(self):
+        # k and m cover the same words, so 1 - p (and ic) tie; m is
+        # interned first, so it wins although k is the deeper subsumer
+        edges = [("m", "top"), ("k", "m"), ("k1", "k"), ("k2", "k"), ("z", "top")]
+        senses = {"x": {"k1"}, "y": {"k2"}, "v": {"z"}}
+        t = Taxonomy.build(edges, senses)
+        model = build_model(t, FrequencyTable.from_counts({"x": 1, "y": 1, "v": 2}))
+        assert model.p("k") == model.p("m") == 0.5
+        assert t.concepts().index("m") < t.concepts().index("k")
+        prob = sim_prob(model, t, "x", "y")
+        resnik = sim_resnik_words(model, t, "x", "y")
+        assert (prob.value, prob.witness, prob.sense_pair) == (0.5, "m", ("k1", "k2"))
+        assert (resnik.witness, resnik.sense_pair) == ("m", ("k1", "k2"))
+        assert sim_resnik_concepts(model, t, "k1", "k2").witness == "m"
+        assert helpers.oracle_best_subsumer(
+            t.concepts(), edges, ({"k1"}, {"k2"}), _one_minus_p(model)
+        ) == (0.5, "m", ("k1", "k2"))
+
+    def test_matches_oracle_on_random_dags(self):
+        checked = 0
+        ties = 0
+        for k, (concepts, edges, senses, counts) in enumerate(helpers.random_instances()):
+            t = Taxonomy.build(edges, senses, concepts=concepts)
+            model = build_model(t, FrequencyTable.from_counts(counts))
+            order = t.concepts()
+            rng = random.Random(k)
+            words = sorted(senses)
+            pairs = [(rng.choice(words), rng.choice(words)) for _ in range(8)]
+            pairs.append((words[0], words[0]))
+            for w1, w2 in pairs:
+                sense_sets = (senses[w1], senses[w2])
+                for score, value in ((sim_resnik_words(model, t, w1, w2), _finite_ic(model)),
+                                     (sim_prob(model, t, w1, w2), _one_minus_p(model))):
+                    expected = helpers.oracle_best_subsumer(order, edges, sense_sets, value)
+                    assert (score.value, score.witness, score.sense_pair) == expected
+                    ties += sum(
+                        value(c) == expected[0]
+                        for c1 in sense_sets[0] for c2 in sense_sets[1]
+                        for c in t.common_subsumers(c1, c2)
+                    ) > 1
+                checked += 1
+            for c1, c2 in [(rng.choice(concepts), rng.choice(concepts)) for _ in range(4)]:
+                score = sim_resnik_concepts(model, t, c1, c2)
+                expected = helpers.oracle_best_subsumer(
+                    order, edges, ({c1}, {c2}), _finite_ic(model)
+                )
+                assert (score.value, score.witness, (c1, c2)) == expected
+        assert checked == 9 * helpers.N_RANDOM_INSTANCES
+        # the tie-break must actually be exercised, not only unique maxima
+        assert ties > checked // 10
+
+
 class TestLch:
     def test_toy(self, toy_taxonomy):
         score = sim_lch(toy_taxonomy, "x", "y")

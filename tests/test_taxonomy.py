@@ -87,15 +87,18 @@ class TestLoadTaxonomy:
     def test_comments_blanks_duplicates(self, tmp_path):
         edges = tmp_path / "e.tsv"
         lex = tmp_path / "l.tsv"
-        edges.write_text(
-            "# a comment\nA\troot\n\nB\troot\nA\troot\nA1\tA\nA2\tA\n",
-            encoding="utf-8",
-        )
-        lex.write_text("X\tA1\nx\tA1\n", encoding="utf-8")
-        t = load_taxonomy(edges, lex)
-        assert t.concept_count == 5
-        assert t.edge_count == 4
-        assert t.word_count == 1  # case-normalized duplicate
+        # a UTF-8 byte order mark and CRLF line ends change nothing
+        for bom, eol in (("", "\n"), ("\ufeff", "\r\n")):
+            edges.write_bytes(
+                f"{bom}A\troot\n# a comment\n\nB\troot\nA\troot\nA1\tA\nA2\tA\n"
+                .replace("\n", eol).encode("utf-8")
+            )
+            lex.write_bytes(f"{bom}X\tA1\nx\tA1\n".replace("\n", eol).encode("utf-8"))
+            t = load_taxonomy(edges, lex)
+            assert t.concept_count == 5
+            assert set(t.concepts()) == {"A", "root", "B", "A1", "A2"}
+            assert t.edge_count == 4
+            assert t.words() == {"x"}  # case-normalized duplicate
 
     def test_empty_edge_file(self, tmp_path):
         edges = tmp_path / "e.tsv"
@@ -263,11 +266,11 @@ def test_random_dags_path_limit_matches_bfs_oracle(seed):
         for c2 in concepts:
             i, j = index[c1], index[c2]
             expected = table[c1][c2]
-            assert t._path_len_idx(i, j) == expected
+            assert t.path_len(i, j) == expected
             for limit in range(-1, expected + 2):
-                got = t._path_len_idx(i, j, limit)
+                got = t.path_len(i, j, limit)
                 assert got == (None if expected > limit else expected)
-                assert t._path_len_idx(j, i, limit) == got
+                assert t.path_len(j, i, limit) == got
 
 
 @settings(max_examples=30, deadline=None)
