@@ -19,6 +19,7 @@ import math
 import os
 from dataclasses import dataclass
 from importlib import resources
+from typing import Iterable, Iterator
 
 from .errors import EvaluationError
 from .probability import ProbabilityModel
@@ -39,6 +40,35 @@ REFERENCE_TOLERANCE = 0.005
 # ----------------------------------------------------------------------
 
 
+def _rescaled(vs: list[float]) -> list[float]:
+    """``vs`` scaled by a power of two into (-1, 1) when its largest
+    magnitude is near either end of the float range: near the top a sum
+    or difference of the values could overflow, near the bottom the mean
+    of subnormal values is rounded to a few bits.  The correlation is
+    scale-invariant, and the scaling is exact for every value within
+    2**1000 of the largest."""
+    big = max(map(abs, vs))
+    if big == 0.0 or 2.0 ** -960 <= big < 2.0 ** 960:
+        return vs
+    exp = math.frexp(big)[1]
+    return [math.ldexp(v, -exp) for v in vs]
+
+
+def _deviations(vs: list[float]) -> list[float]:
+    """Deviations of ``vs`` from their mean.  The rounded mean can be off
+    by one unit in its last place; when the values spread over less than
+    2**-16 of the mean (two adjacent floats, say) that error is a visible
+    share of every deviation, so one more pass subtracts the deviations'
+    own mean.  Other inputs skip the pass and keep their bits."""
+    n = len(vs)
+    m = math.fsum(vs) / n
+    ds = [v - m for v in vs]
+    if max(map(abs, ds)) <= abs(m) * 2.0 ** -16:
+        c = math.fsum(ds) / n
+        ds = [d - c for d in ds]
+    return ds
+
+
 def pearson(xs: list[float], ys: list[float]) -> float:
     """Sample Pearson product-moment correlation.
 
@@ -46,7 +76,9 @@ def pearson(xs: list[float], ys: list[float]) -> float:
     with compensation) so that tightly-toleranced correlations are not
     lost to cancellation.  Deviations are rescaled by their largest
     magnitude first; the correlation is scale-invariant and this keeps
-    every intermediate within [0, n], immune to under- and overflow.
+    every intermediate within [0, n], immune to under- and overflow;
+    inputs near either end of the float range are rescaled the same way
+    beforehand.
     Any NaN or infinite input is rejected, since no correlation of it
     is meaningful.
     """
@@ -57,10 +89,8 @@ def pearson(xs: list[float], ys: list[float]) -> float:
     n = len(xs)
     if n < 2:
         raise EvaluationError(f"need at least 2 points, got {n}")
-    mx = math.fsum(xs) / n
-    my = math.fsum(ys) / n
-    dxs = [x - mx for x in xs]
-    dys = [y - my for y in ys]
+    dxs = _deviations(_rescaled(xs))
+    dys = _deviations(_rescaled(ys))
     scale_x = max(abs(d) for d in dxs)
     scale_y = max(abs(d) for d in dys)
     if scale_x == 0.0 or scale_y == 0.0:
@@ -110,12 +140,24 @@ class Benchmark:
     rows: tuple[tuple[str, str, float], ...]
 
 
+def _csv_records(fh: Iterable[str], label: str) -> Iterator[list[str]]:
+    """CSV records of ``fh``; a decoding or CSV syntax failure (such as a
+    field over the csv module's size limit) becomes an EvaluationError."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except UnicodeDecodeError:
+        raise EvaluationError(f"{label}: not valid UTF-8") from None
+    except csv.Error as exc:
+        raise EvaluationError(f"{label}:{reader.line_num}: {exc}") from None
+
+
 def load_benchmark(path: str | os.PathLike, name: str | None = None) -> Benchmark:
     """Read a benchmark CSV with header ``word1,word2,rating``."""
     label = str(path)
     rows: list[tuple[str, str, float]] = []
     with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_records(fh, label)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header] != [
             "word1",

@@ -90,7 +90,12 @@ def load_counts(
             digits = field.removeprefix("-")
             if not (digits.isascii() and digits.isdigit()):
                 raise ModelError(f"{label}:{lineno}: malformed count {field!r}")
-            count = int(field)
+            try:
+                count = int(field)
+            except ValueError:  # beyond int()'s limit on decimal digits
+                raise ModelError(
+                    f"{label}:{lineno}: count too large ({len(digits)} digits)"
+                ) from None
             if count < 0:
                 raise ModelError(f"{label}:{lineno}: negative count {count}")
             counts[word] = counts.get(word, 0) + count
@@ -119,8 +124,11 @@ class ProbabilityModel:
             )
         self.N = n_total
         self._p = tuple(f / n_total for f in freq)
+        # a p that underflowed to 0.0 (f > 0) takes its ic from the ints
         self._ic = tuple(
-            math.inf if f == 0 else _neg_log(p, log_base)
+            math.inf if f == 0
+            else _neg_log(p, log_base) if p > 0.0
+            else (math.log(n_total) - math.log(f)) / math.log(log_base)
             for f, p in zip(freq, self._p)
         )
 

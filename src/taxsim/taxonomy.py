@@ -14,7 +14,7 @@ idempotent):
 * lexicon file: one ``word<TAB>concept_id`` pair per line.
 
 Concept ids are arbitrary non-empty tab-free strings and are
-case-sensitive.  Words are lowercased on load and on lookup.
+case-sensitive.  Words are stripped and lowercased on load and on lookup.
 """
 
 from __future__ import annotations
@@ -44,22 +44,26 @@ def _parse_pair_lines(lines: Iterable[str], label: str, error: type = TaxonomyEr
     """Yield (lineno, left, right) from ``left<TAB>right`` lines.
 
     Blank lines and lines starting with ``#`` are skipped.  ``label`` is
-    the file path used in diagnostics, which are raised as ``error``.
+    the file path used in diagnostics, which are raised as ``error``;
+    so is a decoding failure of ``lines``.
     """
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise error(
-                f"{label}:{lineno}: expected 2 tab-separated fields, got {len(fields)}"
-            )
-        left, right = fields
-        if not left or not right:
-            raise error(f"{label}:{lineno}: empty field")
-        yield lineno, left, right
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.rstrip("\r\n")
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise error(
+                    f"{label}:{lineno}: expected 2 tab-separated fields, got {len(fields)}"
+                )
+            left, right = fields
+            if not left or not right:
+                raise error(f"{label}:{lineno}: empty field")
+            yield lineno, left, right
+    except UnicodeDecodeError:
+        raise error(f"{label}: not valid UTF-8") from None
 
 
 class Taxonomy:
@@ -72,23 +76,51 @@ class Taxonomy:
     def __init__(
         self,
         ids: list[str],
+        index: dict[str, int],
         parents: list[tuple[int, ...]],
         senses: dict[str, tuple[int, ...]],
     ):
         n = len(ids)
         self._ids = ids
-        self._index = {cid: i for i, cid in enumerate(ids)}
+        self._index = index
         self._parents = parents
         children: list[list[int]] = [[] for _ in range(n)]
-        for child, ps in enumerate(parents):
+        for child, ps in enumerate(parents):  # ascending, so each list is sorted
             for p in ps:
                 children[p].append(child)
-        self._children = [tuple(sorted(cs)) for cs in children]
+        self._children = [tuple(cs) for cs in children]
         self._senses = senses
 
-        self._topo = self._toposort()
-        self._ancestors = self._compute_ancestors()
-        self._depths, self.max_depth = self._compute_depths()
+        # One Kahn sweep, parents before children: each node's ancestor
+        # set and longest-path depth are final once it is ordered.  It is
+        # the only cycle check, and names the loop reached from the
+        # smallest unordered index.
+        pending = [len(ps) for ps in parents]
+        order = [i for i in range(n) if not pending[i]]
+        ancestors: list[frozenset[int]] = [frozenset()] * n
+        depths = [0] * n
+        for i in order:
+            ps = parents[i]
+            ancestors[i] = frozenset({i}).union(*(ancestors[p] for p in ps))
+            if ps:
+                depths[i] = 1 + max(depths[p] for p in ps)
+            for child in children[i]:
+                pending[child] -= 1
+                if not pending[child]:
+                    order.append(child)
+        if len(order) < n:
+            done = set(order)
+            cur = min(i for i in range(n) if i not in done)
+            path: dict[int, int] = {}  # node -> position, in walk order
+            while cur not in path:
+                path[cur] = len(path)
+                cur = next(p for p in parents[cur] if p not in done)
+            chain = " -> ".join(ids[i] for i in list(path)[path[cur]:] + [cur])
+            raise TaxonomyError(f"cycle detected: {chain}")
+        self._root = order[0]  # build() leaves one parentless node
+        self._ancestors = ancestors
+        self._depths = depths
+        self.max_depth = max(depths)
 
     # ------------------------------------------------------------------
     # construction
@@ -104,7 +136,9 @@ class Taxonomy:
         """Construct and validate a taxonomy.
 
         ``edges`` are (child, parent) id pairs; duplicates are merged.
-        ``senses`` maps words to non-empty sets of concept ids.
+        ``senses`` maps words to non-empty sets of concept ids.  Words
+        are stripped and lowercased; keys that become equal (``"Dog"``
+        and ``" dog"``) have their sense sets merged.
         ``concepts`` declares additional isolated concepts (useful for
         single-node taxonomies, which have no edges).
 
@@ -112,10 +146,12 @@ class Taxonomy:
         inserted above all of them so the top node is unique.
 
         Raises :class:`TaxonomyError` on a cycle, a dangling concept
-        reference, a duplicate concept id, or empty input.
+        reference, a duplicate concept id, an empty word or sense set,
+        or empty input.
         """
         ids: list[str] = []
         index: dict[str, int] = {}
+        parent_sets: list[set[int]] = []
 
         def intern(cid: str) -> int:
             i = index.get(cid)
@@ -123,12 +159,12 @@ class Taxonomy:
                 i = len(ids)
                 index[cid] = i
                 ids.append(cid)
+                parent_sets.append(set())
             return i
 
-        edge_set: set[tuple[int, int]] = set()
         for child, parent in edges:
-            pair = (intern(child), intern(parent))
-            edge_set.add(pair)
+            c = intern(child)
+            parent_sets[c].add(intern(parent))
 
         # redeclaring an edge endpoint is idempotent; declaring the same
         # extra concept twice is a duplicate
@@ -156,13 +192,10 @@ class Taxonomy:
                 targets.add(index[cid])
             if not targets:
                 raise TaxonomyError(f"empty sense set for word {word!r}")
+            targets.update(sense_map.get(word, ()))
             sense_map[word] = tuple(sorted(targets))
 
-        parent_lists: list[set[int]] = [set() for _ in ids]
-        for child, parent in edge_set:
-            parent_lists[child].add(parent)
-
-        parentless = [i for i in range(len(ids)) if not parent_lists[i]]
+        parentless = [i for i, ps in enumerate(parent_sets) if not ps]
         if len(parentless) > 1:
             if SYNTHETIC_ROOT in index:
                 raise TaxonomyError(
@@ -170,49 +203,11 @@ class Taxonomy:
                     "for the synthetic root"
                 )
             root = intern(SYNTHETIC_ROOT)
-            parent_lists.append(set())
             for i in parentless:
-                parent_lists[i].add(root)
+                parent_sets[i].add(root)
 
-        parents = [tuple(sorted(ps)) for ps in parent_lists]
-        return cls(ids, parents, sense_map)
-
-    def _toposort(self) -> list[int]:
-        """Topological order, parents before children; the only cycle check,
-        which names the loop reached from the smallest unordered index."""
-        n = len(self._ids)
-        pending = [len(ps) for ps in self._parents]
-        order = [i for i in range(n) if pending[i] == 0]
-        for i in order:
-            if len(order) == n:
-                break
-            for child in self._children[i]:
-                pending[child] -= 1
-                if pending[child] == 0:
-                    order.append(child)
-        if len(order) == n:
-            return order
-        done = set(order)
-        cur = min(i for i in range(n) if i not in done)
-        path: dict[int, int] = {}  # node -> position, in walk order
-        while cur not in path:
-            path[cur] = len(path)
-            cur = next(p for p in self._parents[cur] if p not in done)
-        chain = " -> ".join(self._ids[i] for i in list(path)[path[cur]:] + [cur])
-        raise TaxonomyError(f"cycle detected: {chain}")
-
-    def _compute_ancestors(self) -> list[frozenset[int]]:
-        anc: list[frozenset[int]] = [frozenset()] * len(self._ids)
-        for i in self._topo:
-            anc[i] = frozenset({i}).union(*(anc[p] for p in self._parents[i]))
-        return anc
-
-    def _compute_depths(self) -> tuple[list[int], int]:
-        depths = [0] * len(self._ids)
-        for i in self._topo:
-            if self._parents[i]:
-                depths[i] = 1 + max(depths[p] for p in self._parents[i])
-        return depths, max(depths)
+        parents = [tuple(sorted(ps)) for ps in parent_sets]
+        return cls(ids, index, parents, sense_map)
 
     # ------------------------------------------------------------------
     # lookups
@@ -239,7 +234,7 @@ class Taxonomy:
 
     @property
     def root(self) -> str:
-        return self._ids[self._topo[0]]  # build() leaves one parentless node
+        return self._ids[self._root]
 
     @property
     def concept_count(self) -> int:
@@ -365,8 +360,8 @@ def load_taxonomy(edges_path: str | os.PathLike,
         edges = [pair[1:] for pair in _parse_pair_lines(fh, str(edges_path))]
     if not edges:
         raise TaxonomyError(f"{edges_path}: empty input")
-    senses: dict[str, set[str]] = {}
+    senses: dict[str, list[str]] = {}  # build() normalizes and merges words
     with open(lexicon_path, encoding="utf-8-sig") as fh:
         for _, word, cid in _parse_pair_lines(fh, str(lexicon_path)):
-            senses.setdefault(word.strip().lower(), set()).add(cid)
+            senses.setdefault(word, []).append(cid)
     return Taxonomy.build(edges, senses)

@@ -12,6 +12,7 @@ from helpers import (
     TOY_COUNTS,
     TOY_EDGES,
     TOY_SENSES,
+    write_toy_files,
 )
 
 
@@ -48,26 +49,4 @@ def drug_model(drug_taxonomy):
 @pytest.fixture
 def toy_files(tmp_path):
     """Toy taxonomy/lexicon/counts/benchmark written as input files."""
-    paths = {
-        "taxonomy": tmp_path / "taxonomy.tsv",
-        "lexicon": tmp_path / "lexicon.tsv",
-        "counts": tmp_path / "counts.tsv",
-        "benchmark": tmp_path / "benchmark.csv",
-    }
-    paths["taxonomy"].write_text(
-        "".join(f"{c}\t{p}\n" for c, p in TOY_EDGES), encoding="utf-8"
-    )
-    paths["lexicon"].write_text(
-        "".join(
-            f"{w}\t{c}\n" for w, cs in sorted(TOY_SENSES.items()) for c in sorted(cs)
-        ),
-        encoding="utf-8",
-    )
-    paths["counts"].write_text(
-        "".join(f"{w}\t{n}\n" for w, n in sorted(TOY_COUNTS.items())),
-        encoding="utf-8",
-    )
-    paths["benchmark"].write_text(
-        "word1,word2,rating\nx,y,3.5\nx,z,0.5\nx,unlisted,1.0\n", encoding="utf-8"
-    )
-    return paths
+    return write_toy_files(tmp_path)

@@ -78,6 +78,34 @@ DRUG_SENSES = {
 DRUG_COUNTS = {"tobacco": 2, "alcohol": 2, "sugar": 8, "horse": 4, "cow": 16}
 
 
+def write_toy_files(directory):
+    """Write the toy taxonomy, lexicon, counts and a 3-row benchmark into
+    ``directory``; returns their paths by kind."""
+    paths = {
+        "taxonomy": directory / "taxonomy.tsv",
+        "lexicon": directory / "lexicon.tsv",
+        "counts": directory / "counts.tsv",
+        "benchmark": directory / "benchmark.csv",
+    }
+    paths["taxonomy"].write_text(
+        "".join(f"{c}\t{p}\n" for c, p in TOY_EDGES), encoding="utf-8"
+    )
+    paths["lexicon"].write_text(
+        "".join(
+            f"{w}\t{c}\n" for w, cs in sorted(TOY_SENSES.items()) for c in sorted(cs)
+        ),
+        encoding="utf-8",
+    )
+    paths["counts"].write_text(
+        "".join(f"{w}\t{n}\n" for w, n in sorted(TOY_COUNTS.items())),
+        encoding="utf-8",
+    )
+    paths["benchmark"].write_text(
+        "word1,word2,rating\nx,y,3.5\nx,z,0.5\nx,unlisted,1.0\n", encoding="utf-8"
+    )
+    return paths
+
+
 # ----------------------------------------------------------------------
 # random instances
 # ----------------------------------------------------------------------

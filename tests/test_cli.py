@@ -298,3 +298,47 @@ class TestStats:
         _, first, _ = _run(capsys, args)
         _, second, _ = _run(capsys, args)
         assert first == second
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize(
+        "kind, expected", [("taxonomy", 1), ("lexicon", 1), ("counts", 1), ("benchmark", 4)]
+    )
+    def test_invalid_utf8_exits_with_loader_code(self, capsys, toy_files, kind, expected):
+        # used to end in an uncaught UnicodeDecodeError
+        path = toy_files[kind]
+        path.write_bytes(path.read_bytes() + b"caf\xe9\tA\n")
+        code, out, err = _run(
+            capsys,
+            ["eval", "--benchmark", str(toy_files["benchmark"])] + _base_args(toy_files)
+            + ["--counts", str(toy_files["counts"])],
+        )
+        assert code == expected
+        assert out == ""
+        assert err == f"error: {path}: not valid UTF-8\n"
+
+    def test_count_beyond_int_digit_limit_exits_1(self, capsys, tmp_path, toy_files):
+        counts = tmp_path / "huge.tsv"
+        counts.write_text("x\t1\ny\t" + "9" * 4301 + "\n", encoding="utf-8")
+        code, out, err = _run(
+            capsys, ["sim", "x", "y"] + _base_args(toy_files) + ["--counts", str(counts)]
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {counts}:2: count too large (4301 digits)\n"
+
+    def test_benchmark_field_over_csv_limit_exits_4(self, capsys, tmp_path, toy_files):
+        bench = tmp_path / "wide.csv"
+        bench.write_text(
+            "word1,word2,rating\nx,y,1\nx," + "z" * 131073 + ",2\n", encoding="utf-8"
+        )
+        code, out, err = _run(
+            capsys,
+            ["eval", "--benchmark", str(bench)] + _base_args(toy_files)
+            + ["--measure", "edge"],
+        )
+        assert code == 4
+        assert out == ""
+        assert err == (
+            f"error: {bench}:3: field larger than field limit (131072)\n"
+        )

@@ -103,6 +103,25 @@ class TestPearson:
         with pytest.raises(EvaluationError, match="non-finite"):
             pearson([1, 3, 2], [1, 2, bad])
 
+    def test_values_near_float_limit(self):
+        # the sums used to overflow: fsum raised OverflowError, or an
+        # infinite deviation turned r into NaN and the clamp into 1.0
+        assert pearson([1.7e308, -1.7e308, 1.7e308], [1, 2, 3]) == 0.0
+        assert pearson([1e308, 1e308, 0.0], [1, 2, 3]) == pearson([1, 1, 0], [1, 2, 3])
+        assert pearson([1, 2, 3], [-1e308, 1e308, 1e308]) == pearson(
+            [1, 2, 3], [-1, 1, 1]
+        )
+
+    def test_rounded_mean(self):
+        # the mean of [0, 5e-324] used to round to 0, and that of two
+        # adjacent floats onto one of them, leaving r = 0.707
+        adjacent = [-1e6, math.nextafter(-1e6, 0.0)]
+        assert pearson(adjacent, [0.0, 1.0]) == pytest.approx(1.0, abs=1e-15)
+        assert pearson([0.0, 1.0], [0.0, 5e-324]) == pytest.approx(1.0, abs=1e-15)
+        assert pearson([5e-324, 0.0, 1e-323], [1, 2, 3]) == pytest.approx(
+            pearson([1, 0, 2], [1, 2, 3]), abs=1e-15
+        )
+
     def test_symmetric_in_arguments(self):
         xs = [1.0, 4.0, 2.5, 7.0]
         ys = [2.0, 0.5, 9.0, 1.0]
@@ -221,6 +240,20 @@ class TestLoadBenchmark:
         path = tmp_path / "b.csv"
         path.write_text(f"word1,word2,rating\nx,y,1\nx,z,{rating}\n", encoding="utf-8")
         with pytest.raises(EvaluationError, match=rf"b\.csv:3: non-finite rating"):
+            load_benchmark(path)
+
+    def test_field_over_csv_limit(self, tmp_path):
+        path = tmp_path / "b.csv"
+        path.write_text(
+            "word1,word2,rating\nx,y,1\n" + "x" * 131073 + ",z,1\n", encoding="utf-8"
+        )
+        with pytest.raises(EvaluationError, match=r"b\.csv:3: field larger than"):
+            load_benchmark(path)
+
+    def test_invalid_utf8(self, tmp_path):
+        path = tmp_path / "b.csv"
+        path.write_bytes(b"word1,word2,rating\nx,caf\xe9,1\n")
+        with pytest.raises(EvaluationError, match=r"b\.csv: not valid UTF-8"):
             load_benchmark(path)
 
 

@@ -65,6 +65,12 @@ class TestLoadCounts:
             with pytest.raises(ModelError, match=r"c\.tsv:1: malformed count"):
                 load_counts(path)
 
+    def test_count_beyond_int_digit_limit(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_text("x\t" + "9" * 4301 + "\n", encoding="utf-8")
+        with pytest.raises(ModelError, match="c.tsv:1: count too large"):
+            load_counts(path)
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_text("x 2\n", encoding="utf-8")
@@ -144,6 +150,15 @@ class TestBuildModel:
         model = build_model(t, FrequencyTable.from_counts(TOY_COUNTS))
         assert model.freq("C") == 0
         assert math.isinf(model.ic("C"))
+
+    def test_underflowed_probability_keeps_finite_ic(self, toy_taxonomy):
+        # p(A1) = 1 / (10**400 + 1) is 0.0 as a float; its ic used to
+        # raise "math domain error"
+        table = FrequencyTable.from_counts({"x": 1, "y": 10**400})
+        model = build_model(toy_taxonomy, table)
+        assert model.p("A1") == 0.0
+        assert model.ic("A1") == pytest.approx(math.log2(10**400 + 1))
+        assert model.ic("root") == 0.0
 
     def test_n_zero_fails(self, toy_taxonomy):
         table = FrequencyTable.from_counts({"w_unknown": 7})

@@ -71,6 +71,18 @@ class TestBuild:
         with pytest.raises(TaxonomyError, match="empty sense set"):
             Taxonomy.build(TOY_EDGES, {"w": set()})
 
+    @pytest.mark.parametrize("first, second", [("Dog", "dog"), (" dog", "dog\t")])
+    def test_colliding_words_merge_sense_sets(self, first, second):
+        # the later key used to overwrite the earlier one's senses
+        t = Taxonomy.build([("a", "r"), ("b", "r")], {first: ["a"], second: ["b"]})
+        assert t.senses_of("dog") == {"a", "b"}
+        assert t.sense_indices(first) == (t.index_of("a"), t.index_of("b"))
+        assert t.word_count == 1
+
+    def test_empty_sense_set_rejected_despite_collision(self):
+        with pytest.raises(TaxonomyError, match="empty sense set for word 'dog'"):
+            Taxonomy.build([("a", "r")], {"Dog": ["a"], "dog": []})
+
     def test_duplicate_edges_idempotent(self, toy_taxonomy):
         t = Taxonomy.build(TOY_EDGES + TOY_EDGES, TOY_SENSES)
         assert t.edge_count == toy_taxonomy.edge_count
@@ -123,6 +135,22 @@ class TestLoadTaxonomy:
         lex.write_text("", encoding="utf-8")
         with pytest.raises(TaxonomyError, match="empty field"):
             load_taxonomy(edges, lex)
+
+    def test_dangling_reference_named_in_file_order(self, tmp_path):
+        edges = tmp_path / "e.tsv"
+        edges.write_text("a\tr\n", encoding="utf-8")
+        lexicon = tmp_path / "l.tsv"
+        lexicon.write_text("W\ta\nw\tnope1\nw\tnope2\n", encoding="utf-8")
+        with pytest.raises(TaxonomyError, match="unknown concept 'nope1'"):
+            load_taxonomy(edges, lexicon)
+
+    def test_invalid_utf8(self, tmp_path):
+        edges = tmp_path / "e.tsv"
+        edges.write_bytes(b"a\tr\ncaf\xe9\tr\n")
+        lexicon = tmp_path / "l.tsv"
+        lexicon.write_text("w\ta\n", encoding="utf-8")
+        with pytest.raises(TaxonomyError, match=r"e\.tsv: not valid UTF-8"):
+            load_taxonomy(edges, lexicon)
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
