@@ -49,13 +49,12 @@ from .similarity import (
     uniform_weights,
     word_similarity,
 )
-from .taxonomy import DepthInfo, SYNTHETIC_ROOT, Taxonomy, load_taxonomy
+from .taxonomy import SYNTHETIC_ROOT, Taxonomy, load_taxonomy
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Benchmark",
-    "DepthInfo",
     "EvalItem",
     "EvalReport",
     "EvaluationError",

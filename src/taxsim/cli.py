@@ -6,7 +6,8 @@ the bundled reference data), ``stats`` (dump the probability model).
 
 Exit codes partition the failure classes: 0 success, 1 validation,
 2 I/O, 3 query, 4 degenerate evaluation.  Identical inputs and flags
-always produce byte-identical output.
+always produce byte-identical output.  An empty path flag counts as
+absent.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (
@@ -37,97 +37,59 @@ from .probability import build_model, load_counts
 from .similarity import CORPUS_MEASURES, WORD_MEASURES, word_similarity
 from .taxonomy import load_taxonomy
 
-EXIT_OK = 0
-EXIT_VALIDATION = 1
-EXIT_IO = 2
-EXIT_QUERY = 3
-EXIT_EVALUATION = 4
+#: Exit code of each failure class, matched in order like ``except`` clauses.
+EXIT_CODES = {
+    OSError: 2,
+    TaxonomyError: 1,
+    ModelError: 1,
+    UnknownConceptError: 3,
+    UnknownWordError: 3,
+    SimilarityError: 3,
+    EvaluationError: 4,
+}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved flags shared by the subcommands."""
-
-    taxonomy: Path | None
-    lexicon: Path | None
-    counts: Path | None
-    benchmark: Path | None
-    log_base: float
-    plural_fold: bool
-    lch_floor: float
-    measures: tuple[str, ...]
-    json_out: Path | None
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        if not math.isfinite(args.log_base) or args.log_base <= 1:
-            raise ModelError(f"--log-base must be finite and > 1, got {args.log_base}")
-        if not math.isfinite(args.lch_floor) or args.lch_floor <= 0:
-            raise ModelError(
-                f"--lch-floor must be finite and positive, got {args.lch_floor}"
-            )
-        chosen = args.measure or WORD_MEASURES
-        measures = tuple(m for m in WORD_MEASURES if m in chosen)
-        benchmark = getattr(args, "benchmark", None)
-        json_out = getattr(args, "json_out", None)
-        return cls(
-            taxonomy=Path(args.taxonomy) if args.taxonomy else None,
-            lexicon=Path(args.lexicon) if args.lexicon else None,
-            counts=Path(args.counts) if args.counts else None,
-            benchmark=Path(benchmark) if benchmark else None,
-            log_base=args.log_base,
-            plural_fold=args.plural_fold,
-            lch_floor=args.lch_floor,
-            measures=measures,
-            json_out=Path(json_out) if json_out else None,
-        )
-
-
-def _load(config: RunConfig):
-    if config.taxonomy is None or config.lexicon is None:
+def _load(args: argparse.Namespace, measures):
+    """The taxonomy, and the probability model if any of ``measures``
+    needs corpus counts (else ``None``)."""
+    if not (args.taxonomy and args.lexicon):
         raise ModelError("--taxonomy and --lexicon are required")
-    return load_taxonomy(config.taxonomy, config.lexicon)
-
-
-def _load_model(config: RunConfig, taxonomy):
-    if config.counts is None:
+    taxonomy = load_taxonomy(Path(args.taxonomy), Path(args.lexicon))
+    if not any(m in CORPUS_MEASURES for m in measures):
+        return taxonomy, None
+    if not args.counts:
         raise ModelError(
             "--counts is required for the corpus-based measures (resnik, prob)"
         )
     table = load_counts(
-        config.counts,
-        plural_fold=config.plural_fold,
-        known_words=taxonomy.words() if config.plural_fold else None,
+        Path(args.counts),
+        plural_stems=taxonomy.words() if args.plural_fold else None,
     )
-    return build_model(taxonomy, table, log_base=config.log_base)
+    return taxonomy, build_model(taxonomy, table, log_base=args.log_base)
 
 
-def _needs_model(measures) -> bool:
-    return any(m in CORPUS_MEASURES for m in measures)
-
-
-def cmd_validate(config: RunConfig) -> int:
-    t = _load(config)
+def cmd_validate(args: argparse.Namespace, measures) -> int:
+    t, _ = _load(args, ())
     print(
         f"{t.concept_count} concepts, {t.edge_count} edges, "
         f"{t.word_count} words, MAX={t.max_depth}"
     )
-    return EXIT_OK
+    return 0
 
 
-def cmd_sim(config: RunConfig, w1: str, w2: str) -> int:
-    t = _load(config)
-    model = _load_model(config, t) if _needs_model(config.measures) else None
-    for measure in config.measures:
+def cmd_sim(args: argparse.Namespace, measures) -> int:
+    t, model = _load(args, measures)
+    w1, w2 = args.word1, args.word2
+    for measure in measures:
         score = word_similarity(
             measure, t, w1, w2, model,
-            log_base=config.log_base, lch_floor=config.lch_floor,
+            log_base=args.log_base, lch_floor=args.lch_floor,
         )
         print(
             f"{w1.lower()}\t{w2.lower()}\t{measure}\t{score.value:.4f}\t"
             f"{score.witness or '-'}"
         )
-    return EXIT_OK
+    return 0
 
 
 def cmd_eval_fixture() -> int:
@@ -142,20 +104,19 @@ def cmd_eval_fixture() -> int:
             f"{key}\tr={r:.4f}\ttarget={target:.4f}±{REFERENCE_TOLERANCE}\t"
             f"{'PASS' if ok else 'FAIL'}"
         )
-    return EXIT_VALIDATION if failed else EXIT_OK
+    return 1 if failed else 0
 
 
-def cmd_eval(config: RunConfig) -> int:
-    if config.benchmark is None:
+def cmd_eval(args: argparse.Namespace, measures) -> int:
+    if not args.benchmark:
         raise ModelError("--benchmark is required (or use --fixture)")
-    t = _load(config)
-    model = _load_model(config, t) if _needs_model(config.measures) else None
-    benchmark = load_benchmark(config.benchmark)
+    t, model = _load(args, measures)
+    benchmark = load_benchmark(Path(args.benchmark))
     json_lines: list[str] = []
-    for measure in config.measures:
+    for measure in measures:
         report = evaluate(
             measure, benchmark, t, model,
-            log_base=config.log_base, lch_floor=config.lch_floor,
+            log_base=args.log_base, lch_floor=args.lch_floor,
         )
         print(
             f"{measure}\tr={report.r:.4f}\tn={report.n_included}\t"
@@ -163,30 +124,22 @@ def cmd_eval(config: RunConfig) -> int:
         )
         for w1, w2, reason in report.excluded:
             print(f"# excluded: {w1},{w2}\t{reason}")
-        for item in report.items:
-            json_lines.append(
-                json.dumps(
-                    {
-                        "measure": measure,
-                        "pair": [item.word1, item.word2],
-                        "score": item.score,
-                        "included": item.included,
-                        "reason": item.reason,
-                    },
-                    sort_keys=True,
-                )
-            )
-    if config.json_out is not None:
-        config.json_out.write_text("\n".join(json_lines) + "\n", encoding="utf-8")
-    return EXIT_OK
+        json_lines += (
+            json.dumps({"measure": measure, "pair": [item.word1, item.word2],
+                        "score": item.score, "included": item.included,
+                        "reason": item.reason}, sort_keys=True)
+            for item in report.items
+        )
+    if args.json_out:
+        Path(args.json_out).write_text("\n".join(json_lines) + "\n", encoding="utf-8")
+    return 0
 
 
-def cmd_stats(config: RunConfig) -> int:
-    t = _load(config)
-    model = _load_model(config, t)
+def cmd_stats(args: argparse.Namespace, measures) -> int:
+    _, model = _load(args, CORPUS_MEASURES)
     for cid, freq, p, ic in model.dump_rows():
         print(f"{cid}\t{freq}\t{p:.4f}\t{ic:.4f}")
-    return EXIT_OK
+    return 0
 
 
 def _add_common_options(parser: argparse.ArgumentParser, *, require_files: bool):
@@ -215,11 +168,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_validate = sub.add_parser("validate", help="validate taxonomy structure")
     _add_common_options(p_validate, require_files=True)
+    p_validate.set_defaults(run=cmd_validate)
 
     p_sim = sub.add_parser("sim", help="score the similarity of two words")
     p_sim.add_argument("word1")
     p_sim.add_argument("word2")
     _add_common_options(p_sim, require_files=True)
+    p_sim.set_defaults(run=cmd_sim)
 
     p_eval = sub.add_parser("eval", help="correlate measures against a benchmark")
     p_eval.add_argument("--fixture", action="store_true",
@@ -228,9 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--benchmark", help="benchmark CSV: word1,word2,rating")
     p_eval.add_argument("--json-out", help="write per-row results as JSON lines")
     _add_common_options(p_eval, require_files=False)
+    p_eval.set_defaults(run=cmd_eval)
 
     p_stats = sub.add_parser("stats", help="dump per-concept freq/p/ic")
     _add_common_options(p_stats, require_files=True)
+    p_stats.set_defaults(run=cmd_stats)
 
     return parser
 
@@ -240,26 +197,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "eval" and args.fixture:
             return cmd_eval_fixture()
-        config = RunConfig.from_args(args)
-        if args.command == "validate":
-            return cmd_validate(config)
-        if args.command == "sim":
-            return cmd_sim(config, args.word1, args.word2)
-        if args.command == "eval":
-            return cmd_eval(config)
-        return cmd_stats(config)
-    except OSError as exc:
+        if not math.isfinite(args.log_base) or args.log_base <= 1:
+            raise ModelError(f"--log-base must be finite and > 1, got {args.log_base}")
+        if not math.isfinite(args.lch_floor) or args.lch_floor <= 0:
+            raise ModelError(
+                f"--lch-floor must be finite and positive, got {args.lch_floor}"
+            )
+        chosen = args.measure or WORD_MEASURES
+        return args.run(args, tuple(m for m in WORD_MEASURES if m in chosen))
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (TaxonomyError, ModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (UnknownConceptError, UnknownWordError, SimilarityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_QUERY
-    except EvaluationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EVALUATION
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -25,6 +25,12 @@ def _neg_log(x: float, base: float) -> float:
     return 0.0 - math.log(x) / math.log(base)
 
 
+def _decimal_digits(n: int) -> int:
+    """Number of decimal digits of ``n`` > 0, also beyond ``str``'s limit."""
+    d = int(math.log10(n)) + 1  # may be one off near a power of ten
+    return d - (n < 10 ** (d - 1)) + (n >= 10 ** d)
+
+
 @dataclass(frozen=True)
 class FrequencyTable:
     """Merged word counts; ``total_raw`` is their sum."""
@@ -37,15 +43,15 @@ class FrequencyTable:
         cls,
         counts: Mapping[str, int],
         *,
-        plural_fold: bool = False,
-        known_words: Collection[str] | None = None,
+        plural_stems: Collection[str] | None = None,
     ) -> "FrequencyTable":
         """Build a table from a word -> count mapping.
 
-        Words are lowercased.  With ``plural_fold`` on, a word ending in
-        "s" whose stripped form is in ``known_words`` has its count folded
-        into the stripped form.  The rule is deliberately naive; counts
-        files are expected to arrive pre-lemmatized.  Counts must be ints >= 0.
+        Words are lowercased.  With ``plural_stems`` given, a word ending
+        in "s" whose stripped form is in ``plural_stems`` has its count
+        folded into the stripped form; ``None`` folds nothing.  The rule
+        is deliberately naive; counts files are expected to arrive
+        pre-lemmatized.  Counts must be ints >= 0.
         """
         merged: dict[str, int] = {}
         for word, count in counts.items():
@@ -56,14 +62,12 @@ class FrequencyTable:
             word = word.strip().lower()
             merged[word] = merged.get(word, 0) + count
 
-        if plural_fold:
-            if known_words is None:
-                raise ValueError("plural_fold requires known_words")
+        if plural_stems is not None:
             folded: dict[str, int] = {}
             for word in sorted(merged):
                 count = merged[word]
                 stem = word[:-1]
-                if word.endswith("s") and len(word) > 1 and stem in known_words:
+                if word.endswith("s") and len(word) > 1 and stem in plural_stems:
                     folded[stem] = folded.get(stem, 0) + count
                 else:
                     folded[word] = folded.get(word, 0) + count
@@ -75,13 +79,15 @@ class FrequencyTable:
 def load_counts(
     path: str | os.PathLike,
     *,
-    plural_fold: bool = False,
-    known_words: Collection[str] | None = None,
+    plural_stems: Collection[str] | None = None,
 ) -> FrequencyTable:
-    """Read a ``word<TAB>count`` file into a :class:`FrequencyTable`.
+    """Read a ``word<TAB>count`` file into a :class:`FrequencyTable`;
+    ``plural_stems`` is as for :meth:`FrequencyTable.from_counts`.
 
     Counts are non-negative integers written in ASCII decimal digits;
     duplicate words are summed.  ``#`` lines and blank lines are ignored.
+    A count, or the total of all counts, longer than ``int``'s limit on
+    decimal digits (4,300 by default) is rejected.
     """
     label = str(path)
     counts: dict[str, int] = {}
@@ -99,9 +105,14 @@ def load_counts(
             if count < 0:
                 raise ModelError(f"{label}:{lineno}: negative count {count}")
             counts[word] = counts.get(word, 0) + count
-    return FrequencyTable.from_counts(
-        counts, plural_fold=plural_fold, known_words=known_words
-    )
+    table = FrequencyTable.from_counts(counts, plural_stems=plural_stems)
+    try:
+        str(table.total_raw)  # no frequency is larger, so all can be printed
+    except ValueError:
+        raise ModelError(
+            f"{label}: total count too large ({_decimal_digits(table.total_raw)} digits)"
+        ) from None
+    return table
 
 
 class ProbabilityModel:

@@ -20,7 +20,6 @@ case-sensitive.  Words are stripped and lowercased on load and on lookup.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .errors import TaxonomyError, UnknownConceptError
@@ -28,15 +27,6 @@ from .errors import TaxonomyError, UnknownConceptError
 #: Id of the root inserted when the input has more than one parentless
 #: concept.  The input may not already contain a concept with this id.
 SYNTHETIC_ROOT = "*root*"
-
-
-@dataclass(frozen=True)
-class DepthInfo:
-    """Depth of every concept, in edges along the longest path from the
-    root, together with the taxonomy-wide maximum."""
-
-    depths: dict[str, int]
-    max_depth: int
 
 
 def _parse_pair_lines(lines: Iterable[str], label: str, error: type = TaxonomyError
@@ -168,9 +158,9 @@ class Taxonomy:
 
         # redeclaring an edge endpoint is idempotent; declaring the same
         # extra concept twice is a duplicate
-        edge_endpoints = frozenset(index)
+        n_endpoints = len(ids)  # ids are interned in order
         for cid in concepts:
-            if cid in index and cid not in edge_endpoints:
+            if index.get(cid, -1) >= n_endpoints:
                 raise TaxonomyError(f"duplicate concept id: {cid!r}")
             intern(cid)
 
@@ -332,13 +322,6 @@ class Taxonomy:
 
     def depth_of(self, concept: str) -> int:
         return self._depths[self.index_of(concept)]
-
-    def depth_info(self) -> DepthInfo:
-        """Per-concept longest-path depths and the taxonomy maximum."""
-        return DepthInfo(
-            depths={cid: self._depths[i] for i, cid in enumerate(self._ids)},
-            max_depth=self.max_depth,
-        )
 
     def senses_of(self, word: str) -> frozenset[str]:
         """The sense set of ``word`` (case-insensitive); empty if the word

@@ -110,6 +110,18 @@ class TestSim:
         assert code == 1
         assert "--counts" in err
 
+    def test_empty_counts_flag_counts_as_absent(self, capsys, toy_files):
+        code, out, err = _run(
+            capsys,
+            ["sim", "x", "y"] + _base_args(toy_files)
+            + ["--counts", "", "--measure", "resnik"],
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: --counts is required for the corpus-based measures (resnik, prob)\n"
+        )
+
     def test_log_base_changes_value_not_witness(self, capsys, toy_files):
         args = ["sim", "x", "y"] + _base_args(toy_files) + [
             "--counts", str(toy_files["counts"]), "--measure", "resnik",
@@ -232,6 +244,40 @@ class TestEvalLive:
         assert code == 1
         assert "--benchmark" in err
 
+    def test_missing_taxonomy_flags_exit_1(self, capsys, toy_files):
+        code, out, err = _run(capsys, ["eval", "--benchmark", str(toy_files["benchmark"])])
+        assert code == 1
+        assert out == ""
+        assert err == "error: --taxonomy and --lexicon are required\n"
+
+    def test_empty_json_out_writes_nothing(self, capsys, tmp_path, toy_files, monkeypatch):
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        code, out, _ = _run(
+            capsys,
+            ["eval", "--benchmark", str(toy_files["benchmark"]), "--json-out", ""]
+            + _base_args(toy_files) + ["--measure", "edge"],
+        )
+        assert code == 0
+        assert out.startswith("edge\tr=")
+        assert list(cwd.iterdir()) == []
+
+    def test_json_out_into_missing_directory_exits_2(self, capsys, tmp_path, toy_files):
+        target = tmp_path / "missing" / "rows.jsonl"
+        code, out, err = _run(
+            capsys,
+            ["eval", "--benchmark", str(toy_files["benchmark"]), "--json-out", str(target)]
+            + _base_args(toy_files) + ["--measure", "edge"],
+        )
+        assert code == 2
+        assert out.splitlines() == [
+            "edge\tr=1.0000\tn=2\texcluded=1",
+            "# excluded: x,unlisted\tword not in taxonomy: unlisted",
+        ]
+        assert str(target) in err
+        assert not target.parent.exists()
+
     def test_log_base_leaves_correlations_unchanged(self, capsys, tmp_path, toy_files):
         bench = tmp_path / "b.csv"
         bench.write_text(
@@ -326,6 +372,23 @@ class TestUnreadableInput:
         assert code == 1
         assert out == ""
         assert err == f"error: {counts}:2: count too large (4301 digits)\n"
+
+    @pytest.mark.parametrize("command", ["sim", "stats", "eval"])
+    def test_count_total_beyond_int_digit_limit_exits_1(
+        self, capsys, tmp_path, toy_files, command
+    ):
+        # each count passes; stats used to end in a traceback printing their sum
+        counts = tmp_path / "huge.tsv"
+        counts.write_text("x\t" + "9" * 4300 + "\ny\t" + "9" * 4300 + "\n",
+                          encoding="utf-8")
+        argv = {"sim": ["sim", "x", "y"], "stats": ["stats"],
+                "eval": ["eval", "--benchmark", str(toy_files["benchmark"])]}[command]
+        code, out, err = _run(
+            capsys, argv + _base_args(toy_files) + ["--counts", str(counts)]
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {counts}: total count too large (4301 digits)\n"
 
     def test_benchmark_field_over_csv_limit_exits_4(self, capsys, tmp_path, toy_files):
         bench = tmp_path / "wide.csv"

@@ -56,6 +56,7 @@ def _argv(command, paths):
 @example(content=b"caf\xe9\tA\n")  # not UTF-8
 @example(content=b"x\t" + b"9" * 4301 + b"\n")  # beyond int()'s digit limit
 @example(content=b"word1,word2,rating\n" + b"x" * 131073 + b",y,1\n")  # csv limit
+@example(content=b"x\t" + b"9" * 4300 + b"\ny\t" + b"9" * 4300 + b"\n")  # total too long
 @example(content=b"x\t1\ny\t1" + b"0" * 400 + b"\n")  # p of x underflows to 0.0
 @example(content=b"word1,word2,rating\nx,y,1e308\nx,z,1e308\ny,z,0\n")  # fsum overflow
 def test_any_bytes_give_a_documented_exit_code(toy_paths, kind, content):

@@ -71,6 +71,16 @@ class TestLoadCounts:
         with pytest.raises(ModelError, match="c.tsv:1: count too large"):
             load_counts(path)
 
+    def test_total_beyond_int_digit_limit(self, tmp_path):
+        # each count passes, their sum has 4,301 digits (stats could not print it)
+        path = tmp_path / "c.tsv"
+        path.write_text("x\t" + "9" * 4300 + "\nunlisted\t" + "9" * 4300 + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ModelError, match=r"c\.tsv: total count too large \(4301 digits\)"):
+            load_counts(path)
+        path.write_text("x\t" + "9" * 4300 + "\n", encoding="utf-8")
+        assert load_counts(path).total_raw == 10**4300 - 1
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_text("x 2\n", encoding="utf-8")
@@ -80,27 +90,17 @@ class TestLoadCounts:
 
 class TestPluralFold:
     def test_folds_into_known_stem(self):
-        table = FrequencyTable.from_counts(
-            {"cars": 3, "car": 1}, plural_fold=True, known_words={"car"}
-        )
+        table = FrequencyTable.from_counts({"cars": 3, "car": 1}, plural_stems={"car"})
         assert table.counts == {"car": 4}
         assert table.total_raw == 4
 
     def test_unknown_stem_left_alone(self):
-        table = FrequencyTable.from_counts(
-            {"glass": 2}, plural_fold=True, known_words={"car"}
-        )
+        table = FrequencyTable.from_counts({"glass": 2}, plural_stems={"car"})
         assert table.counts == {"glass": 2}
 
     def test_single_letter_not_stripped(self):
-        table = FrequencyTable.from_counts(
-            {"s": 5}, plural_fold=True, known_words={""}
-        )
+        table = FrequencyTable.from_counts({"s": 5}, plural_stems={""})
         assert table.counts == {"s": 5}
-
-    def test_requires_known_words(self):
-        with pytest.raises(ValueError, match="known_words"):
-            FrequencyTable.from_counts({"cars": 1}, plural_fold=True)
 
     def test_off_by_default(self):
         table = FrequencyTable.from_counts({"cars": 3, "car": 1})

@@ -213,20 +213,22 @@ class TestShortestPath:
 
 class TestDepths:
     def test_toy(self, toy_taxonomy):
-        info = toy_taxonomy.depth_info()
-        assert info.max_depth == 2
-        assert info.depths == {"root": 0, "A": 1, "B": 1, "A1": 2, "A2": 2}
+        t = toy_taxonomy
+        assert t.max_depth == 2
+        assert {cid: t.depth_of(cid) for cid in t.concepts()} == {
+            "root": 0, "A": 1, "B": 1, "A1": 2, "A2": 2,
+        }
 
     def test_single_node(self):
         t = Taxonomy.build([], concepts=["solo"])
-        assert t.depth_info().max_depth == 0
+        assert t.max_depth == 0
         assert t.root == "solo"
 
     def test_chain(self):
         k = 7
         edges = [(f"n{i}", f"n{i - 1}") for i in range(1, k + 1)]
         t = Taxonomy.build(edges)
-        assert t.depth_info().max_depth == k
+        assert t.max_depth == k
 
     def test_multiple_inheritance_takes_longest_path(self):
         # s has a shallow parent (top) and a deep one (mid2)
