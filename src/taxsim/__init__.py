@@ -26,9 +26,7 @@ from .evaluation import (
     load_benchmark,
     load_reference_scores,
     pearson,
-    reference_benchmark,
     reference_correlations,
-    spearman,
 )
 from .probability import (
     FrequencyTable,
@@ -81,7 +79,6 @@ __all__ = [
     "load_reference_scores",
     "load_taxonomy",
     "pearson",
-    "reference_benchmark",
     "reference_correlations",
     "sim_edge",
     "sim_lch",
@@ -89,7 +86,6 @@ __all__ = [
     "sim_resnik_concepts",
     "sim_resnik_words",
     "sim_weighted",
-    "spearman",
     "uniform_weights",
     "word_similarity",
 ]

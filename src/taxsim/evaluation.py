@@ -104,29 +104,6 @@ def pearson(xs: list[float], ys: list[float]) -> float:
     return max(-1.0, min(1.0, r))
 
 
-def _ranks(values: list[float]) -> list[float]:
-    # average ranks for ties
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2 + 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
-    return ranks
-
-
-def spearman(xs: list[float], ys: list[float]) -> float:
-    """Rank correlation; supplementary statistic, not used in acceptance."""
-    if len(xs) != len(ys):
-        raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
-    return pearson(_ranks(xs), _ranks(ys))
-
-
 # ----------------------------------------------------------------------
 # benchmarks
 # ----------------------------------------------------------------------
@@ -231,14 +208,6 @@ def load_reference_scores() -> tuple[ReferenceRow, ...]:
             )
         )
     return tuple(rows)
-
-
-def reference_benchmark() -> Benchmark:
-    """The bundled pairs and human means as a live-mode benchmark."""
-    rows = tuple(
-        (r.word1, r.word2, r.mc_mean) for r in load_reference_scores()
-    )
-    return Benchmark(name="miller-charles-28", rows=rows)
 
 
 def reference_correlations() -> dict[str, float]:

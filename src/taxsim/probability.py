@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterator, Mapping
 
 from .errors import ModelError
-from .taxonomy import Taxonomy, _parse_pair_lines
+from .taxonomy import Taxonomy, _gc_paused, _parse_pair_lines
 
 
 def _neg_log(x: float, base: float) -> float:
@@ -76,6 +76,7 @@ class FrequencyTable:
         return cls(counts=merged, total_raw=sum(merged.values()))
 
 
+@_gc_paused
 def load_counts(
     path: str | os.PathLike,
     *,
@@ -181,6 +182,7 @@ class ProbabilityModel:
         )
 
 
+@_gc_paused
 def build_model(
     taxonomy: Taxonomy, table: FrequencyTable, log_base: float = 2.0
 ) -> ProbabilityModel:
@@ -189,15 +191,25 @@ def build_model(
     For each counted word the union of the ancestor sets of all its
     senses is credited once with the word's count, which gives the
     deduplicated set semantics required under polysemy and diamond
-    inheritance.  Words absent from the lexicon are ignored and do not
-    contribute to N.
+    inheritance.  A word with one sense needs no union: its count is
+    summed into that concept's direct count, and each concept's
+    ancestors are credited once with the sum.  Words absent from the
+    lexicon are ignored and do not contribute to N.
     """
     if not math.isfinite(log_base) or log_base <= 1:
         raise ValueError(f"log_base must be finite and > 1, got {log_base}")
     freq = [0] * taxonomy.concept_count
+    direct = [0] * taxonomy.concept_count
     for word, count in table.counts.items():
         senses = taxonomy.sense_indices(word)  # () for a word not in the lexicon
+        if len(senses) == 1:
+            direct[senses[0]] += count
+            continue
         covered = frozenset().union(*map(taxonomy.ancestor_indices, senses))
         for i in covered:
             freq[i] += count
+    for c, count in enumerate(direct):
+        if count:
+            for i in taxonomy.ancestor_indices(c):
+                freq[i] += count
     return ProbabilityModel(taxonomy, freq, log_base)

@@ -214,8 +214,8 @@ def sim_weighted(model: ProbabilityModel, t: Taxonomy, c1: str, c2: str,
     Every common subsumer contributes information content in proportion
     to its weight, instead of the single maximizing concept taking all.
     ``weights`` must cover exactly the finite-ic common subsumers, be
-    non-negative, and sum to 1; with a point mass on the maximizing
-    subsumer this reduces to :func:`sim_resnik_concepts`.
+    finite and non-negative, and sum to 1; with a point mass on the
+    maximizing subsumer this reduces to :func:`sim_resnik_concepts`.
     """
     domain = finite_common_subsumers(model, t, c1, c2)
     given = set(weights)
@@ -226,6 +226,8 @@ def sim_weighted(model: ProbabilityModel, t: Taxonomy, c1: str, c2: str,
             f"weight domain mismatch: missing {missing}, unexpected {extra}"
         )
     for cid, w in weights.items():
+        if not math.isfinite(w):  # NaN would pass both checks below
+            raise ValueError(f"non-finite weight for {cid!r}: {w}")
         if w < 0:
             raise ValueError(f"negative weight for {cid!r}: {w}")
     total = math.fsum(weights.values())

@@ -15,12 +15,22 @@ idempotent):
 
 Concept ids are arbitrary non-empty tab-free strings and are
 case-sensitive.  Words are stripped and lowercased on load and on lookup.
+
+Loading (:func:`load_taxonomy`, :meth:`Taxonomy.build`, and the counts
+loader and model builder in :mod:`taxsim.probability`) pauses Python's
+process-wide cyclic garbage collector and restores the caller's
+``gc.isenabled()`` state when it returns or raises.  A load makes only
+acyclic containers, which the collector would otherwise scan many times
+over as they pile up.  Two threads loading at once may overlap their
+pauses, which is harmless; queries never touch the collector.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import os
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, TextIO, TypeVar
 
 from .errors import TaxonomyError, UnknownConceptError
 
@@ -28,32 +38,59 @@ from .errors import TaxonomyError, UnknownConceptError
 #: concept.  The input may not already contain a concept with this id.
 SYNTHETIC_ROOT = "*root*"
 
+_F = TypeVar("_F", bound=Callable)
 
-def _parse_pair_lines(lines: Iterable[str], label: str, error: type = TaxonomyError
+
+def _gc_paused(func: _F) -> _F:
+    """Run ``func`` with the cyclic garbage collector disabled, then
+    re-enable it only if it was enabled on entry, so nested calls and
+    callers that disabled it themselves keep their state."""
+    @functools.wraps(func)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+    return paused  # type: ignore[return-value]
+
+
+def _parse_pair_lines(fh: TextIO, label: str, error: type = TaxonomyError
                       ) -> Iterator[tuple[int, str, str]]:
-    """Yield (lineno, left, right) from ``left<TAB>right`` lines.
+    """Yield (lineno, left, right) from the ``left<TAB>right`` lines of
+    the text file ``fh``, opened with universal newlines.
 
-    Blank lines and lines starting with ``#`` are skipped.  ``label`` is
-    the file path used in diagnostics, which are raised as ``error``;
-    so is a decoding failure of ``lines``.
+    Blank lines and lines starting with ``#`` (after whitespace) are
+    skipped.  ``label`` is the file path used in diagnostics, which are
+    raised as ``error``; so is a decoding failure anywhere in the file,
+    which is read whole before any line is checked.
     """
     try:
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.rstrip("\r\n")
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise error(
-                    f"{label}:{lineno}: expected 2 tab-separated fields, got {len(fields)}"
-                )
-            left, right = fields
-            if not left or not right:
-                raise error(f"{label}:{lineno}: empty field")
-            yield lineno, left, right
+        text = fh.read()
     except UnicodeDecodeError:
         raise error(f"{label}: not valid UTF-8") from None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        left, _, right = line.partition("\t")
+        # most lines: two non-empty fields, the first starting with
+        # neither whitespace nor ``#``; the rest take the checks below
+        if (left and right and "\t" not in right
+                and left[0] != "#" and not left[0].isspace()):
+            yield lineno, left, right
+            continue
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise error(
+                f"{label}:{lineno}: expected 2 tab-separated fields, got {len(fields)}"
+            )
+        left, right = fields
+        if not left or not right:
+            raise error(f"{label}:{lineno}: empty field")
+        yield lineno, left, right
 
 
 class Taxonomy:
@@ -91,9 +128,14 @@ class Taxonomy:
         depths = [0] * n
         for i in order:
             ps = parents[i]
-            ancestors[i] = frozenset({i}).union(*(ancestors[p] for p in ps))
-            if ps:
-                depths[i] = 1 + max(depths[p] for p in ps)
+            if len(ps) == 1:  # most nodes
+                p = ps[0]
+                ancestors[i] = ancestors[p] | {i}
+                depths[i] = depths[p] + 1
+            else:
+                ancestors[i] = frozenset({i}).union(*(ancestors[p] for p in ps))
+                if ps:
+                    depths[i] = 1 + max(depths[p] for p in ps)
             for child in children[i]:
                 pending[child] -= 1
                 if not pending[child]:
@@ -117,6 +159,7 @@ class Taxonomy:
     # ------------------------------------------------------------------
 
     @classmethod
+    @_gc_paused
     def build(
         cls,
         edges: Iterable[tuple[str, str]],
@@ -136,54 +179,70 @@ class Taxonomy:
         inserted above all of them so the top node is unique.
 
         Raises :class:`TaxonomyError` on a cycle, a dangling concept
-        reference, a duplicate concept id, an empty word or sense set,
-        or empty input.
+        reference, a duplicate concept id, a concept id that is not a
+        non-empty tab-free string, a word that is not a string, an empty
+        word or sense set, or empty input.
         """
         ids: list[str] = []
         index: dict[str, int] = {}
+        get = index.get
         parent_sets: list[set[int]] = []
 
-        def intern(cid: str) -> int:
-            i = index.get(cid)
-            if i is None:
-                i = len(ids)
-                index[cid] = i
-                ids.append(cid)
-                parent_sets.append(set())
+        def add(cid: str) -> int:  # first sight of ``cid``
+            if not isinstance(cid, str) or not cid or "\t" in cid:
+                raise TaxonomyError(
+                    f"invalid concept id {cid!r}: ids are non-empty tab-free strings"
+                )
+            i = index[cid] = len(ids)
+            ids.append(cid)
+            parent_sets.append(set())
             return i
 
         for child, parent in edges:
-            c = intern(child)
-            parent_sets[c].add(intern(parent))
+            c = get(child)
+            if c is None:
+                c = add(child)
+            p = get(parent)
+            if p is None:
+                p = add(parent)
+            parent_sets[c].add(p)
 
         # redeclaring an edge endpoint is idempotent; declaring the same
         # extra concept twice is a duplicate
         n_endpoints = len(ids)  # ids are interned in order
         for cid in concepts:
-            if index.get(cid, -1) >= n_endpoints:
+            i = get(cid)
+            if i is None:
+                add(cid)
+            elif i >= n_endpoints:
                 raise TaxonomyError(f"duplicate concept id: {cid!r}")
-            intern(cid)
 
         if not ids:
             raise TaxonomyError("empty input: no concepts")
 
         sense_map: dict[str, tuple[int, ...]] = {}
         for word, cids in (senses or {}).items():
+            if not isinstance(word, str):
+                raise TaxonomyError(f"lexicon word is not a string: {word!r}")
             word = word.strip().lower()
             if not word:
                 raise TaxonomyError("empty word in lexicon")
-            targets = set()
+            targets = []
             for cid in cids:
-                if cid not in index:
+                i = get(cid)
+                if i is None:
                     raise TaxonomyError(
                         f"dangling concept reference: word {word!r} maps to "
                         f"unknown concept {cid!r}"
                     )
-                targets.add(index[cid])
+                targets.append(i)
+            if len(targets) == 1 and word not in sense_map:  # most words
+                sense_map[word] = tuple(targets)
+                continue
             if not targets:
                 raise TaxonomyError(f"empty sense set for word {word!r}")
-            targets.update(sense_map.get(word, ()))
-            sense_map[word] = tuple(sorted(targets))
+            targets.extend(sense_map.get(word, ()))
+            sense_map[word] = tuple(sorted(set(targets)))
 
         parentless = [i for i, ps in enumerate(parent_sets) if not ps]
         if len(parentless) > 1:
@@ -192,7 +251,7 @@ class Taxonomy:
                     f"duplicate concept id: {SYNTHETIC_ROOT!r} is reserved "
                     "for the synthetic root"
                 )
-            root = intern(SYNTHETIC_ROOT)
+            root = add(SYNTHETIC_ROOT)
             for i in parentless:
                 parent_sets[i].add(root)
 
@@ -336,6 +395,7 @@ class Taxonomy:
         )
 
 
+@_gc_paused
 def load_taxonomy(edges_path: str | os.PathLike,
                   lexicon_path: str | os.PathLike) -> Taxonomy:
     """Load and validate a taxonomy from an edge file and a lexicon file."""

@@ -154,6 +154,28 @@ def random_instances(seed: int = 20240101, count: int = N_RANDOM_INSTANCES):
 # ----------------------------------------------------------------------
 
 
+def reference_parse_pair_lines(lines, label, error):
+    """The line-by-line ``left<TAB>right`` parser that the whole-file
+    ``taxonomy._parse_pair_lines`` must agree with on valid UTF-8."""
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.rstrip("\r\n")
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise error(
+                    f"{label}:{lineno}: expected 2 tab-separated fields, got {len(fields)}"
+                )
+            left, right = fields
+            if not left or not right:
+                raise error(f"{label}:{lineno}: empty field")
+            yield lineno, left, right
+    except UnicodeDecodeError:
+        raise error(f"{label}: not valid UTF-8") from None
+
+
 def oracle_parents(concepts, edges):
     parents = {c: set() for c in concepts}
     for child, parent in edges:

@@ -18,9 +18,7 @@ from taxsim import (
     load_benchmark,
     load_reference_scores,
     pearson,
-    reference_benchmark,
     reference_correlations,
-    spearman,
 )
 from taxsim.evaluation import reference_data_bytes
 
@@ -128,17 +126,6 @@ class TestPearson:
         assert pearson(xs, ys) == pearson(ys, xs)
 
 
-class TestSpearman:
-    def test_monotone_transform_invariant(self):
-        assert spearman([1, 2, 3], [10, 100, 1000]) == pytest.approx(1.0)
-
-    def test_ties_get_average_ranks(self):
-        assert spearman([1, 1, 2], [3, 3, 4]) == pytest.approx(1.0)
-
-    def test_reversed(self):
-        assert spearman([1, 2, 3], [9, 4, 1]) == pytest.approx(-1.0)
-
-
 class TestFlipCheck:
     def test_opposite_signs_same_magnitude(self):
         r, r_flipped = flip_check([1, 2, 3], [1, 2, 4], 10)
@@ -199,11 +186,6 @@ class TestReferenceData:
         rows = load_reference_scores()
         r = pearson([r.mc_mean for r in rows], [r.replication_mean for r in rows])
         assert r >= 0.95
-
-    def test_benchmark_view(self):
-        bench = reference_benchmark()
-        assert len(bench.rows) == 28
-        assert bench.rows[0] == ("car", "automobile", 3.92)
 
 
 class TestLoadBenchmark:

@@ -1,0 +1,71 @@
+"""Loading pauses the cyclic garbage collector and leaves the caller's
+``gc.isenabled()`` state as it found it, on return and on error."""
+
+import gc
+import math
+
+import pytest
+
+from helpers import TOY_COUNTS, TOY_EDGES, TOY_SENSES
+from taxsim import (
+    FrequencyTable,
+    ModelError,
+    Taxonomy,
+    TaxonomyError,
+    build_model,
+    load_counts,
+    load_taxonomy,
+)
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def gc_on(request):
+    """The collector's state at entry to each loader; restored after."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def test_loaders_restore_state(gc_on, toy_files):
+    t = load_taxonomy(toy_files["taxonomy"], toy_files["lexicon"])  # nests build()
+    assert gc.isenabled() is gc_on
+    Taxonomy.build(TOY_EDGES, TOY_SENSES)
+    assert gc.isenabled() is gc_on
+    table = load_counts(toy_files["counts"])
+    assert gc.isenabled() is gc_on
+    build_model(t, table)
+    assert gc.isenabled() is gc_on
+
+
+def test_raising_loaders_restore_state(gc_on, toy_taxonomy, tmp_path):
+    with pytest.raises(TaxonomyError, match="cycle detected"):
+        Taxonomy.build([("A", "B"), ("B", "A")])
+    assert gc.isenabled() is gc_on
+    counts = tmp_path / "c.tsv"
+    counts.write_text("x\t1\nx 2\n", encoding="utf-8")
+    with pytest.raises(ModelError, match=r"c\.tsv:2"):
+        load_counts(counts)
+    assert gc.isenabled() is gc_on
+    with pytest.raises(ValueError, match="log_base"):
+        build_model(toy_taxonomy, FrequencyTable.from_counts(TOY_COUNTS), log_base=math.nan)
+    assert gc.isenabled() is gc_on
+
+
+def test_collector_paused_while_loading(toy_taxonomy):
+    assert gc.isenabled()
+    seen = []
+
+    def edges():
+        seen.append(gc.isenabled())
+        yield from TOY_EDGES
+
+    class Counts(dict):
+        def items(self):
+            seen.append(gc.isenabled())
+            return super().items()
+
+    Taxonomy.build(edges())
+    build_model(toy_taxonomy, FrequencyTable(counts=Counts(TOY_COUNTS), total_raw=4))
+    assert seen == [False, False]
+    assert gc.isenabled()

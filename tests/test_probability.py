@@ -189,6 +189,24 @@ class TestBuildModel:
             assert m2.freq(c) == toy_model.freq(c)
 
 
+def test_propagation_oracle_with_every_kind_of_word():
+    """One-sense words take the per-concept direct-count path, the rest
+    the deduplicating union; both must match the oracle, with zero counts
+    and words outside the lexicon mixed in."""
+    kinds = {"one": 0, "several": 0, "zero": 0, "unlisted": 0}
+    for k, (concepts, edges, senses, counts) in enumerate(helpers.random_instances()):
+        counts = {**counts, f"unlisted{k}": k + 1, "unlisted": 0}
+        t = Taxonomy.build(edges, senses, concepts=concepts)
+        model = build_model(t, FrequencyTable.from_counts(counts))
+        expected = helpers.oracle_freq(concepts, edges, senses, counts)
+        assert [model.freq(c) for c in concepts] == [expected[c] for c in concepts]
+        for word, count in counts.items():
+            kind = ("unlisted" if word not in senses else "zero" if count == 0
+                    else "one" if len(senses[word]) == 1 else "several")
+            kinds[kind] += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_propagation_matches_enumeration_oracle(seed):

@@ -353,6 +353,12 @@ class TestWeighted:
                 toy_model, toy_taxonomy, "A1", "A2", {"A": 1.5, "root": -0.5}
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, toy_model, toy_taxonomy, bad):
+        # a NaN weight used to pass both checks and score nan
+        with pytest.raises(ValueError, match="non-finite weight"):
+            sim_weighted(toy_model, toy_taxonomy, "A1", "A2", {"A": bad, "root": 1.0})
+
     def test_tolerance_on_sum(self, toy_model, toy_taxonomy):
         weights = {"A": 0.5 + 2e-10, "root": 0.5}
         value = sim_weighted(toy_model, toy_taxonomy, "A1", "A2", weights)

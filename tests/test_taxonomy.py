@@ -1,9 +1,10 @@
 """Taxonomy construction, validation, and graph queries."""
 
+import io
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -15,6 +16,7 @@ from taxsim import (
     UnknownConceptError,
     load_taxonomy,
 )
+from taxsim.taxonomy import _parse_pair_lines
 
 
 class TestBuild:
@@ -83,10 +85,46 @@ class TestBuild:
         with pytest.raises(TaxonomyError, match="empty sense set for word 'dog'"):
             Taxonomy.build([("a", "r")], {"Dog": ["a"], "dog": []})
 
+    @pytest.mark.parametrize("edges, concepts", [
+        ([("", "r")], ()),
+        ([("a", "")], ()),
+        ([("a\tb", "r")], ()),  # would split the TSV columns of sim and stats
+        ([(1, "r")], ()),
+        ([("a", "r")], [""]),
+        ([("a", "r")], ["a\tb"]),
+        ([("a", "r")], [1]),
+    ], ids=["empty-child", "empty-parent", "tab", "int", "extra-empty", "extra-tab",
+            "extra-int"])
+    def test_invalid_concept_id(self, edges, concepts):
+        with pytest.raises(TaxonomyError, match="invalid concept id"):
+            Taxonomy.build(edges, concepts=concepts)
+
+    def test_non_string_word(self):
+        # used to raise AttributeError from word.strip()
+        with pytest.raises(TaxonomyError, match="lexicon word is not a string: 1"):
+            Taxonomy.build([("a", "r")], {1: ["a"]})
+
     def test_duplicate_edges_idempotent(self, toy_taxonomy):
         t = Taxonomy.build(TOY_EDGES + TOY_EDGES, TOY_SENSES)
         assert t.edge_count == toy_taxonomy.edge_count
         assert t.subsumers("A1") == toy_taxonomy.subsumers("A1")
+
+
+@settings(max_examples=100, deadline=None)
+@given(senses=st.dictionaries(
+    st.sampled_from(["dog", "Dog", " dog", "DOG\t", "cat", "Cat", "eel"]),
+    st.lists(st.sampled_from(["a", "b", "c", "r"]), min_size=1, max_size=3),
+))
+def test_sense_map_independent_of_container_type(senses):
+    edges = [("a", "r"), ("b", "r"), ("c", "a")]
+    expected = {}
+    for word, cids in senses.items():
+        expected.setdefault(word.strip().lower(), set()).update(cids)
+    for make in (list, tuple, set, lambda cids: (c for c in cids)):
+        t = Taxonomy.build(edges, {w: make(cids) for w, cids in senses.items()})
+        assert {w: t.sense_indices(w) for w in t.words()} == {
+            w: tuple(sorted(map(t.index_of, cids))) for w, cids in expected.items()
+        }
 
 
 class TestLoadTaxonomy:
@@ -155,6 +193,34 @@ class TestLoadTaxonomy:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_taxonomy(tmp_path / "absent.tsv", tmp_path / "absent2.tsv")
+
+
+def _parsed(parse, data: bytes):
+    """What ``parse`` yields from a file holding ``data``, then the
+    message of the error that ended it, if any."""
+    out = []
+    try:
+        fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
+        out.extend(parse(fh, "f.tsv", TaxonomyError))
+    except TaxonomyError as e:
+        out.append(str(e))
+    return out
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.text(
+    alphabet=["a", "b", "#", " ", "\t", "\r", "\n", "\x0b", "\x1f", "\xa0", "\u2028"],
+    max_size=40,
+))
+@example(text="  # indented comment\na\tb\n")
+@example(text="\n   \n\t\na\tb")
+@example(text="a\tb\r\nc\td\r\n")
+@example(text="a\tb\t\n")
+@example(text="a\tb\tc\n")
+@example(text="\ufeffa\tb\n \tb\na\t \n")
+def test_parser_matches_line_by_line_reference(text):
+    data = text.encode("utf-8")
+    assert _parsed(_parse_pair_lines, data) == _parsed(helpers.reference_parse_pair_lines, data)
 
 
 class TestSubsumers:
