@@ -271,16 +271,17 @@ def evaluate(
             f"unknown measure {measure!r}; expected one of {WORD_MEASURES}"
         )
     items: list[EvalItem] = []
+    known = taxonomy.sense_indices
     for w1, w2, human in benchmark.rows:
-        missing = [w for w in (w1, w2) if not taxonomy.sense_indices(w)]
-        if missing:
-            reason = "word not in taxonomy: " + ", ".join(sorted(set(missing)))
-            items.append(EvalItem(w1, w2, human, None, False, reason))
+        if known(w1) and known(w2):
+            score = word_similarity(  # the module attribute, which tracing may wrap
+                measure, taxonomy, w1, w2, model, log_base=log_base, lch_floor=lch_floor
+            )
+            items.append(EvalItem(w1, w2, human, score.value, True, None))
             continue
-        score = word_similarity(
-            measure, taxonomy, w1, w2, model, log_base=log_base, lch_floor=lch_floor
-        )
-        items.append(EvalItem(w1, w2, human, score.value, True, None))
+        missing = sorted({w for w in (w1, w2) if not known(w)})
+        reason = "word not in taxonomy: " + ", ".join(missing)
+        items.append(EvalItem(w1, w2, human, None, False, reason))
 
     humans = [it.human for it in items if it.included]
     scores = [it.score for it in items if it.included]

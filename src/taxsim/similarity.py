@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .errors import SimilarityError, UnknownWordError
 from .probability import ProbabilityModel, _neg_log
@@ -63,40 +63,41 @@ def _sense_indices(t: Taxonomy, word: str) -> tuple[int, ...]:
     return senses
 
 
-def _best_subsumer(t: Taxonomy, s1: tuple[int, ...], s2: tuple[int, ...],
-                   value: Callable[[int], float | None]) -> tuple | None:
-    """(value, witness, i1, i2) maximizing ``value(c)`` over sense pairs
-    ``s1`` x ``s2`` x sorted common subsumers ``c``, the one rule behind
-    resnik and prob; None if ``value`` skips (returns None for) every c.
-    Only a strictly greater value replaces the best, so ties keep the
-    first pair, then the smallest c."""
-    best = None
-    for i1 in s1:
-        for i2 in s2:
-            for c in sorted(t.ancestor_indices(i1) & t.ancestor_indices(i2)):
-                v = value(c)
-                if v is not None and (best is None or v > best[0]):
-                    best = (v, c, i1, i2)
-    return best
-
-
-def _word_score(t: Taxonomy, best: tuple) -> SimScore:
-    value, witness, i1, i2 = best
-    return SimScore(value=value, witness=t.concept_id(witness),
-                    sense_pair=(t.concept_id(i1), t.concept_id(i2)))
-
-
-def _resnik(model: ProbabilityModel, t: Taxonomy, s1: tuple[int, ...],
-            s2: tuple[int, ...], a: str, b: str) -> SimScore:
-    """resnik over sense pairs ``s1`` x ``s2``: zero-frequency subsumers are
-    skipped, and ``a``, ``b`` name the query in the error if none is left."""
-    ic = model.ic_by_index
-    best = _best_subsumer(t, s1, s2, lambda c: None if math.isinf(ic[c]) else ic[c])
-    if best is None:
-        raise SimilarityError(
-            f"every common subsumer of {a!r} and {b!r} has zero frequency"
-        )
-    return _word_score(t, best)
+def _best_subsumer(model: ProbabilityModel, t: Taxonomy, measure: str,
+                   s1: tuple[int, ...], s2: tuple[int, ...], a: str, b: str) -> SimScore:
+    """The one rule behind resnik and prob: the SimScore maximizing
+    ``ic[c]`` (resnik) or ``1 - p[c]`` (prob) over sense pairs ``s1`` x
+    ``s2`` x sorted common subsumers ``c``; only a strictly greater value
+    replaces the best, so ties keep the first pair, then the smallest c.
+    resnik skips zero-frequency c (``ic = +inf``) and raises
+    SimilarityError, naming ``a`` and ``b``, if that leaves none.  prob
+    scores ``1 - p``, not the least ``p``: once N > 2**53, distinct p can
+    round to one ``1 - p``, and the tie-break must see that tie."""
+    anc = t.ancestor_indices
+    best, found = -math.inf, None
+    if measure == "prob":
+        p = model.p_by_index
+        for i1 in s1:
+            a1 = anc(i1)
+            for i2 in s2:
+                for c in sorted(a1 & anc(i2)):
+                    if (v := 1.0 - p[c]) > best:
+                        best, found = v, (c, i1, i2)
+    else:
+        ic, inf = model.ic_by_index, math.inf
+        for i1 in s1:
+            a1 = anc(i1)
+            for i2 in s2:
+                for c in sorted(a1 & anc(i2)):
+                    if best < (v := ic[c]) < inf:
+                        best, found = v, (c, i1, i2)
+        if found is None:
+            raise SimilarityError(
+                f"every common subsumer of {a!r} and {b!r} has zero frequency"
+            )
+    c, i1, i2 = found
+    cid = t.concept_id
+    return SimScore(best, cid(c), (cid(i1), cid(i2)))  # positional: cheaper per row
 
 
 def sim_resnik_concepts(model: ProbabilityModel, t: Taxonomy,
@@ -107,14 +108,16 @@ def sim_resnik_concepts(model: ProbabilityModel, t: Taxonomy,
     common subsumer has finite information content the model is
     degenerate and the query fails.
     """
-    score = _resnik(model, t, (t.index_of(c1),), (t.index_of(c2),), c1, c2)
+    score = _best_subsumer(model, t, "resnik", (t.index_of(c1),), (t.index_of(c2),),
+                           c1, c2)
     return SimScore(value=score.value, witness=score.witness)
 
 
 def sim_resnik_words(model: ProbabilityModel, t: Taxonomy,
                      w1: str, w2: str) -> SimScore:
     """Word similarity: the concept measure maximized over all sense pairs."""
-    return _resnik(model, t, _sense_indices(t, w1), _sense_indices(t, w2), w1, w2)
+    return _best_subsumer(model, t, "resnik", _sense_indices(t, w1),
+                          _sense_indices(t, w2), w1, w2)
 
 
 def _min_sense_path(t: Taxonomy, w1: str, w2: str) -> tuple[int, tuple[str, str]]:
@@ -154,10 +157,8 @@ def sim_prob(model: ProbabilityModel, t: Taxonomy, w1: str, w2: str) -> SimScore
     subsumers are legitimate candidates here (1 - p = 1), since the
     candidate value stays finite.
     """
-    s1 = _sense_indices(t, w1)
-    s2 = _sense_indices(t, w2)
-    p = model.p_by_index
-    return _word_score(t, _best_subsumer(t, s1, s2, lambda c: 1.0 - p[c]))
+    return _best_subsumer(model, t, "prob", _sense_indices(t, w1),
+                          _sense_indices(t, w2), w1, w2)
 
 
 def sim_lch(t: Taxonomy, w1: str, w2: str, *,
@@ -182,29 +183,33 @@ def sim_lch(t: Taxonomy, w1: str, w2: str, *,
     return SimScore(value=value, sense_pair=pair)
 
 
+def _finite_ic_subsumers(model: ProbabilityModel, t: Taxonomy,
+                         c1: str, c2: str) -> dict[str, float]:
+    """{concept id: ic} of the finite-ic common subsumers of two concepts,
+    in concept index order."""
+    ic, inf, cid = model.ic_by_index, math.inf, t.concept_id
+    common = t.ancestor_indices(t.index_of(c1)) & t.ancestor_indices(t.index_of(c2))
+    return {cid(c): ic[c] for c in sorted(common) if ic[c] != inf}
+
+
 def finite_common_subsumers(model: ProbabilityModel, t: Taxonomy,
                             c1: str, c2: str) -> frozenset[str]:
     """Common subsumers of two concepts with finite information content;
     the valid weight domain for :func:`sim_weighted`."""
-    i1, i2 = t.index_of(c1), t.index_of(c2)
-    ic = model.ic_by_index
-    return frozenset(
-        t.concept_id(c)
-        for c in t.ancestor_indices(i1) & t.ancestor_indices(i2)
-        if not math.isinf(ic[c])
-    )
+    return frozenset(_finite_ic_subsumers(model, t, c1, c2))
 
 
 def uniform_weights(model: ProbabilityModel, t: Taxonomy,
                     c1: str, c2: str) -> dict[str, float]:
-    """Equal weights over the finite-ic common subsumers of two concepts."""
-    domain = finite_common_subsumers(model, t, c1, c2)
+    """Equal weights over the finite-ic common subsumers of two concepts,
+    keyed in concept index order (see :meth:`Taxonomy.index_of`)."""
+    domain = _finite_ic_subsumers(model, t, c1, c2)
     if not domain:
         raise SimilarityError(
             f"every common subsumer of {c1!r} and {c2!r} has zero frequency"
         )
     share = 1.0 / len(domain)
-    return {cid: share for cid in domain}
+    return dict.fromkeys(domain, share)
 
 
 def sim_weighted(model: ProbabilityModel, t: Taxonomy, c1: str, c2: str,
@@ -217,11 +222,10 @@ def sim_weighted(model: ProbabilityModel, t: Taxonomy, c1: str, c2: str,
     finite and non-negative, and sum to 1; with a point mass on the
     maximizing subsumer this reduces to :func:`sim_resnik_concepts`.
     """
-    domain = finite_common_subsumers(model, t, c1, c2)
-    given = set(weights)
-    if given != domain:
-        missing = sorted(domain - given)
-        extra = sorted(given - domain)
+    domain = _finite_ic_subsumers(model, t, c1, c2)
+    if domain.keys() != weights.keys():
+        missing = sorted(domain.keys() - weights.keys())
+        extra = sorted(weights.keys() - domain.keys())
         raise ValueError(
             f"weight domain mismatch: missing {missing}, unexpected {extra}"
         )
@@ -233,7 +237,7 @@ def sim_weighted(model: ProbabilityModel, t: Taxonomy, c1: str, c2: str,
     total = math.fsum(weights.values())
     if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
         raise ValueError(f"weights sum to {total!r}, expected 1.0")
-    return math.fsum(w * model.ic(cid) for cid, w in weights.items())
+    return math.fsum(w * domain[cid] for cid, w in weights.items())
 
 
 def word_similarity(measure: str, t: Taxonomy, w1: str, w2: str,

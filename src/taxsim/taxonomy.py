@@ -93,6 +93,10 @@ def _parse_pair_lines(fh: TextIO, label: str, error: type = TaxonomyError
         yield lineno, left, right
 
 
+def _invalid_id(cid: object) -> TaxonomyError:
+    return TaxonomyError(f"invalid concept id {cid!r}: ids are non-empty tab-free strings")
+
+
 class Taxonomy:
     """Immutable IS-A concept DAG with a word-to-senses index.
 
@@ -180,8 +184,9 @@ class Taxonomy:
 
         Raises :class:`TaxonomyError` on a cycle, a dangling concept
         reference, a duplicate concept id, a concept id that is not a
-        non-empty tab-free string, a word that is not a string, an empty
-        word or sense set, or empty input.
+        non-empty tab-free string, an edge that is not a pair, a word that
+        is not a string, a sense set that is a string or not iterable, an
+        empty word or sense set, or empty input.
         """
         ids: list[str] = []
         index: dict[str, int] = {}
@@ -190,28 +195,37 @@ class Taxonomy:
 
         def add(cid: str) -> int:  # first sight of ``cid``
             if not isinstance(cid, str) or not cid or "\t" in cid:
-                raise TaxonomyError(
-                    f"invalid concept id {cid!r}: ids are non-empty tab-free strings"
-                )
+                raise _invalid_id(cid)
             i = index[cid] = len(ids)
             ids.append(cid)
             parent_sets.append(set())
             return i
 
-        for child, parent in edges:
-            c = get(child)
-            if c is None:
-                c = add(child)
-            p = get(parent)
-            if p is None:
-                p = add(parent)
-            parent_sets[c].add(p)
+        # an edge that is not a pair, or holds an unhashable id, fails in
+        # one handler around the loop, which keeps checks off the per-edge
+        # path; iter() stays outside it so that ``edge`` is bound there
+        pairs = iter(edges)
+        try:
+            for edge in pairs:
+                child, parent = edge
+                c = get(child)
+                if c is None:
+                    c = add(child)
+                p = get(parent)
+                if p is None:
+                    p = add(parent)
+                parent_sets[c].add(p)
+        except (TypeError, ValueError) as exc:
+            raise TaxonomyError(f"invalid edge {edge!r}: {exc}") from None
 
         # redeclaring an edge endpoint is idempotent; declaring the same
         # extra concept twice is a duplicate
         n_endpoints = len(ids)  # ids are interned in order
         for cid in concepts:
-            i = get(cid)
+            try:
+                i = get(cid)
+            except TypeError:  # unhashable
+                raise _invalid_id(cid) from None
             if i is None:
                 add(cid)
             elif i >= n_endpoints:
@@ -221,28 +235,36 @@ class Taxonomy:
             raise TaxonomyError("empty input: no concepts")
 
         sense_map: dict[str, tuple[int, ...]] = {}
-        for word, cids in (senses or {}).items():
-            if not isinstance(word, str):
-                raise TaxonomyError(f"lexicon word is not a string: {word!r}")
-            word = word.strip().lower()
-            if not word:
-                raise TaxonomyError("empty word in lexicon")
-            targets = []
-            for cid in cids:
-                i = get(cid)
-                if i is None:
+        try:
+            for word, cids in (senses or {}).items():
+                if not isinstance(word, str):
+                    raise TaxonomyError(f"lexicon word is not a string: {word!r}")
+                word = word.strip().lower()
+                if not word:
+                    raise TaxonomyError("empty word in lexicon")
+                if isinstance(cids, str):  # would iterate as one-letter ids
                     raise TaxonomyError(
-                        f"dangling concept reference: word {word!r} maps to "
-                        f"unknown concept {cid!r}"
+                        f"sense set for word {word!r} is a string, not a "
+                        f"collection of concept ids: {cids!r}"
                     )
-                targets.append(i)
-            if len(targets) == 1 and word not in sense_map:  # most words
-                sense_map[word] = tuple(targets)
-                continue
-            if not targets:
-                raise TaxonomyError(f"empty sense set for word {word!r}")
-            targets.extend(sense_map.get(word, ()))
-            sense_map[word] = tuple(sorted(set(targets)))
+                targets = []
+                for cid in cids:
+                    i = get(cid)
+                    if i is None:
+                        raise TaxonomyError(
+                            f"dangling concept reference: word {word!r} maps to "
+                            f"unknown concept {cid!r}"
+                        )
+                    targets.append(i)
+                if len(targets) == 1 and word not in sense_map:  # most words
+                    sense_map[word] = tuple(targets)
+                    continue
+                if not targets:
+                    raise TaxonomyError(f"empty sense set for word {word!r}")
+                targets.extend(sense_map.get(word, ()))
+                sense_map[word] = tuple(sorted(set(targets)))
+        except TypeError as exc:  # a non-iterable sense set or an unhashable id
+            raise TaxonomyError(f"invalid sense set for word {word!r}: {exc}") from None
 
         parentless = [i for i, ps in enumerate(parent_sets) if not ps]
         if len(parentless) > 1:
@@ -274,8 +296,19 @@ class Taxonomy:
         return self._ids[i]
 
     def sense_indices(self, word: str) -> tuple[int, ...]:
-        """Sorted sense indices of ``word`` (case-insensitive); () if absent."""
-        return self._senses.get(word.strip().lower(), ())
+        """Sorted sense indices of ``word`` (case-insensitive); () if absent.
+
+        ``word`` is looked up as given before it is stripped and
+        lowercased: every stored word is already unchanged by both, so a
+        hit as given is the hit the normalized lookup would make.
+        """
+        try:
+            senses = self._senses.get(word)
+        except TypeError:  # unhashable: fails on ``strip`` below, as before
+            senses = None
+        if senses is None:
+            senses = self._senses.get(word.strip().lower(), ())
+        return senses
 
     def ancestor_indices(self, i: int) -> frozenset[int]:
         """Indices of the ancestors of index ``i``, ``i`` and the root included."""

@@ -240,6 +240,41 @@ class TestBestSubsumerOracle:
             t.concepts(), edges, ({"k1"}, {"k2"}), _one_minus_p(model)
         ) == (0.5, "m", ("k1", "k2"))
 
+    def test_prob_ties_on_equal_one_minus_p_above_2_pow_53(self):
+        # with N > 2**53, p(k) = 3/N and p(m) = 2/N differ but 1 - p rounds
+        # to 1.0 for both: the tie keeps k, the smaller index, where an
+        # argmin over p would pick m
+        edges = [("k", "top"), ("m", "k"), ("x1", "m"), ("x2", "m"), ("o", "top")]
+        senses = {"x": {"x1"}, "y": {"x2"}, "v": {"k"}, "big": {"o"}}
+        t = Taxonomy.build(edges, senses)
+        model = build_model(t, FrequencyTable.from_counts(
+            {"x": 1, "y": 1, "v": 1, "big": 2 ** 60}))
+        assert model.N > 2 ** 53
+        assert model.p("k") != model.p("m")
+        assert 1.0 - model.p("k") == 1.0 - model.p("m") == 1.0
+        score = sim_prob(model, t, "x", "y")
+        assert (score.value, score.witness, score.sense_pair) == (1.0, "k", ("x1", "x2"))
+        assert helpers.oracle_best_subsumer(
+            t.concepts(), edges, (senses["x"], senses["y"]), _one_minus_p(model)
+        ) == (1.0, "k", ("x1", "x2"))
+
+    def test_resnik_skips_zero_frequency_minimal_subsumer(self):
+        # z, the minimal common subsumer of x1 and x2 (and of x1 and y2),
+        # has no counted word below it: resnik passes over its +inf ic to m
+        edges = [("m", "top"), ("z", "m"), ("x1", "z"), ("x2", "z"), ("y2", "z"),
+                 ("o", "top")]
+        senses = {"x": {"x1"}, "y": {"x2", "y2"}, "v": {"m"}, "w": {"o"}}
+        t = Taxonomy.build(edges, senses)
+        model = build_model(t, FrequencyTable.from_counts({"x": 0, "y": 0, "v": 1, "w": 1}))
+        assert math.isinf(model.ic("z")) and model.ic("m") == 1.0
+        score = sim_resnik_words(model, t, "x", "y")
+        assert (score.value, score.witness, score.sense_pair) == (1.0, "m", ("x1", "x2"))
+        assert helpers.oracle_best_subsumer(
+            t.concepts(), edges, (senses["x"], senses["y"]), _finite_ic(model)
+        ) == (1.0, "m", ("x1", "x2"))
+        concept = sim_resnik_concepts(model, t, "x1", "y2")
+        assert (concept.value, concept.witness, concept.sense_pair) == (1.0, "m", None)
+
     def test_matches_oracle_on_random_dags(self):
         checked = 0
         ties = 0
@@ -363,6 +398,22 @@ class TestWeighted:
         weights = {"A": 0.5 + 2e-10, "root": 0.5}
         value = sim_weighted(toy_model, toy_taxonomy, "A1", "A2", weights)
         assert value == pytest.approx(TOY_IC_A / 2, abs=1e-9)
+
+    def test_uniform_weights_keyed_in_index_order(self):
+        # a chain of 16 concepts, named against their index order, with 9
+        # leaves interned before each link so that the indices spread out
+        # and a set of them does not iterate in order; the keys used to
+        # follow string hashes, so their order varied from run to run
+        names = [f"k{(7 * i) % 16:02d}" for i in range(16)]
+        edges = []
+        for parent, child in zip(names, names[1:] + ["leaf"]):
+            edges += [(f"{child}-{j}", parent) for j in range(9)] + [(child, parent)]
+        t = Taxonomy.build(edges, {"w": {"leaf"}})
+        model = build_model(t, FrequencyTable.from_counts({"w": 1}))
+        weights = uniform_weights(model, t, "leaf", "leaf")
+        assert list(weights) == sorted(names + ["leaf"], key=t.index_of)
+        assert list(weights) != sorted(weights)
+        assert sim_weighted(model, t, "leaf", "leaf", weights) == 0.0
 
     def test_finite_domain_excludes_unseen_concepts(self):
         t = Taxonomy.build(

@@ -104,6 +104,22 @@ class TestBuild:
         with pytest.raises(TaxonomyError, match="lexicon word is not a string: 1"):
             Taxonomy.build([("a", "r")], {1: ["a"]})
 
+    def test_string_sense_set_rejected(self):
+        # a str used to iterate as one-letter ids: senses_of("w") == {"a", "b"}
+        with pytest.raises(TaxonomyError, match="sense set for word 'w' is a string"):
+            Taxonomy.build([("a", "r"), ("b", "r")], {"w": "ab"})
+
+    @pytest.mark.parametrize("edges, senses, concepts, match", [
+        ([(["a"], "r")], None, (), r"invalid edge \(\['a'\], 'r'\): unhashable"),
+        ([("a", "r")], {"w": [["a"]]}, (), "invalid sense set for word 'w': unhashable"),
+        ([("a", "r")], None, [["x"]], r"invalid concept id \['x'\]"),
+        ([5], None, (), "invalid edge 5: cannot unpack"),
+    ], ids=["edge-id", "sense-id", "extra-id", "edge-not-pair"])
+    def test_unhashable_id_or_non_pair_edge(self, edges, senses, concepts, match):
+        # each used to raise a bare TypeError
+        with pytest.raises(TaxonomyError, match=match):
+            Taxonomy.build(edges, senses, concepts=concepts)
+
     def test_duplicate_edges_idempotent(self, toy_taxonomy):
         t = Taxonomy.build(TOY_EDGES + TOY_EDGES, TOY_SENSES)
         assert t.edge_count == toy_taxonomy.edge_count
@@ -125,6 +141,24 @@ def test_sense_map_independent_of_container_type(senses):
         assert {w: t.sense_indices(w) for w in t.words()} == {
             w: tuple(sorted(map(t.index_of, cids))) for w, cids in expected.items()
         }
+
+
+_CASE_TRAPS = st.text(st.sampled_from("İiIıΣσςΟΔẞßǅx \t\n\u00a0\u2003\u0307"), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lexicon=st.lists(_CASE_TRAPS, max_size=6), word=_CASE_TRAPS)
+@example(lexicon=["ΟΔΟΣ"], word=" ΟΔΟΣ")  # final sigma: "οδος"
+@example(lexicon=["İ"], word="i\u0307")   # "İ".lower() is two code points
+def test_sense_lookup_as_given_matches_normalized(lexicon, word):
+    # sense_indices tries a word as given before normalizing it, which is
+    # sound only if every stored word is unchanged by strip() and lower()
+    keys = [k for k in lexicon + [word] if k.strip().lower()]
+    t = Taxonomy.build([("a", "r"), ("b", "r")],
+                       {k: ["a" if n % 2 else "b"] for n, k in enumerate(keys)})
+    assert all(w.strip().lower() == w for w in t.words())
+    for probe in (word, word.upper(), word.lower(), f" {word}\t", word.strip().lower()):
+        assert t.sense_indices(probe) == t.sense_indices(probe.strip().lower())
 
 
 class TestLoadTaxonomy:
