@@ -35,7 +35,7 @@ from .evaluation import (
 )
 from .probability import build_model, load_counts
 from .similarity import CORPUS_MEASURES, WORD_MEASURES, word_similarity
-from .taxonomy import load_taxonomy
+from .taxonomy import _gc_paused, load_taxonomy
 
 #: Exit code of each failure class, matched in order like ``except`` clauses.
 EXIT_CODES = {
@@ -192,7 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_gc_paused
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the cyclic garbage collector stays paused until
+    it returns, so that no collection scans the loaded taxonomy."""
     args = build_parser().parse_args(argv)
     try:
         if args.command == "eval" and args.fixture:

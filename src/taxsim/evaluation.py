@@ -226,7 +226,7 @@ def reference_correlations() -> dict[str, float]:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalItem:
     """Per-row outcome of an evaluation run."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterator, Mapping
 
 from .errors import ModelError
-from .taxonomy import Taxonomy, _gc_paused, _parse_pair_lines
+from .taxonomy import Taxonomy, _gc_paused, _parse_pair_columns
 
 
 def _neg_log(x: float, base: float) -> float:
@@ -53,27 +53,65 @@ class FrequencyTable:
         is deliberately naive; counts files are expected to arrive
         pre-lemmatized.  Counts must be ints >= 0.
         """
-        merged: dict[str, int] = {}
         for word, count in counts.items():
+            if not isinstance(word, str):
+                raise ModelError(f"counts word is not a string: {word!r}")
             if isinstance(count, bool) or not isinstance(count, int):
                 raise ModelError(f"count for word {word!r} is not an integer: {count!r}")
             if count < 0:
                 raise ModelError(f"negative count for word {word!r}: {count}")
-            word = word.strip().lower()
-            merged[word] = merged.get(word, 0) + count
-
-        if plural_stems is not None:
-            folded: dict[str, int] = {}
-            for word in sorted(merged):
-                count = merged[word]
-                stem = word[:-1]
-                if word.endswith("s") and len(word) > 1 and stem in plural_stems:
-                    folded[stem] = folded.get(stem, 0) + count
-                else:
-                    folded[word] = folded.get(word, 0) + count
-            merged = folded
-
+        merged = _merged(list(counts), list(counts.values()), plural_stems)
         return cls(counts=merged, total_raw=sum(merged.values()))
+
+
+def _merged(words: list[str], counts: list[int],
+            plural_stems: Collection[str] | None) -> dict[str, int]:
+    """The counts of a word column and a count column, summed per
+    stripped and lowercased word, words in order of first appearance;
+    ``plural_stems`` is as for :meth:`FrequencyTable.from_counts`."""
+    words = list(map(str.lower, map(str.strip, words)))
+    merged = dict(zip(words, counts))
+    if len(merged) < len(words):  # a word repeats: sum its counts
+        merged = dict.fromkeys(merged, 0)
+        for word, count in zip(words, counts):
+            merged[word] += count
+    if plural_stems is not None:
+        folded: dict[str, int] = {}
+        for word in sorted(merged):
+            count = merged[word]
+            stem = word[:-1]
+            if word.endswith("s") and len(word) > 1 and stem in plural_stems:
+                folded[stem] = folded.get(stem, 0) + count
+            else:
+                folded[word] = folded.get(word, 0) + count
+        merged = folded
+    return merged
+
+
+def _count_problem(field: str) -> str | None:
+    """What is wrong with the count field ``field``, if anything."""
+    digits = field.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        return f"malformed count {field!r}"
+    try:
+        count = int(field)
+    except ValueError:  # beyond int()'s limit on decimal digits
+        return f"count too large ({len(digits)} digits)"
+    if count < 0:
+        return f"negative count {count}"
+    return None
+
+
+def _count_column(fields: list[str]) -> list[int]:
+    """The counts written in ``fields``; ``ValueError`` if
+    :func:`_count_problem` finds fault with any of them."""
+    counts = list(map(int, fields))  # ValueError for most malformed fields
+    # int() also reads a sign, spaces, underscores and non-ASCII digits;
+    # of these, only the sign of a negative zero is allowed
+    digits = "".join(fields).replace("-", "")
+    if counts and (min(counts) < 0 or not (digits.isascii() and digits.isdigit())):
+        raise ValueError("malformed count")
+    return counts
 
 
 @_gc_paused
@@ -91,22 +129,11 @@ def load_counts(
     decimal digits (4,300 by default) is rejected.
     """
     label = str(path)
-    counts: dict[str, int] = {}
     with open(path, encoding="utf-8-sig") as fh:
-        for lineno, word, field in _parse_pair_lines(fh, label, ModelError):
-            digits = field.removeprefix("-")
-            if not (digits.isascii() and digits.isdigit()):
-                raise ModelError(f"{label}:{lineno}: malformed count {field!r}")
-            try:
-                count = int(field)
-            except ValueError:  # beyond int()'s limit on decimal digits
-                raise ModelError(
-                    f"{label}:{lineno}: count too large ({len(digits)} digits)"
-                ) from None
-            if count < 0:
-                raise ModelError(f"{label}:{lineno}: negative count {count}")
-            counts[word] = counts.get(word, 0) + count
-    table = FrequencyTable.from_counts(counts, plural_stems=plural_stems)
+        words, counts = _parse_pair_columns(fh, label, ModelError, _count_column,
+                                            _count_problem)
+    merged = _merged(words, counts, plural_stems)
+    table = FrequencyTable(counts=merged, total_raw=sum(merged.values()))
     try:
         str(table.total_raw)  # no frequency is larger, so all can be printed
     except ValueError:

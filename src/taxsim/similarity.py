@@ -42,7 +42,7 @@ CORPUS_MEASURES = ("resnik", "prob")
 WEIGHT_SUM_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimScore:
     """A similarity value with its provenance.
 

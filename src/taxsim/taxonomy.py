@@ -30,7 +30,9 @@ from __future__ import annotations
 import functools
 import gc
 import os
-from typing import Callable, Iterable, Iterator, Mapping, TextIO, TypeVar
+import re
+from itertools import chain, repeat
+from typing import Callable, Iterable, Mapping, NoReturn, TextIO, TypeVar
 
 from .errors import TaxonomyError, UnknownConceptError
 
@@ -57,28 +59,56 @@ def _gc_paused(func: _F) -> _F:
     return paused  # type: ignore[return-value]
 
 
-def _parse_pair_lines(fh: TextIO, label: str, error: type = TaxonomyError
-                      ) -> Iterator[tuple[int, str, str]]:
-    """Yield (lineno, left, right) from the ``left<TAB>right`` lines of
-    the text file ``fh``, opened with universal newlines.
+# Patterns over a file's text with one "\n" before every line: a run of
+# blank and comment lines, and a second tab or an empty right field.
+_SKIPPED_LINES = re.compile(r"\n(?:[^\S\n]*(?:#[^\n]*)?\n)+")
+_TWO_TABS_OR_EMPTY_RIGHT = re.compile(r"\t(?:[^\t\n]*\t|\n)")
+
+
+def _parse_pair_columns(
+    fh: TextIO,
+    label: str,
+    error: type = TaxonomyError,
+    convert: Callable[[list[str]], list] | None = None,
+    problem: Callable[[str], str | None] | None = None,
+) -> tuple[list[str], list]:
+    """The left and right columns of the ``left<TAB>right`` lines of the
+    text file ``fh``, opened with universal newlines.
 
     Blank lines and lines starting with ``#`` (after whitespace) are
-    skipped.  ``label`` is the file path used in diagnostics, which are
-    raised as ``error``; so is a decoding failure anywhere in the file,
-    which is read whole before any line is checked.
+    skipped; every other line must hold two non-empty tab-separated
+    fields.  The file is read whole and checked by a few whole-text
+    scans, then split into one flat field list.  ``convert``, if given,
+    maps the right column to the returned one and raises ``ValueError``
+    to reject it.  Only when a check fails is the text walked line by
+    line, to raise ``error`` naming the first bad line: a malformed line,
+    or one whose right field ``problem`` describes.  ``label`` is the
+    file path used in diagnostics; a decoding failure anywhere in the
+    file raises ``error`` too.
     """
     try:
         text = fh.read()
     except UnicodeDecodeError:
         raise error(f"{label}: not valid UTF-8") from None
+    body = _SKIPPED_LINES.sub("\n", f"\n{text}\n")
+    # as many tabs as lines, and no line with an empty left field, a
+    # second tab or an empty right field: one tab between two fields each
+    if (body.count("\t") == body.count("\n") - 1 and "\n\t" not in body
+            and not _TWO_TABS_OR_EMPTY_RIGHT.search(body)):
+        fields = body.replace("\n", "\t").split("\t")
+        right = fields[2:-1:2]
+        try:
+            return fields[1:-1:2], (right if convert is None else convert(right))
+        except ValueError:
+            pass
+    _raise_first_bad_line(text, label, error, problem)
+
+
+def _raise_first_bad_line(text: str, label: str, error: type,
+                          problem: Callable[[str], str | None] | None) -> NoReturn:
+    """Raise ``error`` naming the first line of ``text`` that
+    :func:`_parse_pair_columns` rejects."""
     for lineno, line in enumerate(text.split("\n"), start=1):
-        left, _, right = line.partition("\t")
-        # most lines: two non-empty fields, the first starting with
-        # neither whitespace nor ``#``; the rest take the checks below
-        if (left and right and "\t" not in right
-                and left[0] != "#" and not left[0].isspace()):
-            yield lineno, left, right
-            continue
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -90,7 +120,10 @@ def _parse_pair_lines(fh: TextIO, label: str, error: type = TaxonomyError
         left, right = fields
         if not left or not right:
             raise error(f"{label}:{lineno}: empty field")
-        yield lineno, left, right
+        found = problem(right) if problem else None
+        if found:
+            raise error(f"{label}:{lineno}: {found}")
+    raise AssertionError(f"{label}: the column checks rejected a well-formed file")
 
 
 def _invalid_id(cid: object) -> TaxonomyError:
@@ -184,101 +217,17 @@ class Taxonomy:
 
         Raises :class:`TaxonomyError` on a cycle, a dangling concept
         reference, a duplicate concept id, a concept id that is not a
-        non-empty tab-free string, an edge that is not a pair, a word that
-        is not a string, a sense set that is a string or not iterable, an
+        non-empty tab-free string, an edge that is not a pair or is a
+        string, a ``concepts`` argument that is a string, a word that is
+        not a string, a sense set that is a string or not iterable, an
         empty word or sense set, or empty input.
         """
-        ids: list[str] = []
-        index: dict[str, int] = {}
-        get = index.get
-        parent_sets: list[set[int]] = []
-
-        def add(cid: str) -> int:  # first sight of ``cid``
-            if not isinstance(cid, str) or not cid or "\t" in cid:
-                raise _invalid_id(cid)
-            i = index[cid] = len(ids)
-            ids.append(cid)
-            parent_sets.append(set())
-            return i
-
-        # an edge that is not a pair, or holds an unhashable id, fails in
-        # one handler around the loop, which keeps checks off the per-edge
-        # path; iter() stays outside it so that ``edge`` is bound there
-        pairs = iter(edges)
-        try:
-            for edge in pairs:
-                child, parent = edge
-                c = get(child)
-                if c is None:
-                    c = add(child)
-                p = get(parent)
-                if p is None:
-                    p = add(parent)
-                parent_sets[c].add(p)
-        except (TypeError, ValueError) as exc:
-            raise TaxonomyError(f"invalid edge {edge!r}: {exc}") from None
-
-        # redeclaring an edge endpoint is idempotent; declaring the same
-        # extra concept twice is a duplicate
-        n_endpoints = len(ids)  # ids are interned in order
-        for cid in concepts:
-            try:
-                i = get(cid)
-            except TypeError:  # unhashable
-                raise _invalid_id(cid) from None
-            if i is None:
-                add(cid)
-            elif i >= n_endpoints:
-                raise TaxonomyError(f"duplicate concept id: {cid!r}")
-
-        if not ids:
+        ends = _edge_column(edges)
+        extra = _extra_concepts(concepts, ends)
+        if not ends and not extra:
             raise TaxonomyError("empty input: no concepts")
-
-        sense_map: dict[str, tuple[int, ...]] = {}
-        try:
-            for word, cids in (senses or {}).items():
-                if not isinstance(word, str):
-                    raise TaxonomyError(f"lexicon word is not a string: {word!r}")
-                word = word.strip().lower()
-                if not word:
-                    raise TaxonomyError("empty word in lexicon")
-                if isinstance(cids, str):  # would iterate as one-letter ids
-                    raise TaxonomyError(
-                        f"sense set for word {word!r} is a string, not a "
-                        f"collection of concept ids: {cids!r}"
-                    )
-                targets = []
-                for cid in cids:
-                    i = get(cid)
-                    if i is None:
-                        raise TaxonomyError(
-                            f"dangling concept reference: word {word!r} maps to "
-                            f"unknown concept {cid!r}"
-                        )
-                    targets.append(i)
-                if len(targets) == 1 and word not in sense_map:  # most words
-                    sense_map[word] = tuple(targets)
-                    continue
-                if not targets:
-                    raise TaxonomyError(f"empty sense set for word {word!r}")
-                targets.extend(sense_map.get(word, ()))
-                sense_map[word] = tuple(sorted(set(targets)))
-        except TypeError as exc:  # a non-iterable sense set or an unhashable id
-            raise TaxonomyError(f"invalid sense set for word {word!r}: {exc}") from None
-
-        parentless = [i for i, ps in enumerate(parent_sets) if not ps]
-        if len(parentless) > 1:
-            if SYNTHETIC_ROOT in index:
-                raise TaxonomyError(
-                    f"duplicate concept id: {SYNTHETIC_ROOT!r} is reserved "
-                    "for the synthetic root"
-                )
-            root = add(SYNTHETIC_ROOT)
-            for i in parentless:
-                parent_sets[i].add(root)
-
-        parents = [tuple(sorted(ps)) for ps in parent_sets]
-        return cls(ids, index, parents, sense_map)
+        words, sense_ids = _sense_columns(senses or {})
+        return cls(*_index_columns(ends[0::2], ends[1::2], words, sense_ids, extra))
 
     # ------------------------------------------------------------------
     # lookups
@@ -428,16 +377,175 @@ class Taxonomy:
         )
 
 
+def _valid_id(cid: object) -> bool:
+    return isinstance(cid, str) and cid != "" and "\t" not in cid
+
+
+def _edge_column(edges: Iterable) -> list[str]:
+    """The ends of ``edges`` as one flat ``[child, parent, child, ...]``
+    list, checked in a few whole-list passes."""
+    edges = list(edges)
+    try:
+        # a str would unpack as one-letter ids
+        if not any(issubclass(t, str) for t in set(map(type, edges))):
+            pairs = list(map(tuple, edges))
+            ends = list(chain.from_iterable(pairs))
+            if (set(map(len, pairs)) <= {2}
+                    and all(issubclass(t, str) for t in set(map(type, ends)))
+                    and "" not in ends and "\t" not in "".join(ends)):
+                return ends
+    except TypeError:  # an edge that is not iterable
+        pass
+    for edge in edges:  # name the first bad edge
+        try:
+            if isinstance(edge, str):
+                raise TypeError("a string, not a (child, parent) pair")
+            child, parent = edge
+            for cid in (child, parent):
+                hash(cid)  # unhashable: TypeError
+                if not _valid_id(cid):
+                    raise _invalid_id(cid)
+        except (TypeError, ValueError) as exc:
+            raise TaxonomyError(f"invalid edge {edge!r}: {exc}") from None
+    raise AssertionError("the edge checks rejected valid edges")
+
+
+def _extra_concepts(concepts: Iterable, ends: list[str]) -> list[str]:
+    """The ids of ``concepts`` that are not among ``ends``; declaring one
+    twice is a duplicate."""
+    if isinstance(concepts, str):  # would iterate as one-letter ids
+        raise TaxonomyError(
+            f"concepts is a string, not a collection of concept ids: {concepts!r}"
+        )
+    concepts = list(concepts)
+    endpoints = frozenset(ends) if concepts else frozenset()
+    extra: dict[str, None] = {}
+    for cid in concepts:
+        try:
+            if cid in endpoints:
+                continue
+            if cid in extra:
+                raise TaxonomyError(f"duplicate concept id: {cid!r}")
+        except TypeError:  # unhashable
+            raise _invalid_id(cid) from None
+        if not _valid_id(cid):
+            raise _invalid_id(cid)
+        extra[cid] = None
+    return list(extra)
+
+
+def _sense_columns(senses: Mapping) -> tuple[list[str], list]:
+    """``senses`` as a word column and a concept id column, one row per
+    (word, id) pair; words are not yet normalized."""
+    words: list[str] = []
+    sense_ids: list = []
+    for word, cids in senses.items():
+        if not isinstance(word, str):
+            raise TaxonomyError(f"lexicon word is not a string: {word!r}")
+        if isinstance(cids, str):  # would iterate as one-letter ids
+            raise TaxonomyError(
+                f"sense set for word {word.strip().lower()!r} is a string, not a "
+                f"collection of concept ids: {cids!r}"
+            )
+        n = len(sense_ids)
+        try:
+            sense_ids.extend(cids)
+        except TypeError as exc:  # not iterable
+            raise TaxonomyError(
+                f"invalid sense set for word {word.strip().lower()!r}: {exc}"
+            ) from None
+        if len(sense_ids) == n:
+            raise TaxonomyError(f"empty sense set for word {word.strip().lower()!r}")
+        words.extend(repeat(word, len(sense_ids) - n))
+    return words, sense_ids
+
+
+def _group(keys: Iterable, values: Iterable) -> dict:
+    """Each key's distinct values as a sorted tuple, keys in order of
+    first appearance."""
+    groups: dict = {}
+    get = groups.get
+    for key, value in zip(keys, values):
+        have = get(key)
+        if have is None:
+            groups[key] = (value,)
+        elif value not in have:
+            groups[key] = tuple(sorted((*have, value)))
+    return groups
+
+
+def _raise_bad_sense_row(words: list[str], sense_ids: list,
+                         index: dict[str, int]) -> NoReturn:
+    """Raise for the first (normalized word, concept id) row that is an
+    empty word or names an unknown or unhashable id."""
+    for word, cid in zip(words, sense_ids):
+        if not word:
+            raise TaxonomyError("empty word in lexicon")
+        try:
+            known = cid in index
+        except TypeError as exc:
+            raise TaxonomyError(f"invalid sense set for word {word!r}: {exc}") from None
+        if not known:
+            raise TaxonomyError(
+                f"dangling concept reference: word {word!r} maps to "
+                f"unknown concept {cid!r}"
+            )
+    raise AssertionError("the sense checks rejected a valid lexicon")
+
+
+def _index_columns(
+    children: list[str],
+    parents: list[str],
+    words: list[str],
+    sense_ids: list,
+    extra: Iterable[str] = (),
+) -> tuple[list[str], dict[str, int], list[tuple[int, ...]], dict[str, tuple[int, ...]]]:
+    """The :class:`Taxonomy` constructor's arguments from the edges as a
+    child and a parent column of valid ids, the lexicon as a word and a
+    concept id column, and ``extra`` concepts, which are not edge ends.
+
+    Ids are numbered in order of first appearance: each edge's child,
+    then its parent, then the extra concepts.
+    """
+    ids = list(dict.fromkeys(chain(chain.from_iterable(zip(children, parents)), extra)))
+    index = dict(zip(ids, range(len(ids))))
+    lookup = index.__getitem__
+
+    words = list(map(str.lower, map(str.strip, words)))
+    try:
+        senses = _group(words, map(lookup, sense_ids))
+    except (KeyError, TypeError):  # an unknown or unhashable id
+        senses = None
+    if senses is None or "" in senses:
+        _raise_bad_sense_row(words, sense_ids, index)
+
+    parent_map = _group(map(lookup, children), map(lookup, parents))
+    parent_lists = list(map(parent_map.get, range(len(ids)), repeat(())))
+    parentless = [i for i, ps in enumerate(parent_lists) if not ps]
+    if len(parentless) > 1:
+        if SYNTHETIC_ROOT in index:
+            raise TaxonomyError(
+                f"duplicate concept id: {SYNTHETIC_ROOT!r} is reserved "
+                "for the synthetic root"
+            )
+        root = index[SYNTHETIC_ROOT] = len(ids)
+        ids.append(SYNTHETIC_ROOT)
+        parent_lists.append(())
+        for i in parentless:
+            parent_lists[i] = (root,)
+    return ids, index, parent_lists, senses
+
+
 @_gc_paused
 def load_taxonomy(edges_path: str | os.PathLike,
                   lexicon_path: str | os.PathLike) -> Taxonomy:
     """Load and validate a taxonomy from an edge file and a lexicon file."""
     with open(edges_path, encoding="utf-8-sig") as fh:
-        edges = [pair[1:] for pair in _parse_pair_lines(fh, str(edges_path))]
-    if not edges:
+        edges = _parse_pair_columns(fh, str(edges_path))
+    if not edges[0]:
         raise TaxonomyError(f"{edges_path}: empty input")
-    senses: dict[str, list[str]] = {}  # build() normalizes and merges words
     with open(lexicon_path, encoding="utf-8-sig") as fh:
-        for _, word, cid in _parse_pair_lines(fh, str(lexicon_path)):
-            senses.setdefault(word, []).append(cid)
-    return Taxonomy.build(edges, senses)
+        lexicon = _parse_pair_columns(fh, str(lexicon_path))
+    parts = _index_columns(*edges, *lexicon)
+    del edges, lexicon  # free the columns before the closure is built
+    return Taxonomy(*parts)

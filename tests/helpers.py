@@ -156,7 +156,7 @@ def random_instances(seed: int = 20240101, count: int = N_RANDOM_INSTANCES):
 
 def reference_parse_pair_lines(lines, label, error):
     """The line-by-line ``left<TAB>right`` parser that the whole-file
-    ``taxonomy._parse_pair_lines`` must agree with on valid UTF-8."""
+    ``taxonomy._parse_pair_columns`` must agree with on valid UTF-8."""
     try:
         for lineno, raw in enumerate(lines, start=1):
             line = raw.rstrip("\r\n")
@@ -174,6 +174,25 @@ def reference_parse_pair_lines(lines, label, error):
             yield lineno, left, right
     except UnicodeDecodeError:
         raise error(f"{label}: not valid UTF-8") from None
+
+
+def reference_count_lines(lines, label, error):
+    """The line-by-line ``word<TAB>count`` reader: raw word -> summed
+    count, in order of first appearance, which ``probability.load_counts``
+    must agree with, error messages included."""
+    counts = {}
+    for lineno, word, field in reference_parse_pair_lines(lines, label, error):
+        digits = field.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise error(f"{label}:{lineno}: malformed count {field!r}")
+        try:
+            count = int(field)
+        except ValueError:
+            raise error(f"{label}:{lineno}: count too large ({len(digits)} digits)") from None
+        if count < 0:
+            raise error(f"{label}:{lineno}: negative count {count}")
+        counts[word] = counts.get(word, 0) + count
+    return counts
 
 
 def oracle_parents(concepts, edges):

@@ -1,7 +1,10 @@
 """Correlation statistics, the bundled reference data, and live evaluation."""
 
+import copy
+import dataclasses
 import hashlib
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from helpers import flip_check
 from taxsim import (
     Benchmark,
+    EvalItem,
     EvaluationError,
     REFERENCE_TARGETS,
     REFERENCE_TOLERANCE,
@@ -19,6 +23,7 @@ from taxsim import (
     load_reference_scores,
     pearson,
     reference_correlations,
+    SimScore,
 )
 from taxsim.evaluation import reference_data_bytes
 
@@ -285,3 +290,29 @@ class TestEvaluate:
         report = evaluate("prob", bench, toy_taxonomy, toy_model)
         assert [item.score for item in report.items] == [0.25, 0.0]
         assert all(item.included for item in report.items)
+
+
+@pytest.mark.parametrize("record", [
+    SimScore(0.5, "coin", ("nickel", "dime")),
+    SimScore(1.0),
+    EvalItem("x", "y", 3.5, 0.25, True, None),
+    EvalItem("x", "ghost", 1.0, None, False, "word not in taxonomy: 'ghost'"),
+], ids=["simscore", "simscore-bare", "evalitem", "evalitem-excluded"])
+class TestSlottedRecords:
+    """The per-pair and per-row records have slots and no ``__dict__``,
+    and stay frozen, picklable and copyable."""
+
+    def test_no_instance_dict(self, record):
+        assert not hasattr(record, "__dict__")
+
+    def test_pickle_round_trip(self, record):
+        assert pickle.loads(pickle.dumps(record)) == record
+
+    def test_deepcopy_round_trip(self, record):
+        copied = copy.deepcopy(record)
+        assert copied == record and copied is not record
+
+    def test_assignment_raises(self, record):
+        name = dataclasses.fields(record)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, 0)

@@ -1,7 +1,9 @@
 """Loading pauses the cyclic garbage collector and leaves the caller's
 ``gc.isenabled()`` state as it found it, on return and on error."""
 
+import contextlib
 import gc
+import io
 import math
 
 import pytest
@@ -16,6 +18,7 @@ from taxsim import (
     load_counts,
     load_taxonomy,
 )
+from taxsim.cli import main
 
 
 @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
@@ -68,4 +71,34 @@ def test_collector_paused_while_loading(toy_taxonomy):
     Taxonomy.build(edges())
     build_model(toy_taxonomy, FrequencyTable(counts=Counts(TOY_COUNTS), total_raw=4))
     assert seen == [False, False]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("extra, code", [([], 0), (["--log-base", "nan"], 1)],
+                         ids=["success", "error"])
+def test_cli_main_restores_state(gc_on, toy_files, extra, code):
+    argv = ["sim", "x", "y", "--taxonomy", str(toy_files["taxonomy"]),
+            "--lexicon", str(toy_files["lexicon"]), "--counts", str(toy_files["counts"])]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv + extra) == code
+    assert gc.isenabled() is gc_on
+
+
+def test_cli_command_runs_with_the_collector_paused(toy_files, monkeypatch):
+    import taxsim.cli
+
+    seen = []
+    real = taxsim.cli.word_similarity
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(taxsim.cli, "word_similarity", spy)
+    argv = ["sim", "x", "y", "--measure", "edge", "--taxonomy", str(toy_files["taxonomy"]),
+            "--lexicon", str(toy_files["lexicon"])]
+    assert gc.isenabled()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert seen == [False]
     assert gc.isenabled()

@@ -113,6 +113,11 @@ class TestFromCounts:
         with pytest.raises(ModelError, match="not an integer"):
             FrequencyTable.from_counts({"x": 1, "y": count})
 
+    def test_non_string_word_rejected(self):
+        # used to raise AttributeError from word.strip()
+        with pytest.raises(ModelError, match="counts word is not a string: 1"):
+            FrequencyTable.from_counts({"x": 1, 1: 2})
+
 
 class TestBuildModel:
     def test_toy_propagation(self, toy_model):

@@ -16,7 +16,7 @@ from taxsim import (
     UnknownConceptError,
     load_taxonomy,
 )
-from taxsim.taxonomy import _parse_pair_lines
+from taxsim.taxonomy import _parse_pair_columns
 
 
 class TestBuild:
@@ -119,6 +119,22 @@ class TestBuild:
         # each used to raise a bare TypeError
         with pytest.raises(TaxonomyError, match=match):
             Taxonomy.build(edges, senses, concepts=concepts)
+
+    @pytest.mark.parametrize("edges", [["ab"], [("a", "r"), "br"], [("a", "r"), "b"]],
+                             ids=["only", "second", "one-letter"])
+    def test_string_edge_rejected(self, edges):
+        # "ab" used to unpack as the edge a -> b
+        with pytest.raises(TaxonomyError, match="invalid edge '.*': a string"):
+            Taxonomy.build(edges)
+
+    def test_string_concepts_rejected(self):
+        # "xy" used to declare the concepts x and y
+        with pytest.raises(TaxonomyError, match="concepts is a string"):
+            Taxonomy.build([("a", "r")], concepts="xy")
+
+    def test_edges_of_any_pair_type(self):
+        edges = [["A", "root"], iter(("B", "root")), {"A1": 0, "A": 1}.keys(), ("A2", "A")]
+        assert Taxonomy.build(edges).parents_of("A1") == {"A"}
 
     def test_duplicate_edges_idempotent(self, toy_taxonomy):
         t = Taxonomy.build(TOY_EDGES + TOY_EDGES, TOY_SENSES)
@@ -229,16 +245,25 @@ class TestLoadTaxonomy:
             load_taxonomy(tmp_path / "absent.tsv", tmp_path / "absent2.tsv")
 
 
-def _parsed(parse, data: bytes):
-    """What ``parse`` yields from a file holding ``data``, then the
-    message of the error that ended it, if any."""
-    out = []
+def _parsed(data: bytes):
+    """The (left, right) rows that the column reader returns for a file
+    holding ``data``, or the message of the error it raises."""
     try:
-        fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
-        out.extend(parse(fh, "f.tsv", TaxonomyError))
+        left, right = _parse_pair_columns(
+            io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig"), "f.tsv")
     except TaxonomyError as e:
-        out.append(str(e))
-    return out
+        return str(e)
+    return list(zip(left, right))
+
+
+def _reference_parsed(data: bytes):
+    """The same from the line-by-line reference parser."""
+    fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
+    try:
+        return [(left, right) for _, left, right
+                in helpers.reference_parse_pair_lines(fh, "f.tsv", TaxonomyError)]
+    except TaxonomyError as e:
+        return str(e)
 
 
 @settings(max_examples=500, deadline=None)
@@ -254,7 +279,7 @@ def _parsed(parse, data: bytes):
 @example(text="\ufeffa\tb\n \tb\na\t \n")
 def test_parser_matches_line_by_line_reference(text):
     data = text.encode("utf-8")
-    assert _parsed(_parse_pair_lines, data) == _parsed(helpers.reference_parse_pair_lines, data)
+    assert _parsed(data) == _reference_parsed(data)
 
 
 class TestSubsumers:
