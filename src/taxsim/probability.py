@@ -51,7 +51,8 @@ class FrequencyTable:
         in "s" whose stripped form is in ``plural_stems`` has its count
         folded into the stripped form; ``None`` folds nothing.  The rule
         is deliberately naive; counts files are expected to arrive
-        pre-lemmatized.  Counts must be ints >= 0.
+        pre-lemmatized.  Counts must be ints >= 0 whose total is within
+        ``int``'s limit on decimal digits, as for :func:`load_counts`.
         """
         for word, count in counts.items():
             if not isinstance(word, str):
@@ -60,15 +61,16 @@ class FrequencyTable:
                 raise ModelError(f"count for word {word!r} is not an integer: {count!r}")
             if count < 0:
                 raise ModelError(f"negative count for word {word!r}: {count}")
-        merged = _merged(list(counts), list(counts.values()), plural_stems)
-        return cls(counts=merged, total_raw=sum(merged.values()))
+        return _table(list(counts), list(counts.values()), plural_stems, "")
 
 
-def _merged(words: list[str], counts: list[int],
-            plural_stems: Collection[str] | None) -> dict[str, int]:
-    """The counts of a word column and a count column, summed per
+def _table(words: list[str], counts: list[int],
+           plural_stems: Collection[str] | None, where: str) -> FrequencyTable:
+    """The table of a word column and a column of counts >= 0, summed per
     stripped and lowercased word, words in order of first appearance;
-    ``plural_stems`` is as for :meth:`FrequencyTable.from_counts`."""
+    ``plural_stems`` is as for :meth:`FrequencyTable.from_counts`.  A
+    total beyond ``int``'s limit on decimal digits raises ModelError
+    prefixed by ``where``: no count is larger, so all can be printed."""
     words = list(map(str.lower, map(str.strip, words)))
     merged = dict(zip(words, counts))
     if len(merged) < len(words):  # a word repeats: sum its counts
@@ -85,7 +87,14 @@ def _merged(words: list[str], counts: list[int],
             else:
                 folded[word] = folded.get(word, 0) + count
         merged = folded
-    return merged
+    total = sum(merged.values())
+    try:
+        str(total)
+    except ValueError:
+        raise ModelError(
+            f"{where}total count too large ({_decimal_digits(total)} digits)"
+        ) from None
+    return FrequencyTable(counts=merged, total_raw=total)
 
 
 def _count_problem(field: str) -> str | None:
@@ -132,15 +141,7 @@ def load_counts(
     with open(path, encoding="utf-8-sig") as fh:
         words, counts = _parse_pair_columns(fh, label, ModelError, _count_column,
                                             _count_problem)
-    merged = _merged(words, counts, plural_stems)
-    table = FrequencyTable(counts=merged, total_raw=sum(merged.values()))
-    try:
-        str(table.total_raw)  # no frequency is larger, so all can be printed
-    except ValueError:
-        raise ModelError(
-            f"{label}: total count too large ({_decimal_digits(table.total_raw)} digits)"
-        ) from None
-    return table
+    return _table(words, counts, plural_stems, f"{label}: ")
 
 
 class ProbabilityModel:

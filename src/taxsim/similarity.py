@@ -17,7 +17,9 @@ Five measures share one query surface:
 Ties in any argmax are broken toward the first sense pair, then the
 smallest internal concept index (the order of first appearance in the
 input), so results are deterministic.  All functions are pure over
-immutable inputs and safe to call from multiple threads.
+immutable inputs and safe to call from multiple threads.  A model must
+be queried with the taxonomy object it was built on; any other raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ CORPUS_MEASURES = ("resnik", "prob")
 
 #: Tolerance on the sum of alpha weights.
 WEIGHT_SUM_TOLERANCE = 1e-9
+
+# A model's per-index arrays mean nothing over another taxonomy's indices.
+_OTHER_TAXONOMY = "the model was built on another taxonomy than the one queried"
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,6 +78,8 @@ def _best_subsumer(model: ProbabilityModel, t: Taxonomy, measure: str,
     SimilarityError, naming ``a`` and ``b``, if that leaves none.  prob
     scores ``1 - p``, not the least ``p``: once N > 2**53, distinct p can
     round to one ``1 - p``, and the tie-break must see that tie."""
+    if model.taxonomy is not t:
+        raise ValueError(_OTHER_TAXONOMY)
     anc = t.ancestor_indices
     best, found = -math.inf, None
     if measure == "prob":
@@ -187,6 +194,8 @@ def _finite_ic_subsumers(model: ProbabilityModel, t: Taxonomy,
                          c1: str, c2: str) -> dict[str, float]:
     """{concept id: ic} of the finite-ic common subsumers of two concepts,
     in concept index order."""
+    if model.taxonomy is not t:
+        raise ValueError(_OTHER_TAXONOMY)
     ic, inf, cid = model.ic_by_index, math.inf, t.concept_id
     common = t.ancestor_indices(t.index_of(c1)) & t.ancestor_indices(t.index_of(c2))
     return {cid(c): ic[c] for c in sorted(common) if ic[c] != inf}

@@ -126,10 +126,6 @@ def _raise_first_bad_line(text: str, label: str, error: type,
     raise AssertionError(f"{label}: the column checks rejected a well-formed file")
 
 
-def _invalid_id(cid: object) -> TaxonomyError:
-    return TaxonomyError(f"invalid concept id {cid!r}: ids are non-empty tab-free strings")
-
-
 class Taxonomy:
     """Immutable IS-A concept DAG with a word-to-senses index.
 
@@ -245,7 +241,8 @@ class Taxonomy:
         return self._ids[i]
 
     def sense_indices(self, word: str) -> tuple[int, ...]:
-        """Sorted sense indices of ``word`` (case-insensitive); () if absent.
+        """Sorted sense indices of ``word`` (case-insensitive); () if absent
+        or not a ``str``.
 
         ``word`` is looked up as given before it is stripped and
         lowercased: every stored word is already unchanged by both, so a
@@ -253,11 +250,11 @@ class Taxonomy:
         """
         try:
             senses = self._senses.get(word)
-        except TypeError:  # unhashable: fails on ``strip`` below, as before
+        except TypeError:  # unhashable, so not a str
             senses = None
-        if senses is None:
-            senses = self._senses.get(word.strip().lower(), ())
-        return senses
+        if senses is None and isinstance(word, str):  # typed only after a miss
+            senses = self._senses.get(word.strip().lower())
+        return senses or ()
 
     def ancestor_indices(self, i: int) -> frozenset[int]:
         """Indices of the ancestors of index ``i``, ``i`` and the root included."""
@@ -366,8 +363,8 @@ class Taxonomy:
 
     def senses_of(self, word: str) -> frozenset[str]:
         """The sense set of ``word`` (case-insensitive); empty if the word
-        is absent.  Absence is not an error here: callers decide whether a
-        missing word is fatal or merely excludes a pair."""
+        is absent or not a ``str``.  Absence is not an error here: callers
+        decide whether a missing word is fatal or merely excludes a pair."""
         return frozenset(self._ids[i] for i in self.sense_indices(word))
 
     def __repr__(self) -> str:
@@ -377,37 +374,29 @@ class Taxonomy:
         )
 
 
-def _valid_id(cid: object) -> bool:
-    return isinstance(cid, str) and cid != "" and "\t" not in cid
+def _check_id(cid: object) -> None:
+    """Raise TaxonomyError unless ``cid`` is a hashable non-empty tab-free str."""
+    if not (isinstance(cid, str) and cid and "\t" not in cid and type(cid).__hash__):
+        raise TaxonomyError(f"invalid concept id {cid!r}: "
+                            "ids are non-empty tab-free strings")
 
 
 def _edge_column(edges: Iterable) -> list[str]:
     """The ends of ``edges`` as one flat ``[child, parent, child, ...]``
-    list, checked in a few whole-list passes."""
-    edges = list(edges)
-    try:
-        # a str would unpack as one-letter ids
-        if not any(issubclass(t, str) for t in set(map(type, edges))):
-            pairs = list(map(tuple, edges))
-            ends = list(chain.from_iterable(pairs))
-            if (set(map(len, pairs)) <= {2}
-                    and all(issubclass(t, str) for t in set(map(type, ends)))
-                    and "" not in ends and "\t" not in "".join(ends)):
-                return ends
-    except TypeError:  # an edge that is not iterable
-        pass
-    for edge in edges:  # name the first bad edge
+    list; raises naming the first bad edge."""
+    ends: list[str] = []
+    for edge in edges:
         try:
-            if isinstance(edge, str):
+            if isinstance(edge, str):  # would unpack as one-letter ids
                 raise TypeError("a string, not a (child, parent) pair")
             child, parent = edge
             for cid in (child, parent):
                 hash(cid)  # unhashable: TypeError
-                if not _valid_id(cid):
-                    raise _invalid_id(cid)
+                _check_id(cid)
         except (TypeError, ValueError) as exc:
             raise TaxonomyError(f"invalid edge {edge!r}: {exc}") from None
-    raise AssertionError("the edge checks rejected valid edges")
+        ends += child, parent
+    return ends
 
 
 def _extra_concepts(concepts: Iterable, ends: list[str]) -> list[str]:
@@ -421,15 +410,11 @@ def _extra_concepts(concepts: Iterable, ends: list[str]) -> list[str]:
     endpoints = frozenset(ends) if concepts else frozenset()
     extra: dict[str, None] = {}
     for cid in concepts:
-        try:
-            if cid in endpoints:
-                continue
-            if cid in extra:
-                raise TaxonomyError(f"duplicate concept id: {cid!r}")
-        except TypeError:  # unhashable
-            raise _invalid_id(cid) from None
-        if not _valid_id(cid):
-            raise _invalid_id(cid)
+        _check_id(cid)
+        if cid in endpoints:
+            continue
+        if cid in extra:
+            raise TaxonomyError(f"duplicate concept id: {cid!r}")
         extra[cid] = None
     return list(extra)
 

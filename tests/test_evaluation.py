@@ -83,10 +83,15 @@ class TestPearson:
     @settings(max_examples=60, deadline=None)
     @given(
         pairs=st.lists(st.tuples(_floats, _floats), min_size=2, max_size=30),
-        scale=st.floats(min_value=0.01, max_value=100),
+        scale=st.integers(min_value=-6, max_value=6).map(lambda k: 2.0 ** k),
         shift=_floats,
     )
     def test_affine_invariance_and_sign_flip(self, pairs, scale, shift):
+        # only exact images test pearson: a power-of-two scale drops no
+        # bit of x unless x * scale underflows, but shift + x * scale can,
+        # so only the pairs whose x comes back exactly are kept
+        pairs = [(x, y) for x, y in pairs
+                 if all((shift + s * x - shift) / s == x for s in (scale, -scale))]
         xs = [p[0] for p in pairs]
         ys = [p[1] for p in pairs]
         assume(len(set(xs)) > 1 and len(set(ys)) > 1)

@@ -118,6 +118,15 @@ class TestFromCounts:
         with pytest.raises(ModelError, match="counts word is not a string: 1"):
             FrequencyTable.from_counts({"x": 1, 1: 2})
 
+    def test_total_beyond_int_digit_limit(self, toy_taxonomy):
+        # a total that str() cannot print would break repr() of the model
+        for counts, digits in (({"x": 10**4400}, 4401),
+                               ({"x": 10**4300 - 1, "y": 10**4300 - 1}, 4301)):
+            with pytest.raises(ModelError, match=rf"^total count too large \({digits} digits\)$"):
+                FrequencyTable.from_counts(counts)
+        table = FrequencyTable.from_counts({"x": 10**4300 - 1})
+        assert "N=999" in repr(build_model(toy_taxonomy, table))
+
 
 class TestBuildModel:
     def test_toy_propagation(self, toy_model):

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 import helpers
 from helpers import TOY_COUNTS, TOY_EDGES, TOY_SENSES
 from taxsim import (
+    Benchmark,
     FrequencyTable,
     SimilarityError,
     Taxonomy,
     UnknownConceptError,
     UnknownWordError,
     build_model,
+    evaluate,
     finite_common_subsumers,
     sim_edge,
     sim_lch,
@@ -441,6 +443,49 @@ class TestDispatcher:
         for measure in ("resnik", "prob"):
             with pytest.raises(ValueError, match="requires a probability model"):
                 word_similarity(measure, toy_taxonomy, "x", "y")
+
+
+@pytest.mark.parametrize("measure", ["resnik", "edge", "prob", "lch"])
+def test_non_string_word_is_unknown(toy_model, toy_taxonomy, measure):
+    for word in (5, None, 1.5, ("x",), ["x"]):
+        for w1, w2 in ((word, "x"), ("x", word)):
+            with pytest.raises(UnknownWordError):
+                word_similarity(measure, toy_taxonomy, w1, w2, toy_model)
+
+
+_README_EDGES = [("dog", "canine"), ("canine", "animal"), ("cat", "feline"),
+                 ("feline", "animal")]
+_PETS = Benchmark("pets", (("dog", "cat", 1.0), ("dog", "dog", 4.0)))
+
+
+class TestModelOfAnotherTaxonomy:
+    """A model's arrays are indexed by the taxonomy it was built on; with
+    the same edges in another order, indices name other concepts."""
+
+    @pytest.mark.parametrize("query", [
+        lambda m, t: sim_resnik_words(m, t, "dog", "cat"),
+        lambda m, t: sim_resnik_concepts(m, t, "dog", "cat"),
+        lambda m, t: sim_prob(m, t, "dog", "dog"),
+        lambda m, t: word_similarity("resnik", t, "dog", "cat", m),
+        lambda m, t: word_similarity("prob", t, "dog", "dog", m),
+        lambda m, t: evaluate("resnik", _PETS, t, m),
+        lambda m, t: evaluate("prob", _PETS, t, m),
+        lambda m, t: finite_common_subsumers(m, t, "dog", "cat"),
+        lambda m, t: uniform_weights(m, t, "dog", "cat"),
+        lambda m, t: sim_weighted(m, t, "dog", "cat", {"animal": 1.0}),
+    ], ids=["resnik-words", "resnik-concepts", "prob", "dispatch-resnik", "dispatch-prob",
+            "evaluate-resnik", "evaluate-prob", "finite-subsumers", "uniform-weights",
+            "weighted"])
+    def test_rejected(self, query):
+        senses = {"dog": {"dog"}, "cat": {"cat"}}
+        t1 = Taxonomy.build(_README_EDGES, senses)
+        t2 = Taxonomy.build(_README_EDGES[::-1], senses)
+        model = build_model(t1, FrequencyTable.from_counts({"dog": 10, "cat": 7}))
+        query(model, t1)
+        # over t2's numbering, the model's arrays would score dog and cat
+        # 0.7655 by resnik rather than 0.0
+        with pytest.raises(ValueError, match="built on another taxonomy"):
+            query(model, t2)
 
 
 class TestSenseConfusion:

@@ -19,6 +19,10 @@ from taxsim import (
 from taxsim.taxonomy import _parse_pair_columns
 
 
+class _UnhashableStr(str):
+    __hash__ = None  # as for a str subclass that defines __eq__ alone
+
+
 class TestBuild:
     def test_toy_shape(self, toy_taxonomy):
         t = toy_taxonomy
@@ -54,12 +58,26 @@ class TestBuild:
             Taxonomy.build([("a", SYNTHETIC_ROOT), ("b", "r2")])
 
     def test_duplicate_extra_concept(self):
-        with pytest.raises(TaxonomyError, match="duplicate concept id"):
-            Taxonomy.build([], concepts=["X", "X"])
+        for edges in ([], [("a", "b")]):
+            with pytest.raises(TaxonomyError, match="duplicate concept id: 'X'"):
+                Taxonomy.build(edges, concepts=["a", "X", "X"])
 
     def test_extra_concept_overlapping_edge_is_idempotent(self):
-        t = Taxonomy.build([("a", "b")], concepts=["a"])
-        assert t.concept_count == 2
+        # declaring an edge end, even twice, is no duplicate
+        for concepts in (["a"], ["a", "a"]):
+            t = Taxonomy.build([("a", "b")], concepts=concepts)
+            assert t.concepts() == ("a", "b")
+
+    @pytest.mark.parametrize("edge, message", [
+        ((1, ["x"]), "invalid concept id 1: "),
+        ((["x"], 1), r"invalid edge \(\['x'\], 1\): unhashable type: 'list'"),
+        (("", "a\tb"), "invalid concept id '': "),
+        (("a\tb", None), r"invalid concept id 'a\\tb': "),
+        ((None, ["x"]), "invalid concept id None: "),
+    ], ids=["int-list", "list-int", "empty-tab", "tab-none", "none-list"])
+    def test_edge_with_two_bad_ends_names_the_child(self, edge, message):
+        with pytest.raises(TaxonomyError, match="^" + message):
+            Taxonomy.build([("a", "r"), edge])
 
     def test_no_concepts(self):
         with pytest.raises(TaxonomyError, match="empty input"):
@@ -93,8 +111,9 @@ class TestBuild:
         ([("a", "r")], [""]),
         ([("a", "r")], ["a\tb"]),
         ([("a", "r")], [1]),
+        ([("a", "r")], [_UnhashableStr("x")]),
     ], ids=["empty-child", "empty-parent", "tab", "int", "extra-empty", "extra-tab",
-            "extra-int"])
+            "extra-int", "extra-unhashable-str"])
     def test_invalid_concept_id(self, edges, concepts):
         with pytest.raises(TaxonomyError, match="invalid concept id"):
             Taxonomy.build(edges, concepts=concepts)
@@ -114,7 +133,8 @@ class TestBuild:
         ([("a", "r")], {"w": [["a"]]}, (), "invalid sense set for word 'w': unhashable"),
         ([("a", "r")], None, [["x"]], r"invalid concept id \['x'\]"),
         ([5], None, (), "invalid edge 5: cannot unpack"),
-    ], ids=["edge-id", "sense-id", "extra-id", "edge-not-pair"])
+        ([(_UnhashableStr("a"), "r")], None, (), r"invalid edge \('a', 'r'\): unhashable"),
+    ], ids=["edge-id", "sense-id", "extra-id", "edge-not-pair", "edge-unhashable-str"])
     def test_unhashable_id_or_non_pair_edge(self, edges, senses, concepts, match):
         # each used to raise a bare TypeError
         with pytest.raises(TaxonomyError, match=match):
@@ -371,6 +391,12 @@ class TestSensesOf:
 
     def test_absent_word_is_empty_not_error(self, toy_taxonomy):
         assert toy_taxonomy.senses_of("unlisted") == frozenset()
+
+    @pytest.mark.parametrize("word", [5, None, 1.5, ("x",), ["x"]],
+                             ids=["int", "none", "float", "tuple", "list"])
+    def test_non_string_word_is_absent(self, toy_taxonomy, word):
+        assert toy_taxonomy.sense_indices(word) == ()
+        assert toy_taxonomy.senses_of(word) == frozenset()
 
 
 @settings(max_examples=50, deadline=None)
