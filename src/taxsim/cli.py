@@ -124,12 +124,13 @@ def cmd_eval(args: argparse.Namespace, measures) -> int:
         )
         for w1, w2, reason in report.excluded:
             print(f"# excluded: {w1},{w2}\t{reason}")
-        json_lines += (
-            json.dumps({"measure": measure, "pair": [item.word1, item.word2],
-                        "score": item.score, "included": item.included,
-                        "reason": item.reason}, sort_keys=True)
-            for item in report.items
-        )
+        if args.json_out:
+            json_lines += (
+                json.dumps({"measure": measure, "pair": [item.word1, item.word2],
+                            "score": item.score, "included": item.included,
+                            "reason": item.reason}, sort_keys=True)
+                for item in report.items
+            )
     if args.json_out:
         Path(args.json_out).write_text("\n".join(json_lines) + "\n", encoding="utf-8")
     return 0

@@ -19,6 +19,7 @@ import math
 import os
 from dataclasses import dataclass
 from importlib import resources
+from numbers import Real
 from typing import Iterable, Iterator
 
 from .errors import EvaluationError
@@ -79,12 +80,19 @@ def pearson(xs: list[float], ys: list[float]) -> float:
     every intermediate within [0, n], immune to under- and overflow;
     inputs near either end of the float range are rescaled the same way
     beforehand.
-    Any NaN or infinite input is rejected, since no correlation of it
-    is meaningful.
+    Any input that is not a real number, or is NaN or infinite (an int
+    beyond the float range included), is rejected, since no correlation
+    of it is meaningful.
     """
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
-    if not all(map(math.isfinite, xs)) or not all(map(math.isfinite, ys)):
+    if not all(issubclass(kind, Real) for kind in {*map(type, xs), *map(type, ys)}):
+        raise EvaluationError("non-real input: correlation undefined")
+    try:
+        finite = all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
         raise EvaluationError("non-finite input: correlation undefined")
     n = len(xs)
     if n < 2:
@@ -279,7 +287,7 @@ def evaluate(
             )
             items.append(EvalItem(w1, w2, human, score.value, True, None))
             continue
-        missing = sorted({w for w in (w1, w2) if not known(w)})
+        missing = sorted({str(w) for w in (w1, w2) if not known(w)})
         reason = "word not in taxonomy: " + ", ".join(missing)
         items.append(EvalItem(w1, w2, human, None, False, reason))
 

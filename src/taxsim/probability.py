@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from numbers import Real
+from sys import float_info
 from typing import Collection, Iterator, Mapping
 
 from .errors import ModelError
@@ -33,44 +35,48 @@ def _decimal_digits(n: int) -> int:
 
 @dataclass(frozen=True)
 class FrequencyTable:
-    """Merged word counts; ``total_raw`` is their sum."""
+    """Word counts: ``str`` words, ``int`` counts >= 0, and a total within
+    ``int``'s limit on decimal digits; ``total_raw`` is that total."""
 
     counts: dict[str, int]
-    total_raw: int
+    total_raw: int = field(init=False)
 
-    @classmethod
-    def from_counts(
-        cls,
-        counts: Mapping[str, int],
-        *,
-        plural_stems: Collection[str] | None = None,
-    ) -> "FrequencyTable":
-        """Build a table from a word -> count mapping.
-
-        Words are lowercased.  With ``plural_stems`` given, a word ending
-        in "s" whose stripped form is in ``plural_stems`` has its count
-        folded into the stripped form; ``None`` folds nothing.  The rule
-        is deliberately naive; counts files are expected to arrive
-        pre-lemmatized.  Counts must be ints >= 0 whose total is within
-        ``int``'s limit on decimal digits, as for :func:`load_counts`.
-        """
-        for word, count in counts.items():
+    def __post_init__(self):
+        for word, count in self.counts.items():
             if not isinstance(word, str):
                 raise ModelError(f"counts word is not a string: {word!r}")
             if isinstance(count, bool) or not isinstance(count, int):
                 raise ModelError(f"count for word {word!r} is not an integer: {count!r}")
             if count < 0:
                 raise ModelError(f"negative count for word {word!r}: {count}")
-        return _table(list(counts), list(counts.values()), plural_stems, "")
+        total = sum(self.counts.values())
+        try:
+            str(total)
+        except ValueError:  # no count is larger, so all can be printed
+            raise ModelError(f"total count too large ({_decimal_digits(total)} digits)") from None
+        object.__setattr__(self, "total_raw", total)
+
+    @classmethod
+    def from_counts(cls, counts: Mapping[str, int], *,
+                    plural_stems: Collection[str] | None = None) -> "FrequencyTable":
+        """Build a table from a word -> count mapping, checked as by the
+        constructor.
+
+        Words are lowercased.  With ``plural_stems`` given, a word ending
+        in "s" whose stripped form is in ``plural_stems`` has its count
+        folded into the stripped form; ``None`` folds nothing.  The rule
+        is deliberately naive; counts files are expected to arrive
+        pre-lemmatized.
+        """
+        cls(counts)  # checks the counts as given; merging keeps their total
+        return _table(list(counts), list(counts.values()), plural_stems)
 
 
 def _table(words: list[str], counts: list[int],
-           plural_stems: Collection[str] | None, where: str) -> FrequencyTable:
+           plural_stems: Collection[str] | None) -> FrequencyTable:
     """The table of a word column and a column of counts >= 0, summed per
     stripped and lowercased word, words in order of first appearance;
-    ``plural_stems`` is as for :meth:`FrequencyTable.from_counts`.  A
-    total beyond ``int``'s limit on decimal digits raises ModelError
-    prefixed by ``where``: no count is larger, so all can be printed."""
+    ``plural_stems`` is as for :meth:`FrequencyTable.from_counts`."""
     words = list(map(str.lower, map(str.strip, words)))
     merged = dict(zip(words, counts))
     if len(merged) < len(words):  # a word repeats: sum its counts
@@ -87,14 +93,7 @@ def _table(words: list[str], counts: list[int],
             else:
                 folded[word] = folded.get(word, 0) + count
         merged = folded
-    total = sum(merged.values())
-    try:
-        str(total)
-    except ValueError:
-        raise ModelError(
-            f"{where}total count too large ({_decimal_digits(total)} digits)"
-        ) from None
-    return FrequencyTable(counts=merged, total_raw=total)
+    return FrequencyTable(merged)
 
 
 def _count_problem(field: str) -> str | None:
@@ -141,7 +140,10 @@ def load_counts(
     with open(path, encoding="utf-8-sig") as fh:
         words, counts = _parse_pair_columns(fh, label, ModelError, _count_column,
                                             _count_problem)
-    return _table(words, counts, plural_stems, f"{label}: ")
+    try:
+        return _table(words, counts, plural_stems)
+    except ModelError as exc:  # the total count: the counts were checked above
+        raise ModelError(f"{label}: {exc}") from None
 
 
 class ProbabilityModel:
@@ -152,34 +154,61 @@ class ProbabilityModel:
     similarity queries treat such concepts as carrying no evidence.
     """
 
-    def __init__(self, taxonomy: Taxonomy, freq: list[int], log_base: float):
-        self._taxonomy = taxonomy
-        self._freq = freq
-        self.log_base = log_base
+    @_gc_paused
+    def __init__(self, taxonomy: Taxonomy, table: FrequencyTable, log_base: float = 2.0):
+        """Propagate the counts of ``table`` up ``taxonomy``: each counted
+        word credits its count once to the union of the ancestor sets of its
+        senses (set semantics under polysemy and diamond inheritance); a
+        one-sense word's count goes to its concept's direct count, whose
+        ancestors are credited once with the sum.  Words absent from the
+        lexicon do not contribute to N."""
+        if not isinstance(log_base, Real) or not 1 < log_base <= float_info.max:
+            big = isinstance(log_base, int) and log_base > 1  # may be too long for repr
+            got = f"an int of {_decimal_digits(log_base)} digits" if big else repr(log_base)
+            raise ValueError(f"log_base must be finite and > 1, got {got}")
+        if not isinstance(table, FrequencyTable):
+            raise ModelError(f"table is a {type(table).__name__}, not a FrequencyTable")
+        freq = [0] * taxonomy.concept_count
+        direct = [0] * taxonomy.concept_count
+        for word, count in table.counts.items():
+            senses = taxonomy.sense_indices(word)  # () for a word not in the lexicon
+            if len(senses) == 1:
+                direct[senses[0]] += count
+                continue
+            covered = frozenset().union(*map(taxonomy.ancestor_indices, senses))
+            for i in covered:
+                freq[i] += count
+        for c, count in enumerate(direct):
+            if count:
+                for i in taxonomy.ancestor_indices(c):
+                    freq[i] += count
         n_total = freq[taxonomy.index_of(taxonomy.root)]
         if n_total <= 0:
             raise ModelError(
                 "no counted word attaches to the taxonomy (N = 0); "
                 "check that counts words appear in the lexicon"
             )
+        self._taxonomy = taxonomy
+        self._freq = freq
+        self.log_base = log_base
         self.N = n_total
-        self._p = tuple(f / n_total for f in freq)
         # a p that underflowed to 0.0 (f > 0) takes its ic from the ints
         self._ic = tuple(
             math.inf if f == 0
-            else _neg_log(p, log_base) if p > 0.0
+            else _neg_log(p, log_base) if (p := f / n_total) > 0.0
             else (math.log(n_total) - math.log(f)) / math.log(log_base)
-            for f, p in zip(freq, self._p)
+            for f in freq
         )
+        self._one_minus_p = tuple(1.0 - f / n_total for f in freq)
 
     @property
     def taxonomy(self) -> Taxonomy:
         return self._taxonomy
 
     @property
-    def p_by_index(self) -> tuple[float, ...]:
-        """p of every concept, indexed by :meth:`Taxonomy.index_of`."""
-        return self._p
+    def one_minus_p_by_index(self) -> tuple[float, ...]:
+        """1 - p of every concept, indexed by :meth:`Taxonomy.index_of`."""
+        return self._one_minus_p
 
     @property
     def ic_by_index(self) -> tuple[float, ...]:
@@ -190,7 +219,7 @@ class ProbabilityModel:
         return self._freq[self._taxonomy.index_of(concept)]
 
     def p(self, concept: str) -> float:
-        return self._p[self._taxonomy.index_of(concept)]
+        return self._freq[self._taxonomy.index_of(concept)] / self.N
 
     def ic(self, concept: str) -> float:
         """Information content of ``concept``; ``+inf`` when its frequency
@@ -201,7 +230,7 @@ class ProbabilityModel:
         """(concept_id, freq, p, ic) rows sorted by concept id."""
         for cid in sorted(self._taxonomy.concepts()):
             i = self._taxonomy.index_of(cid)
-            yield cid, self._freq[i], self._p[i], self._ic[i]
+            yield cid, self._freq[i], self._freq[i] / self.N, self._ic[i]
 
     def __repr__(self) -> str:
         return (
@@ -210,34 +239,8 @@ class ProbabilityModel:
         )
 
 
-@_gc_paused
-def build_model(
-    taxonomy: Taxonomy, table: FrequencyTable, log_base: float = 2.0
-) -> ProbabilityModel:
-    """Propagate word counts upward and derive probabilities.
-
-    For each counted word the union of the ancestor sets of all its
-    senses is credited once with the word's count, which gives the
-    deduplicated set semantics required under polysemy and diamond
-    inheritance.  A word with one sense needs no union: its count is
-    summed into that concept's direct count, and each concept's
-    ancestors are credited once with the sum.  Words absent from the
-    lexicon are ignored and do not contribute to N.
-    """
-    if not math.isfinite(log_base) or log_base <= 1:
-        raise ValueError(f"log_base must be finite and > 1, got {log_base}")
-    freq = [0] * taxonomy.concept_count
-    direct = [0] * taxonomy.concept_count
-    for word, count in table.counts.items():
-        senses = taxonomy.sense_indices(word)  # () for a word not in the lexicon
-        if len(senses) == 1:
-            direct[senses[0]] += count
-            continue
-        covered = frozenset().union(*map(taxonomy.ancestor_indices, senses))
-        for i in covered:
-            freq[i] += count
-    for c, count in enumerate(direct):
-        if count:
-            for i in taxonomy.ancestor_indices(c):
-                freq[i] += count
-    return ProbabilityModel(taxonomy, freq, log_base)
+@_gc_paused  # also while the instance is allocated, which can start a due collection
+def build_model(taxonomy: Taxonomy, table: FrequencyTable,
+                log_base: float = 2.0) -> ProbabilityModel:
+    """``ProbabilityModel(taxonomy, table, log_base)``."""
+    return ProbabilityModel(taxonomy, table, log_base)

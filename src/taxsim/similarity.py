@@ -74,34 +74,26 @@ def _best_subsumer(model: ProbabilityModel, t: Taxonomy, measure: str,
     ``ic[c]`` (resnik) or ``1 - p[c]`` (prob) over sense pairs ``s1`` x
     ``s2`` x sorted common subsumers ``c``; only a strictly greater value
     replaces the best, so ties keep the first pair, then the smallest c.
-    resnik skips zero-frequency c (``ic = +inf``) and raises
-    SimilarityError, naming ``a`` and ``b``, if that leaves none.  prob
-    scores ``1 - p``, not the least ``p``: once N > 2**53, distinct p can
-    round to one ``1 - p``, and the tie-break must see that tie."""
+    Zero-frequency c (``ic = +inf``) are skipped; as ``1 - p`` is always
+    finite, only resnik can be left with none, which raises
+    SimilarityError naming ``a`` and ``b``.  prob scores ``1 - p``, not
+    the least ``p``: once N > 2**53, distinct p can round to one
+    ``1 - p``, and the tie-break must see that tie."""
     if model.taxonomy is not t:
         raise ValueError(_OTHER_TAXONOMY)
     anc = t.ancestor_indices
-    best, found = -math.inf, None
-    if measure == "prob":
-        p = model.p_by_index
-        for i1 in s1:
-            a1 = anc(i1)
-            for i2 in s2:
-                for c in sorted(a1 & anc(i2)):
-                    if (v := 1.0 - p[c]) > best:
-                        best, found = v, (c, i1, i2)
-    else:
-        ic, inf = model.ic_by_index, math.inf
-        for i1 in s1:
-            a1 = anc(i1)
-            for i2 in s2:
-                for c in sorted(a1 & anc(i2)):
-                    if best < (v := ic[c]) < inf:
-                        best, found = v, (c, i1, i2)
-        if found is None:
-            raise SimilarityError(
-                f"every common subsumer of {a!r} and {b!r} has zero frequency"
-            )
+    values = model.one_minus_p_by_index if measure == "prob" else model.ic_by_index
+    best, found, inf = -math.inf, None, math.inf
+    for i1 in s1:
+        a1 = anc(i1)
+        for i2 in s2:
+            for c in sorted(a1 & anc(i2)):
+                if best < (v := values[c]) < inf:
+                    best, found = v, (c, i1, i2)
+    if found is None:
+        raise SimilarityError(
+            f"every common subsumer of {a!r} and {b!r} has zero frequency"
+        )
     c, i1, i2 = found
     cid = t.concept_id
     return SimScore(best, cid(c), (cid(i1), cid(i2)))  # positional: cheaper per row

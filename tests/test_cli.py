@@ -2,6 +2,7 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -277,6 +278,24 @@ class TestEvalLive:
         ]
         assert str(target) in err
         assert not target.parent.exists()
+
+    @pytest.mark.parametrize("json_out", [[], ["--json-out", ""]], ids=["absent", "empty"])
+    def test_no_json_rows_built_without_json_out(self, capsys, toy_files, monkeypatch,
+                                                  json_out):
+        # every row used to be serialized, then thrown away
+        import taxsim.cli
+
+        calls = []
+        monkeypatch.setattr(taxsim.cli, "json",
+                            SimpleNamespace(dumps=lambda *a, **k: calls.append(a)))
+        code, out, _ = _run(
+            capsys,
+            ["eval", "--benchmark", str(toy_files["benchmark"])] + _base_args(toy_files)
+            + ["--counts", str(toy_files["counts"]), "--measure", "resnik"] + json_out,
+        )
+        assert code == 0
+        assert out.startswith("resnik\tr=1.0000\tn=2\texcluded=1\n")
+        assert calls == []
 
     def test_log_base_leaves_correlations_unchanged(self, capsys, tmp_path, toy_files):
         bench = tmp_path / "b.csv"

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import math
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -103,13 +104,27 @@ class TestPearson:
         assume(len(set(flipped)) > 1)
         assert pearson(flipped, ys) == pytest.approx(-r, abs=1e-9)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**4400],
+                             ids=["nan", "inf", "-inf", "int-beyond-float-range"])
     def test_non_finite_input_rejected(self, bad):
-        # NaN used to pass through the final clamp as r = 1.0
+        # NaN used to pass through the final clamp as r = 1.0, and an int
+        # beyond float range raised OverflowError from math.isfinite
         with pytest.raises(EvaluationError, match="non-finite"):
             pearson([1, 2, bad], [1, 3, 2])
         with pytest.raises(EvaluationError, match="non-finite"):
             pearson([1, 3, 2], [1, 2, bad])
+
+    @pytest.mark.parametrize("bad", ["3", None, 1j, Decimal(3)],
+                             ids=["str", "none", "complex", "decimal"])
+    def test_non_real_input_rejected(self, bad):
+        # str, None and complex used to raise TypeError from math.isfinite
+        with pytest.raises(EvaluationError, match="^non-real input"):
+            pearson([1, 2, bad], [1, 3, 2])
+        with pytest.raises(EvaluationError, match="^non-real input"):
+            pearson([1, 3, 2], [1, 2, bad])
+
+    def test_bools_and_ints_are_real(self):
+        assert pearson([True, False, True], [3, 1, 2]) == pearson([1.0, 0.0, 1.0], [3, 1, 2])
 
     def test_values_near_float_limit(self):
         # the sums used to overflow: fsum raised OverflowError, or an
@@ -289,6 +304,15 @@ class TestEvaluate:
         )
         with pytest.raises(EvaluationError, match="non-finite"):
             evaluate("edge", bench, toy_taxonomy)
+
+    def test_non_str_word_excluded(self, toy_taxonomy):
+        # the exclusion reason used to raise TypeError from str.join
+        bench = Benchmark("b", (("x", "y", 1.0), ("x", "z", 2.0), (5, "x", 3.0),
+                                (None, ("x",), 4.0)))
+        report = evaluate("edge", bench, toy_taxonomy)
+        assert report.excluded == ((5, "x", "word not in taxonomy: 5"),
+                                   (None, ("x",), "word not in taxonomy: ('x',), None"))
+        assert report.n_included == 2
 
     def test_per_item_scores_recorded(self, toy_taxonomy, toy_model):
         bench = Benchmark(name="toy", rows=(("x", "y", 3.0), ("x", "z", 1.0)))

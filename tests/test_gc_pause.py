@@ -68,8 +68,10 @@ def test_collector_paused_while_loading(toy_taxonomy):
             seen.append(gc.isenabled())
             return super().items()
 
+    table = FrequencyTable(Counts(TOY_COUNTS))  # its check reads items() too
+    seen.clear()
     Taxonomy.build(edges())
-    build_model(toy_taxonomy, FrequencyTable(counts=Counts(TOY_COUNTS), total_raw=4))
+    build_model(toy_taxonomy, table)
     assert seen == [False, False]
     assert gc.isenabled()
 

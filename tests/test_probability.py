@@ -19,6 +19,7 @@ from helpers import (
 from taxsim import (
     FrequencyTable,
     ModelError,
+    ProbabilityModel,
     Taxonomy,
     UnknownConceptError,
     build_model,
@@ -128,6 +129,41 @@ class TestFromCounts:
         assert "N=999" in repr(build_model(toy_taxonomy, table))
 
 
+class TestConstructors:
+    @pytest.mark.parametrize("counts, message", [
+        ({"x": 10**4400}, r"^total count too large \(4401 digits\)$"),
+        ({"x": -5}, r"^negative count for word 'x': -5$"),
+        ({"x": 2.5}, r"^count for word 'x' is not an integer: 2\.5$"),
+        ({"x": True}, r"^count for word 'x' is not an integer: True$"),
+        ({5: 1}, r"^counts word is not a string: 5$"),
+    ], ids=["total", "negative", "float", "bool", "word"])
+    def test_table_checks_its_counts(self, counts, message):
+        # the constructor used to accept all of these unchecked
+        with pytest.raises(ModelError, match=message):
+            FrequencyTable(counts)
+
+    def test_table_total_is_derived(self):
+        table = FrequencyTable({"x": 2, "Y ": 3})  # kept as given: no merging
+        assert table.counts == {"x": 2, "Y ": 3} and table.total_raw == 5
+        with pytest.raises(TypeError):
+            FrequencyTable({"x": 2}, total_raw=7)
+
+    @pytest.mark.parametrize("table", [[5, 2], {"x": 2}, None], ids=["list", "dict", "none"])
+    def test_model_takes_only_a_table(self, toy_taxonomy, table):
+        # a raw freq list used to give ic(x) = -1.32 and resnik scores of 0.0
+        with pytest.raises(ModelError, match="not a FrequencyTable"):
+            ProbabilityModel(toy_taxonomy, table, 2.0)
+
+    def test_model_constructor_is_build_model(self, toy_taxonomy, toy_model):
+        model = ProbabilityModel(toy_taxonomy, FrequencyTable.from_counts(TOY_COUNTS))
+        assert list(model.dump_rows()) == list(toy_model.dump_rows())
+        assert model.ic_by_index == toy_model.ic_by_index
+        assert model.one_minus_p_by_index == tuple(
+            1.0 - model.p(toy_taxonomy.concept_id(i))
+            for i in range(toy_taxonomy.concept_count)
+        )
+
+
 class TestBuildModel:
     def test_toy_propagation(self, toy_model):
         assert {c: toy_model.freq(c) for c in ("A1", "A2", "A", "B", "root")} == {
@@ -181,7 +217,9 @@ class TestBuildModel:
 
     def test_bad_log_base(self, toy_taxonomy):
         table = FrequencyTable.from_counts(TOY_COUNTS)
-        for base in (1.0, 0.5, -2.0, math.nan, math.inf):
+        # "2", None and 1j used to raise TypeError, and 10**4400 gave a
+        # model whose repr raised ValueError
+        for base in (1.0, 0.5, -2.0, math.nan, math.inf, True, "2", None, 1j, 10**4400):
             with pytest.raises(ValueError, match="log_base"):
                 build_model(toy_taxonomy, table, log_base=base)
 
