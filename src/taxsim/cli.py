@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from .evaluation import (
     load_benchmark,
     reference_correlations,
 )
-from .probability import build_model, load_counts
+from .probability import _check_real, build_model, load_counts
 from .similarity import CORPUS_MEASURES, WORD_MEASURES, word_similarity
 from .taxonomy import _gc_paused, load_taxonomy
 
@@ -201,12 +200,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "eval" and args.fixture:
             return cmd_eval_fixture()
-        if not math.isfinite(args.log_base) or args.log_base <= 1:
-            raise ModelError(f"--log-base must be finite and > 1, got {args.log_base}")
-        if not math.isfinite(args.lch_floor) or args.lch_floor <= 0:
-            raise ModelError(
-                f"--lch-floor must be finite and positive, got {args.lch_floor}"
-            )
+        _check_real(args.log_base, "--log-base", 1, "> 1", ModelError)
+        _check_real(args.lch_floor, "--lch-floor", 0, "positive", ModelError)
         chosen = args.measure or WORD_MEASURES
         return args.run(args, tuple(m for m in WORD_MEASURES if m in chosen))
     except tuple(EXIT_CODES) as exc:

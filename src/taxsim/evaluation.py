@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import re
 from dataclasses import dataclass
 from importlib import resources
 from numbers import Real
@@ -25,7 +26,7 @@ from typing import Iterable, Iterator
 from .errors import EvaluationError
 from .probability import ProbabilityModel
 from .similarity import WORD_MEASURES, word_similarity
-from .taxonomy import Taxonomy
+from .taxonomy import Taxonomy, _normalized
 
 _REFERENCE_RESOURCE = "miller_charles.tsv"
 
@@ -144,11 +145,7 @@ def load_benchmark(path: str | os.PathLike, name: str | None = None) -> Benchmar
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = _csv_records(fh, label)
         header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != [
-            "word1",
-            "word2",
-            "rating",
-        ]:
+        if header is None or _normalized(header) != ["word1", "word2", "rating"]:
             raise EvaluationError(
                 f"{label}: expected header 'word1,word2,rating', got {header!r}"
             )
@@ -168,7 +165,7 @@ def load_benchmark(path: str | os.PathLike, name: str | None = None) -> Benchmar
                 raise EvaluationError(
                     f"{label}:{lineno}: non-finite rating {rating!r}"
                 )
-            rows.append((w1.strip().lower(), w2.strip().lower(), value))
+            rows.append((*_normalized((w1, w2)), value))
     return Benchmark(name=name or label, rows=tuple(rows))
 
 
@@ -197,25 +194,10 @@ def reference_data_bytes() -> bytes:
 
 def load_reference_scores() -> tuple[ReferenceRow, ...]:
     """The bundled 28-pair reference table."""
-    text = reference_data_bytes().decode("utf-8")
-    rows = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#") or stripped.startswith("word1"):
-            continue
-        w1, w2, mc, rep, ic, edge, prob = line.split("\t")
-        rows.append(
-            ReferenceRow(
-                word1=w1,
-                word2=w2,
-                mc_mean=float(mc),
-                replication_mean=float(rep),
-                sim_ic=float(ic),
-                sim_edge=float(edge),
-                sim_prob=float(prob),
-            )
-        )
-    return tuple(rows)
+    text = re.sub(r"(?m)^#.*\n", "", reference_data_bytes().decode("utf-8"))
+    records = csv.reader(text.splitlines(), delimiter="\t")
+    next(records)  # the header
+    return tuple(ReferenceRow(w1, w2, *map(float, scores)) for w1, w2, *scores in records)
 
 
 def reference_correlations() -> dict[str, float]:

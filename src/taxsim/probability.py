@@ -16,10 +16,11 @@ import os
 from dataclasses import dataclass, field
 from numbers import Real
 from sys import float_info
+from types import MappingProxyType
 from typing import Collection, Iterator, Mapping
 
 from .errors import ModelError
-from .taxonomy import Taxonomy, _gc_paused, _parse_pair_columns
+from .taxonomy import Taxonomy, _gc_paused, _normalized, _parse_pair_columns
 
 
 def _neg_log(x: float, base: float) -> float:
@@ -33,28 +34,46 @@ def _decimal_digits(n: int) -> int:
     return d - (n < 10 ** (d - 1)) + (n >= 10 ** d)
 
 
+def _check_real(value: object, name: str, low: float, rule: str, error=ValueError) -> None:
+    """Raise ``error``, naming ``name``, ``rule`` and ``value``, unless
+    ``value`` is a real number in (``low``, largest float]."""
+    if not isinstance(value, Real) or not low < value <= float_info.max:
+        big = isinstance(value, int) and abs(value) > float_info.max  # may be too long for repr
+        got = f"an int of {_decimal_digits(abs(value))} digits" if big else repr(value)
+        raise error(f"{name} must be finite and {rule}, got {got}")
+
+
+class _Fresh(dict):
+    """A dict that no caller holds, so a table keeps it rather than a copy."""
+
+
 @dataclass(frozen=True)
 class FrequencyTable:
-    """Word counts: ``str`` words, ``int`` counts >= 0, and a total within
-    ``int``'s limit on decimal digits; ``total_raw`` is that total."""
+    """Word counts, kept as a read-only copy: ``str`` words, ``int`` counts >= 0,
+    and a total within ``int``'s limit on decimal digits, ``total_raw``."""
 
-    counts: dict[str, int]
+    counts: Mapping[str, int]
     total_raw: int = field(init=False)
 
     def __post_init__(self):
-        for word, count in self.counts.items():
+        counts = self.counts if type(self.counts) is _Fresh else dict(self.counts)
+        for word, count in counts.items():
             if not isinstance(word, str):
                 raise ModelError(f"counts word is not a string: {word!r}")
             if isinstance(count, bool) or not isinstance(count, int):
                 raise ModelError(f"count for word {word!r} is not an integer: {count!r}")
             if count < 0:
                 raise ModelError(f"negative count for word {word!r}: {count}")
-        total = sum(self.counts.values())
+        total = sum(counts.values())
         try:
             str(total)
         except ValueError:  # no count is larger, so all can be printed
             raise ModelError(f"total count too large ({_decimal_digits(total)} digits)") from None
+        object.__setattr__(self, "counts", MappingProxyType(counts))
         object.__setattr__(self, "total_raw", total)
+
+    def __reduce__(self):  # a mappingproxy cannot be pickled or deep-copied
+        return FrequencyTable, (dict(self.counts),)
 
     @classmethod
     def from_counts(cls, counts: Mapping[str, int], *,
@@ -66,9 +85,9 @@ class FrequencyTable:
         in "s" whose stripped form is in ``plural_stems`` has its count
         folded into the stripped form; ``None`` folds nothing.  The rule
         is deliberately naive; counts files are expected to arrive
-        pre-lemmatized.
+        pre-lemmatized.  A ``str`` ``plural_stems`` raises ``ModelError``.
         """
-        cls(counts)  # checks the counts as given; merging keeps their total
+        counts = cls(counts).counts  # checked as given; merging keeps their total
         return _table(list(counts), list(counts.values()), plural_stems)
 
 
@@ -77,14 +96,16 @@ def _table(words: list[str], counts: list[int],
     """The table of a word column and a column of counts >= 0, summed per
     stripped and lowercased word, words in order of first appearance;
     ``plural_stems`` is as for :meth:`FrequencyTable.from_counts`."""
-    words = list(map(str.lower, map(str.strip, words)))
-    merged = dict(zip(words, counts))
+    if isinstance(plural_stems, str):  # would match any substring as a stem
+        raise ModelError(f"plural_stems is a string, not a collection: {plural_stems!r}")
+    words = _normalized(words)
+    merged = _Fresh(zip(words, counts))  # no copy: the load's peak memory stays as it was
     if len(merged) < len(words):  # a word repeats: sum its counts
-        merged = dict.fromkeys(merged, 0)
+        merged = _Fresh.fromkeys(merged, 0)
         for word, count in zip(words, counts):
             merged[word] += count
     if plural_stems is not None:
-        folded: dict[str, int] = {}
+        folded: dict[str, int] = _Fresh()
         for word in sorted(merged):
             count = merged[word]
             stem = word[:-1]
@@ -142,7 +163,7 @@ def load_counts(
                                             _count_problem)
     try:
         return _table(words, counts, plural_stems)
-    except ModelError as exc:  # the total count: the counts were checked above
+    except ModelError as exc:  # the total, or a str plural_stems: the counts were checked
         raise ModelError(f"{label}: {exc}") from None
 
 
@@ -162,10 +183,7 @@ class ProbabilityModel:
         one-sense word's count goes to its concept's direct count, whose
         ancestors are credited once with the sum.  Words absent from the
         lexicon do not contribute to N."""
-        if not isinstance(log_base, Real) or not 1 < log_base <= float_info.max:
-            big = isinstance(log_base, int) and log_base > 1  # may be too long for repr
-            got = f"an int of {_decimal_digits(log_base)} digits" if big else repr(log_base)
-            raise ValueError(f"log_base must be finite and > 1, got {got}")
+        _check_real(log_base, "log_base", 1, "> 1")
         if not isinstance(table, FrequencyTable):
             raise ModelError(f"table is a {type(table).__name__}, not a FrequencyTable")
         freq = [0] * taxonomy.concept_count

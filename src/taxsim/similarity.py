@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import SimilarityError, UnknownWordError
-from .probability import ProbabilityModel, _neg_log
+from .probability import ProbabilityModel, _check_real, _neg_log
 from .taxonomy import Taxonomy
 
 #: Word-level measures usable by the evaluation pipeline and the CLI.
@@ -168,10 +168,8 @@ def sim_lch(t: Taxonomy, w1: str, w2: str, *,
     the score finite while leaving synonyms strictly most similar.  The
     floor is a local convention, not a published constant.
     """
-    if not math.isfinite(log_base) or log_base <= 1:
-        raise ValueError(f"log_base must be finite and > 1, got {log_base}")
-    if not math.isfinite(floor) or floor <= 0:
-        raise ValueError(f"floor must be finite and positive, got {floor}")
+    _check_real(log_base, "log_base", 1, "> 1")
+    _check_real(floor, "floor", 0, "positive")
     if t.max_depth < 1:
         raise SimilarityError(
             "taxonomy depth is 0; path-normalized similarity is undefined"
@@ -230,11 +228,14 @@ def sim_weighted(model: ProbabilityModel, t: Taxonomy, c1: str, c2: str,
         raise ValueError(
             f"weight domain mismatch: missing {missing}, unexpected {extra}"
         )
-    for cid, w in weights.items():
-        if not math.isfinite(w):  # NaN would pass both checks below
-            raise ValueError(f"non-finite weight for {cid!r}: {w}")
-        if w < 0:
-            raise ValueError(f"negative weight for {cid!r}: {w}")
+    try:
+        for cid, w in weights.items():
+            if not math.isfinite(w):  # NaN would pass both checks below
+                raise ValueError(f"non-finite weight for {cid!r}: {w}")
+            if w < 0:
+                raise ValueError(f"negative weight for {cid!r}: {w}")
+    except (TypeError, OverflowError):  # not a real number, or an int beyond float range
+        raise ValueError(f"weight for {cid!r} is not a finite real: {type(w).__name__}") from None
     total = math.fsum(weights.values())
     if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
         raise ValueError(f"weights sum to {total!r}, expected 1.0")

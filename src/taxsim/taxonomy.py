@@ -59,6 +59,12 @@ def _gc_paused(func: _F) -> _F:
     return paused  # type: ignore[return-value]
 
 
+def _normalized(words: Iterable[str]) -> list[str]:
+    """``words`` stripped, then lowercased: the one form of a word that
+    the lexicon, the counts and the benchmarks store and look up."""
+    return list(map(str.lower, map(str.strip, words)))
+
+
 # Patterns over a file's text with one "\n" before every line: a run of
 # blank and comment lines, and a second tab or an empty right field.
 _SKIPPED_LINES = re.compile(r"\n(?:[^\S\n]*(?:#[^\n]*)?\n)+")
@@ -230,10 +236,10 @@ class Taxonomy:
     # ------------------------------------------------------------------
 
     def index_of(self, concept: str) -> int:
-        """Index of ``concept`` (its order of first appearance in the input)."""
+        """Index of ``concept`` (its order of first appearance), else UnknownConceptError."""
         try:
             return self._index[concept]
-        except KeyError:
+        except (KeyError, TypeError):
             raise UnknownConceptError(f"unknown concept: {concept!r}") from None
 
     def concept_id(self, i: int) -> str:
@@ -253,7 +259,7 @@ class Taxonomy:
         except TypeError:  # unhashable, so not a str
             senses = None
         if senses is None and isinstance(word, str):  # typed only after a miss
-            senses = self._senses.get(word.strip().lower())
+            senses = self._senses.get(_normalized((word,))[0])
         return senses or ()
 
     def ancestor_indices(self, i: int) -> frozenset[int]:
@@ -428,19 +434,16 @@ def _sense_columns(senses: Mapping) -> tuple[list[str], list]:
         if not isinstance(word, str):
             raise TaxonomyError(f"lexicon word is not a string: {word!r}")
         if isinstance(cids, str):  # would iterate as one-letter ids
-            raise TaxonomyError(
-                f"sense set for word {word.strip().lower()!r} is a string, not a "
-                f"collection of concept ids: {cids!r}"
-            )
+            raise TaxonomyError(f"sense set for word {_normalized((word,))[0]!r} is a "
+                                f"string, not a collection of concept ids: {cids!r}")
         n = len(sense_ids)
         try:
             sense_ids.extend(cids)
         except TypeError as exc:  # not iterable
             raise TaxonomyError(
-                f"invalid sense set for word {word.strip().lower()!r}: {exc}"
-            ) from None
+                f"invalid sense set for word {_normalized((word,))[0]!r}: {exc}") from None
         if len(sense_ids) == n:
-            raise TaxonomyError(f"empty sense set for word {word.strip().lower()!r}")
+            raise TaxonomyError(f"empty sense set for word {_normalized((word,))[0]!r}")
         words.extend(repeat(word, len(sense_ids) - n))
     return words, sense_ids
 
@@ -496,7 +499,7 @@ def _index_columns(
     index = dict(zip(ids, range(len(ids))))
     lookup = index.__getitem__
 
-    words = list(map(str.lower, map(str.strip, words)))
+    words = _normalized(words)
     try:
         senses = _group(words, map(lookup, sense_ids))
     except (KeyError, TypeError):  # an unknown or unhashable id

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from taxsim import FrequencyTable, Taxonomy, build_model
 
@@ -14,6 +15,12 @@ from helpers import (
     TOY_SENSES,
     write_toy_files,
 )
+
+# A bigger, deterministic budget for the fuzz tests, which scale their own
+# budgets by its max_examples: pytest tests/test_fuzz.py --hypothesis-profile=fuzz.
+# Not named "ci": Hypothesis loads its own "ci" profile whenever the CI
+# environment variable is set, and with it every tier-1 run there.
+settings.register_profile("fuzz", max_examples=1000, derandomize=True)
 
 
 @pytest.fixture(scope="session")

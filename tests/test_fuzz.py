@@ -1,12 +1,20 @@
 """Fuzzing the command line: whatever bytes an input file holds, ``main``
 returns a documented exit code and no exception escapes.  Fuzzing the
-corpus and evaluation API: whatever values a caller passes, each call
-returns the correct value or raises ``TaxsimError`` or ``ValueError``."""
+library API (taxonomy construction and lookups, the corpus types, the
+similarity measures, weights and evaluation): whatever values a caller
+passes inside its arguments, each call returns the correct value or
+raises ``TaxsimError`` or ``ValueError``.
+
+Each test's budget is its number of examples under Hypothesis's default
+of 100 per test; a profile with a larger ``max_examples``, such as the
+``fuzz`` profile of ``conftest.py`` (``--hypothesis-profile=fuzz``),
+scales every budget by the same factor."""
 
 import contextlib
 import io
 import math
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,21 +22,41 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import TOY_EDGES, TOY_SENSES, write_toy_files
+from helpers import TOY_COUNTS, TOY_EDGES, TOY_SENSES, write_toy_files
 from taxsim import (
+    SYNTHETIC_ROOT,
     Benchmark,
     EvaluationError,
     FrequencyTable,
     ModelError,
     ProbabilityModel,
-    TaxsimError,
+    SimilarityError,
+    Taxonomy,
+    TaxonomyError,
+    UnknownConceptError,
+    UnknownWordError,
     WORD_MEASURES,
     build_model,
     evaluate,
+    finite_common_subsumers,
     pearson,
+    sim_edge,
+    sim_lch,
+    sim_prob,
+    sim_resnik_concepts,
+    sim_resnik_words,
+    sim_weighted,
+    uniform_weights,
     word_similarity,
 )
 from taxsim.cli import main
+
+
+def _budget(examples: int) -> int:
+    """``examples``, scaled by the loaded profile's ``max_examples`` over
+    Hypothesis's default of 100."""
+    return examples * settings.default.max_examples // 100
+
 
 # Pieces of the four input formats, so that many generated files get past
 # their first line and reach the graph, model and scoring code.
@@ -70,7 +98,7 @@ def _argv(command, paths):
 
 
 @pytest.mark.parametrize("kind", sorted(READERS))
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@settings(max_examples=_budget(60), derandomize=True, database=None, deadline=None)
 @given(content=CONTENTS)
 @example(content=b"caf\xe9\tA\n")  # not UTF-8
 @example(content=b"x\t" + b"9" * 4301 + b"\n")  # beyond int()'s digit limit
@@ -105,8 +133,9 @@ HOSTILE = st.one_of(
     st.integers(-3, 10**6),
     st.floats(min_value=-1e6, max_value=1e6),
 )
-# toy lexicon words as given and unnormalized, and an unlisted word
-TOY_WORDS = st.sampled_from(["x", "y", "z", " X", "Z ", "unlisted"])
+# toy lexicon words as given and unnormalized, an unlisted word, and a
+# plural of a toy word
+TOY_WORDS = st.sampled_from(["x", "y", "z", " X", "Z ", "unlisted", "Xs"])
 WORDS = st.one_of(TOY_WORDS, HOSTILE)  # hostile words are hashable non-str
 NOT_A_TABLE = [None, [5, 2], {"x": 2}, "x"]
 # about half of the tables and rows are valid, so that the value checks run
@@ -126,30 +155,43 @@ def _checked(counts) -> bool:
             and sum(counts.values()) < 10**4300)
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@settings(max_examples=_budget(150), derandomize=True, database=None, deadline=None)
 @given(counts=COUNTS,
        log_base=st.one_of(st.sampled_from([2.0, math.e, 10]), HOSTILE),
-       other=st.sampled_from(NOT_A_TABLE))
-@example(counts={"x": 10**4400}, log_base=2.0, other=None)
-@example(counts={"x": -5}, log_base=2.0, other=None)
-@example(counts={"x": 2.5}, log_base=2.0, other=None)
-@example(counts={"x": True}, log_base=2.0, other=None)
-@example(counts={5: 1}, log_base=2.0, other=None)
-@example(counts={"x": 2, "y": 1}, log_base=2.0, other=[5, 2])  # a raw freq list
-@example(counts={"x": 2, "y": 1}, log_base="2", other=None)
-def test_corpus_surface(toy_taxonomy, counts, log_base, other):
+       other=st.sampled_from(NOT_A_TABLE),
+       stems=st.sampled_from([None, frozenset({"x", "og"}), "dog", "x"]))
+@example(counts={"x": 10**4400}, log_base=2.0, other=None, stems=None)
+@example(counts={"x": -5}, log_base=2.0, other=None, stems=None)
+@example(counts={"x": 2.5}, log_base=2.0, other=None, stems=None)
+@example(counts={"x": True}, log_base=2.0, other=None, stems=None)
+@example(counts={5: 1}, log_base=2.0, other=None, stems=None)
+@example(counts={"x": 2, "y": 1}, log_base=2.0, other=[5, 2], stems=None)  # a raw freq list
+@example(counts={"x": 2, "y": 1}, log_base="2", other=None, stems=None)
+@example(counts={"x": 1, "y": 3}, log_base=2.0, other=None, stems=None)  # then y: 2.5
+@example(counts={"ogs": 2, "xs": 1}, log_base=2.0, other=None, stems="dog")
+def test_corpus_surface(toy_taxonomy, counts, log_base, other, stems):
     if not _checked(counts):
         for build in (FrequencyTable, FrequencyTable.from_counts):
             with pytest.raises(ModelError):
                 build(counts)
         return
-    table = FrequencyTable(counts)
-    assert table.counts is counts and table.total_raw == sum(counts.values())
+    if isinstance(stems, str):  # its substrings are not the stems meant
+        with pytest.raises(ModelError, match="^plural_stems is a string, not a collection"):
+            FrequencyTable.from_counts(counts, plural_stems=stems)
+        stems = None
+    source = dict(counts)
+    table = FrequencyTable(source)
+    folded = FrequencyTable.from_counts(source, plural_stems=stems)
+    source["y"] = 2.5  # after the check: reaches neither table, nor a model below
+    assert table.counts == counts and table.total_raw == sum(counts.values())
+    with pytest.raises(TypeError):
+        table.counts["y"] = 2.5
     merged = {}
     for word, count in counts.items():
         key = word.strip().lower()
+        if stems is not None and key.endswith("s") and key[:-1] in stems:
+            key = key[:-1]
         merged[key] = merged.get(key, 0) + count
-    folded = FrequencyTable.from_counts(counts)
     assert folded.counts == merged and folded.total_raw == table.total_raw
     if not (isinstance(log_base, (int, float)) and 1 < log_base < 1e308):
         for build in (ProbabilityModel, build_model):
@@ -190,7 +232,7 @@ def _usable(v) -> bool:
     return isinstance(v, (int, float)) and -1e308 < v < 1e308
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@settings(max_examples=_budget(150), derandomize=True, database=None, deadline=None)
 @given(pairs=st.lists(PAIR, max_size=5))
 @example(pairs=[(1.0, "3"), (2.0, 1.0), (3.0, 2.0)])  # a str rating
 @example(pairs=[(1.0, None), (2.0, 1.0), (3.0, 2.0)])
@@ -207,7 +249,7 @@ def test_pearson_surface(pairs):
         assert pearson(xs, ys) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@settings(max_examples=_budget(150), derandomize=True, database=None, deadline=None)
 @given(rows=st.lists(ROW, max_size=5),
        measure=st.sampled_from(WORD_MEASURES))
 @example(rows=[("x", "y", 1.0), ("x", "z", 2.0), (5, "x", 3.0)], measure="edge")
@@ -236,3 +278,211 @@ def test_evaluate_surface(toy_taxonomy, toy_model, rows, measure):
     for w1, w2, reason in report.excluded:
         absent = sorted({str(w) for w in (w1, w2) if not known(w)})
         assert reason == "word not in taxonomy: " + ", ".join(absent)
+
+
+# Values inside the arguments of Taxonomy.build: valid ids (an edge from
+# IDS[i] to IDS[j] with j < i closes no cycle) and values no id may be.
+IDS = ["r", "a", "b", "c"]
+BAD_IDS = [math.nan, math.inf, -math.inf, True, None, 5, 10**400, "", "a\tb",
+           ("a",), ["a"], {"a"}]
+ID = st.one_of(st.sampled_from(IDS + [SYNTHETIC_ROOT]), st.sampled_from(BAD_IDS))
+GOOD_EDGE = st.tuples(st.integers(1, 3), st.integers(0, 2)).map(
+    lambda ij: (IDS[ij[0]], IDS[min(ij[1], ij[0] - 1)]))
+EDGE = st.one_of(
+    GOOD_EDGE,
+    st.tuples(ID, ID),  # may close a cycle
+    st.sampled_from([None, 5, "ar", ("a",), ("a", "r", "b"), ["a", "r"]]),
+)
+SENSE_SET = st.one_of(st.lists(ID, max_size=3),
+                      st.sampled_from([None, 5, "a", "ab", math.nan, set(), {"a": 1}]))
+# about half of the arguments hold only valid values, so that builds succeed
+EDGES = st.one_of(st.lists(GOOD_EDGE, min_size=1, max_size=5), st.lists(EDGE, max_size=5))
+LEXICON = st.one_of(
+    st.dictionaries(st.sampled_from(["w", " W", "v"]),
+                    st.lists(st.sampled_from(IDS), min_size=1, max_size=2), max_size=2),
+    st.dictionaries(st.one_of(st.sampled_from(["w", " W", "v", "", " "]),
+                              st.sampled_from(BAD_IDS[:7])), SENSE_SET, max_size=3))
+CONCEPTS = st.one_of(st.lists(st.sampled_from(IDS), max_size=2), st.lists(ID, max_size=3),
+                     st.sampled_from(["ab", ""]))
+
+
+def _valid_id(v) -> bool:
+    return isinstance(v, str) and v != "" and "\t" not in v
+
+
+def _expected_build(edges, senses, concepts):
+    """The parents of each concept and the sense set of each word that
+    ``Taxonomy.build(edges, senses, concepts)`` gives by the documented
+    rules, or None if it raises TaxonomyError."""
+    if isinstance(concepts, str) or not all(
+            isinstance(e, (tuple, list)) and len(e) == 2 and all(map(_valid_id, e))
+            for e in edges) or not all(map(_valid_id, concepts)):
+        return None
+    ends = {c for e in edges for c in e}
+    extra = [c for c in concepts if c not in ends]
+    ids = ends | set(extra)
+    if not ids or len(set(extra)) < len(extra):  # empty, or an id declared twice
+        return None
+    anc = helpers.oracle_ancestors(sorted(ids), [tuple(e) for e in edges])
+    if any(child in anc[parent] for child, parent in edges):  # a cycle
+        return None
+    parents = {c: {p for child, p in edges if child == c} for c in ids}
+    parentless = [c for c, ps in parents.items() if not ps]
+    if len(parentless) > 1:
+        if SYNTHETIC_ROOT in ids:
+            return None
+        parents.update(dict.fromkeys(parentless, {SYNTHETIC_ROOT}), **{SYNTHETIC_ROOT: set()})
+    lexicon = {}
+    for word, cids in senses.items():
+        if not (isinstance(word, str) and word.strip() and isinstance(cids, (list, set, dict))
+                and cids and all(isinstance(c, str) and c in ids for c in cids)):
+            return None
+        lexicon.setdefault(word.strip().lower(), set()).update(cids)
+    return parents, lexicon
+
+
+@settings(max_examples=_budget(200), derandomize=True, database=None, deadline=None)
+@given(edges=EDGES, senses=LEXICON, concepts=CONCEPTS)
+@example(edges=[(["a"], "r")], senses={}, concepts=[])  # an unhashable id
+@example(edges=[("a", "r"), ("b", "r")], senses={"w": "ab"}, concepts=[])
+@example(edges=["ab"], senses={}, concepts=[])
+@example(edges=[("a", "r")], senses={}, concepts="xy")
+@example(edges=[("a", "r")], senses={"w": ["a\tb"]}, concepts=[""])
+def test_build_surface(edges, senses, concepts):
+    expected = _expected_build(edges, senses, concepts)
+    if expected is None:
+        with pytest.raises(TaxonomyError):
+            Taxonomy.build(edges, senses, concepts)
+        return
+    t = Taxonomy.build(edges, senses, concepts)
+    parents, lexicon = expected
+    assert {c: t.parents_of(c) for c in t.concepts()} == parents
+    assert {w: t.senses_of(w) for w in t.words()} == lexicon
+
+
+# concept ids of the toy taxonomy, near misses, hostile values and unhashables
+CONCEPT = st.one_of(st.sampled_from(["root", "A", "B", "A1", "A2", "a", "A ", "x"]),
+                    HOSTILE, st.sampled_from([["A"], {"A": 1}, {"A"}, 10**400]))
+WORD_VALUE = st.one_of(st.sampled_from(["x", "y", "z", " X", "Z "]), WORDS,
+                       st.sampled_from(["", "a\tb", ["x"], {"x"}, 10**400]))
+
+
+@settings(max_examples=_budget(150), derandomize=True, database=None, deadline=None)
+@given(concept=CONCEPT, word=WORD_VALUE)
+@example(concept=["x"], word=["x"])
+def test_lookup_surface(toy_taxonomy, toy_model, concept, word):
+    t, m = toy_taxonomy, toy_model
+    senses = {w: frozenset(cs) for w, cs in TOY_SENSES.items()}
+    key = word.strip().lower() if isinstance(word, str) else None
+    assert t.senses_of(word) == senses.get(key, frozenset())
+    assert t.sense_indices(word) == tuple(sorted(map(t.index_of, t.senses_of(word))))
+    lookups = [t.index_of, t.subsumers, t.parents_of, t.depth_of, m.freq, m.p, m.ic,
+               lambda c: t.common_subsumers(c, "A"), lambda c: t.shortest_path_len("A", c),
+               lambda c: sim_resnik_concepts(m, t, c, "A"),
+               lambda c: finite_common_subsumers(m, t, "A", c)]
+    if not (isinstance(concept, str) and concept in t.concepts()):
+        for lookup in lookups:
+            with pytest.raises(UnknownConceptError, match="^unknown concept: "):
+                lookup(concept)
+        return
+    assert t.concept_id(t.index_of(concept)) == concept
+    anc = helpers.oracle_ancestors(t.concepts(), TOY_EDGES)
+    assert t.subsumers(concept) == anc[concept]
+    assert m.freq(concept) == helpers.oracle_freq(
+        t.concepts(), TOY_EDGES, TOY_SENSES, TOY_COUNTS)[concept]
+    assert sim_resnik_concepts(m, t, concept, "A").value == max(
+        m.ic(c) for c in anc[concept] & anc["A"])
+
+
+def _param_ok(v, low) -> bool:
+    """Whether ``v`` is a real number in (low, largest float]."""
+    return isinstance(v, (int, float)) and low < v <= sys.float_info.max
+
+
+LCH_PARAM = st.one_of(st.sampled_from([2.0, math.e, 10, 0.5, 1, 1e308]), HOSTILE,
+                      st.sampled_from([10**400, "1", "a\tb", ""]))
+DIRECT = {"resnik": lambda t, m, a, b, base, floor: sim_resnik_words(m, t, a, b),
+          "edge": lambda t, m, a, b, base, floor: sim_edge(t, a, b),
+          "prob": lambda t, m, a, b, base, floor: sim_prob(m, t, a, b),
+          "lch": lambda t, m, a, b, base, floor: sim_lch(t, a, b, log_base=base, floor=floor)}
+
+
+@settings(max_examples=_budget(150), derandomize=True, database=None, deadline=None)
+@given(w1=WORD_VALUE, w2=WORD_VALUE, measure=st.sampled_from(WORD_MEASURES),
+       log_base=LCH_PARAM, floor=LCH_PARAM)
+@example(w1="x", w2="y", measure="lch", log_base="2", floor=1.0)
+@example(w1="x", w2="y", measure="lch", log_base=2.0, floor=None)
+@example(w1="x", w2="y", measure="lch", log_base=10**400, floor=1.0)
+@example(w1="x", w2="y", measure="lch", log_base=2.0, floor="1")  # lch_floor in evaluate
+def test_word_measure_surface(toy_taxonomy, toy_model, w1, w2, measure, log_base, floor):
+    t, m = toy_taxonomy, toy_model
+    rows = ((w1, w2, 1.0), ("x", "y", 2.0), ("x", "z", 4.0))  # two rows always score
+
+    def calls():
+        yield lambda: DIRECT[measure](t, m, w1, w2, log_base, floor)
+        yield lambda: word_similarity(measure, t, w1, w2, m, log_base=log_base,
+                                      lch_floor=floor)
+
+    if measure == "lch" and not (_param_ok(log_base, 1) and _param_ok(floor, 0)):
+        for call in calls():
+            with pytest.raises(ValueError, match=r"^(log_base|floor) must be finite and "):
+                call()
+        with pytest.raises(ValueError, match=r"^(log_base|floor) must be finite and "):
+            evaluate(measure, Benchmark("fuzz", rows), t, m, log_base=log_base,
+                     lch_floor=floor)
+        return
+    if not (t.sense_indices(w1) and t.sense_indices(w2)):
+        for call in calls():
+            with pytest.raises(UnknownWordError):
+                call()
+        return
+    a, b = w1.strip().lower(), w2.strip().lower()
+    args = (t.concepts(), TOY_EDGES, TOY_SENSES)
+    expected = {"resnik": lambda: helpers.oracle_resnik_words(*args, m, a, b),
+                "edge": lambda: helpers.oracle_edge_words(*args, a, b),
+                "prob": lambda: helpers.oracle_prob_words(*args, m, a, b),
+                "lch": lambda: helpers.oracle_lch_words(*args, a, b, log_base, floor)}
+    for call in calls():
+        assert call().value == pytest.approx(expected[measure](), rel=1e-12)
+    report = evaluate(measure, Benchmark("fuzz", rows), t, m, log_base=log_base,
+                      lch_floor=floor)
+    assert [item.score for item in report.items] == [
+        word_similarity(measure, t, *row[:2], m, log_base=log_base, lch_floor=floor).value
+        for row in rows]
+
+
+@settings(max_examples=_budget(150), derandomize=True, database=None, deadline=None)
+@given(c1=CONCEPT, c2=CONCEPT, position=st.integers(-1, 2),
+       weight=st.one_of(HOSTILE, st.sampled_from([10**400, "0.5", "", "a\tb", [0.5]])))
+@example(c1="A1", c2="A2", position=0, weight="0.5")
+@example(c1="A1", c2="A2", position=0, weight=None)
+@example(c1="A1", c2="A2", position=0, weight=10**400)
+@example(c1=["x"], c2="A", position=-1, weight=0.5)
+@example(c1={}, c2="A", position=-1, weight=0.5)
+def test_weights_surface(toy_taxonomy, toy_model, c1, c2, position, weight):
+    t, m = toy_taxonomy, toy_model
+    known = set(t.concepts())
+    if not all(isinstance(c, str) and c in known for c in (c1, c2)):
+        for call in (finite_common_subsumers, uniform_weights,
+                     lambda *args: sim_weighted(*args, {})):
+            with pytest.raises(UnknownConceptError):
+                call(m, t, c1, c2)
+        return
+    domain = helpers.oracle_finite_common_subsumers(t.concepts(), TOY_EDGES, m, c1, c2)
+    assert finite_common_subsumers(m, t, c1, c2) == domain
+    if not domain:
+        with pytest.raises(SimilarityError):
+            uniform_weights(m, t, c1, c2)
+        return
+    weights = uniform_weights(m, t, c1, c2)
+    assert weights == dict.fromkeys(sorted(domain, key=t.index_of), 1.0 / len(domain))
+    if 0 <= position < len(weights):
+        weights[list(weights)[position]] = weight
+    values = list(weights.values())
+    if not (all(_param_ok(w, -1) and w >= 0 for w in values)
+            and abs(math.fsum(values) - 1.0) <= 1e-9):
+        with pytest.raises(ValueError, match="weight"):
+            sim_weighted(m, t, c1, c2, weights)
+        return
+    assert sim_weighted(m, t, c1, c2, weights) == pytest.approx(
+        math.fsum(w * m.ic(c) for c, w in weights.items()), rel=1e-12)

@@ -55,7 +55,7 @@ def test_raising_loaders_restore_state(gc_on, toy_taxonomy, tmp_path):
     assert gc.isenabled() is gc_on
 
 
-def test_collector_paused_while_loading(toy_taxonomy):
+def test_collector_paused_while_loading(toy_taxonomy, monkeypatch):
     assert gc.isenabled()
     seen = []
 
@@ -63,13 +63,14 @@ def test_collector_paused_while_loading(toy_taxonomy):
         seen.append(gc.isenabled())
         yield from TOY_EDGES
 
-    class Counts(dict):
-        def items(self):
-            seen.append(gc.isenabled())
-            return super().items()
+    real = toy_taxonomy.sense_indices
 
-    table = FrequencyTable(Counts(TOY_COUNTS))  # its check reads items() too
-    seen.clear()
+    def sense_indices(word):
+        seen.append(gc.isenabled())
+        return real(word)
+
+    monkeypatch.setattr(toy_taxonomy, "sense_indices", sense_indices)
+    table = FrequencyTable({"x": 3})  # one word: one lookup while propagating
     Taxonomy.build(edges())
     build_model(toy_taxonomy, table)
     assert seen == [False, False]

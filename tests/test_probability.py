@@ -1,6 +1,8 @@
 """Frequency counting, propagation, probabilities, information content."""
 
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -107,6 +109,15 @@ class TestPluralFold:
         table = FrequencyTable.from_counts({"cars": 3, "car": 1})
         assert table.counts == {"cars": 3, "car": 1}
 
+    def test_str_stems_rejected(self, tmp_path):
+        # "og" in "dog" used to fold "ogs" into "og"
+        with pytest.raises(ModelError, match="^plural_stems is a string, not a collection: 'dog'$"):
+            FrequencyTable.from_counts({"ogs": 2, "xs": 1}, plural_stems="dog")
+        path = tmp_path / "c.tsv"
+        path.write_text("ogs\t2\n", encoding="utf-8")
+        with pytest.raises(ModelError, match=r"c\.tsv: plural_stems is a string"):
+            load_counts(path, plural_stems="dog")
+
 
 class TestFromCounts:
     @pytest.mark.parametrize("count", [math.nan, math.inf, 2.5, True, "3"])
@@ -147,6 +158,18 @@ class TestConstructors:
         assert table.counts == {"x": 2, "Y ": 3} and table.total_raw == 5
         with pytest.raises(TypeError):
             FrequencyTable({"x": 2}, total_raw=7)
+
+    def test_table_holds_a_read_only_copy(self, toy_taxonomy):
+        # a later change to either mapping used to get round the check
+        source = {"x": 1, "y": 3}
+        table = FrequencyTable(source)
+        source["y"] = 2.5
+        with pytest.raises(TypeError):
+            table.counts["y"] = 2.5
+        assert table.counts == {"x": 1, "y": 3}
+        assert build_model(toy_taxonomy, table).N == 4
+        for copied in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
+            assert copied == table and copied.counts is not table.counts
 
     @pytest.mark.parametrize("table", [[5, 2], {"x": 2}, None], ids=["list", "dict", "none"])
     def test_model_takes_only_a_table(self, toy_taxonomy, table):
