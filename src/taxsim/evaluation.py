@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 from .errors import EvaluationError
 from .probability import ProbabilityModel
 from .similarity import WORD_MEASURES, word_similarity
-from .taxonomy import Taxonomy, _normalized
+from .taxonomy import Taxonomy, _normalized, _shown
 
 _REFERENCE_RESOURCE = "miller_charles.tsv"
 
@@ -126,30 +126,31 @@ class Benchmark:
     rows: tuple[tuple[str, str, float], ...]
 
 
-def _csv_records(fh: Iterable[str], label: str) -> Iterator[list[str]]:
-    """CSV records of ``fh``; a decoding or CSV syntax failure (such as a
-    field over the csv module's size limit) becomes an EvaluationError."""
+def _csv_records(fh: Iterable[str], label: str) -> Iterator[tuple[int, list[str]]]:
+    """CSV records of ``fh``, each with the number of the line it ends on;
+    a decoding or CSV syntax failure becomes an EvaluationError."""
     reader = csv.reader(fh)
     try:
-        yield from reader
+        for record in reader:
+            yield reader.line_num, record
     except UnicodeDecodeError:
         raise EvaluationError(f"{label}: not valid UTF-8") from None
     except csv.Error as exc:
         raise EvaluationError(f"{label}:{reader.line_num}: {exc}") from None
 
 
-def load_benchmark(path: str | os.PathLike, name: str | None = None) -> Benchmark:
-    """Read a benchmark CSV with header ``word1,word2,rating``."""
+def load_benchmark(path: str | os.PathLike) -> Benchmark:
+    """Read a benchmark CSV with header ``word1,word2,rating``, named by its path."""
     label = str(path)
     rows: list[tuple[str, str, float]] = []
     with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = _csv_records(fh, label)
-        header = next(reader, None)
+        records = _csv_records(fh, label)
+        _, header = next(records, (0, None))
         if header is None or _normalized(header) != ["word1", "word2", "rating"]:
             raise EvaluationError(
                 f"{label}: expected header 'word1,word2,rating', got {header!r}"
             )
-        for lineno, fields in enumerate(reader, start=2):
+        for lineno, fields in records:
             if not fields:
                 continue
             if len(fields) != 3:
@@ -158,15 +159,11 @@ def load_benchmark(path: str | os.PathLike, name: str | None = None) -> Benchmar
             try:
                 value = float(rating)
             except ValueError:
-                raise EvaluationError(
-                    f"{label}:{lineno}: malformed rating {rating!r}"
-                ) from None
+                raise EvaluationError(f"{label}:{lineno}: malformed rating {rating!r}") from None
             if not math.isfinite(value):
-                raise EvaluationError(
-                    f"{label}:{lineno}: non-finite rating {rating!r}"
-                )
+                raise EvaluationError(f"{label}:{lineno}: non-finite rating {rating!r}")
             rows.append((*_normalized((w1, w2)), value))
-    return Benchmark(name=name or label, rows=tuple(rows))
+    return Benchmark(name=label, rows=tuple(rows))
 
 
 # ----------------------------------------------------------------------
@@ -257,9 +254,7 @@ def evaluate(
     the benchmark.  Fails if fewer than 2 rows are usable.
     """
     if measure not in WORD_MEASURES:
-        raise ValueError(
-            f"unknown measure {measure!r}; expected one of {WORD_MEASURES}"
-        )
+        raise ValueError(f"unknown measure {_shown(measure)}; expected one of {WORD_MEASURES}")
     items: list[EvalItem] = []
     known = taxonomy.sense_indices
     for w1, w2, human in benchmark.rows:
@@ -269,7 +264,7 @@ def evaluate(
             )
             items.append(EvalItem(w1, w2, human, score.value, True, None))
             continue
-        missing = sorted({str(w) for w in (w1, w2) if not known(w)})
+        missing = sorted({_shown(w, str) for w in (w1, w2) if not known(w)})
         reason = "word not in taxonomy: " + ", ".join(missing)
         items.append(EvalItem(w1, w2, human, None, False, reason))
 
@@ -277,7 +272,7 @@ def evaluate(
     scores = [it.score for it in items if it.included]
     if len(humans) < 2:
         raise EvaluationError(
-            f"benchmark {benchmark.name!r} has {len(humans)} usable rows; need >= 2"
+            f"benchmark {_shown(benchmark.name)} has {len(humans)} usable rows; need >= 2"
         )
     return EvalReport(
         measure=measure,

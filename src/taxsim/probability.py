@@ -20,7 +20,8 @@ from types import MappingProxyType
 from typing import Collection, Iterator, Mapping
 
 from .errors import ModelError
-from .taxonomy import Taxonomy, _gc_paused, _normalized, _parse_pair_columns
+from .taxonomy import (Taxonomy, _decimal_digits, _gc_paused, _normalized,
+                       _parse_pair_columns, _shown)
 
 
 def _neg_log(x: float, base: float) -> float:
@@ -28,19 +29,11 @@ def _neg_log(x: float, base: float) -> float:
     return 0.0 - math.log(x) / math.log(base)
 
 
-def _decimal_digits(n: int) -> int:
-    """Number of decimal digits of ``n`` > 0, also beyond ``str``'s limit."""
-    d = int(math.log10(n)) + 1  # may be one off near a power of ten
-    return d - (n < 10 ** (d - 1)) + (n >= 10 ** d)
-
-
 def _check_real(value: object, name: str, low: float, rule: str, error=ValueError) -> None:
     """Raise ``error``, naming ``name``, ``rule`` and ``value``, unless
     ``value`` is a real number in (``low``, largest float]."""
     if not isinstance(value, Real) or not low < value <= float_info.max:
-        big = isinstance(value, int) and abs(value) > float_info.max  # may be too long for repr
-        got = f"an int of {_decimal_digits(abs(value))} digits" if big else repr(value)
-        raise error(f"{name} must be finite and {rule}, got {got}")
+        raise error(f"{name} must be finite and {rule}, got {_shown(value)}")
 
 
 class _Fresh(dict):
@@ -59,11 +52,11 @@ class FrequencyTable:
         counts = self.counts if type(self.counts) is _Fresh else dict(self.counts)
         for word, count in counts.items():
             if not isinstance(word, str):
-                raise ModelError(f"counts word is not a string: {word!r}")
+                raise ModelError(f"counts word is not a string: {_shown(word)}")
             if isinstance(count, bool) or not isinstance(count, int):
-                raise ModelError(f"count for word {word!r} is not an integer: {count!r}")
+                raise ModelError(f"count for word {word!r} is not an integer: {_shown(count)}")
             if count < 0:
-                raise ModelError(f"negative count for word {word!r}: {count}")
+                raise ModelError(f"negative count for word {word!r}: {_shown(count)}")
         total = sum(counts.values())
         try:
             str(total)
@@ -188,17 +181,18 @@ class ProbabilityModel:
             raise ModelError(f"table is a {type(table).__name__}, not a FrequencyTable")
         freq = [0] * taxonomy.concept_count
         direct = [0] * taxonomy.concept_count
+        ancestors = taxonomy.ancestors_by_index
         for word, count in table.counts.items():
             senses = taxonomy.sense_indices(word)  # () for a word not in the lexicon
             if len(senses) == 1:
                 direct[senses[0]] += count
                 continue
-            covered = frozenset().union(*map(taxonomy.ancestor_indices, senses))
+            covered = frozenset().union(*map(ancestors.__getitem__, senses))
             for i in covered:
                 freq[i] += count
         for c, count in enumerate(direct):
             if count:
-                for i in taxonomy.ancestor_indices(c):
+                for i in ancestors[c]:
                     freq[i] += count
         n_total = freq[taxonomy.index_of(taxonomy.root)]
         if n_total <= 0:

@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Mapping
 
 from .errors import SimilarityError, UnknownWordError
 from .probability import ProbabilityModel, _check_real, _neg_log
-from .taxonomy import Taxonomy
+from .taxonomy import Taxonomy, _shown
 
 #: Word-level measures usable by the evaluation pipeline and the CLI.
 #: ``weighted`` is excluded: lifting it to words would require choosing a
@@ -64,59 +65,47 @@ class SimScore:
 def _sense_indices(t: Taxonomy, word: str) -> tuple[int, ...]:
     senses = t.sense_indices(word)
     if not senses:
-        raise UnknownWordError(f"word not in taxonomy: {word!r}")
+        raise UnknownWordError(f"word not in taxonomy: {_shown(word)}")
     return senses
 
 
 def _best_subsumer(model: ProbabilityModel, t: Taxonomy, measure: str,
-                   s1: tuple[int, ...], s2: tuple[int, ...], a: str, b: str) -> SimScore:
+                   s1: tuple[int, ...], s2: tuple[int, ...]) -> SimScore:
     """The one rule behind resnik and prob: the SimScore maximizing
     ``ic[c]`` (resnik) or ``1 - p[c]`` (prob) over sense pairs ``s1`` x
     ``s2`` x sorted common subsumers ``c``; only a strictly greater value
     replaces the best, so ties keep the first pair, then the smallest c.
-    Zero-frequency c (``ic = +inf``) are skipped; as ``1 - p`` is always
-    finite, only resnik can be left with none, which raises
-    SimilarityError naming ``a`` and ``b``.  prob scores ``1 - p``, not
-    the least ``p``: once N > 2**53, distinct p can round to one
-    ``1 - p``, and the tie-break must see that tie."""
+    Zero-frequency c (``ic = +inf``) are skipped; the root, with p = 1
+    and ic = 0 as N > 0, subsumes every pair, so one c always remains.
+    prob scores ``1 - p``, not the least ``p``: once N > 2**53, distinct
+    p can round to one ``1 - p``, and the tie-break must see that tie."""
     if model.taxonomy is not t:
         raise ValueError(_OTHER_TAXONOMY)
-    anc = t.ancestor_indices
+    anc = t.ancestors_by_index
     values = model.one_minus_p_by_index if measure == "prob" else model.ic_by_index
     best, found, inf = -math.inf, None, math.inf
     for i1 in s1:
-        a1 = anc(i1)
+        a1 = anc[i1]
         for i2 in s2:
-            for c in sorted(a1 & anc(i2)):
+            for c in sorted(a1 & anc[i2]):
                 if best < (v := values[c]) < inf:
                     best, found = v, (c, i1, i2)
-    if found is None:
-        raise SimilarityError(
-            f"every common subsumer of {a!r} and {b!r} has zero frequency"
-        )
-    c, i1, i2 = found
-    cid = t.concept_id
-    return SimScore(best, cid(c), (cid(i1), cid(i2)))  # positional: cheaper per row
+    ids, (c, i1, i2) = t.concepts(), found
+    return SimScore(best, ids[c], (ids[i1], ids[i2]))  # positional: cheaper per row
 
 
 def sim_resnik_concepts(model: ProbabilityModel, t: Taxonomy,
                         c1: str, c2: str) -> SimScore:
-    """Information content of the most informative concept subsuming both.
-
-    Zero-frequency subsumers carry no evidence and are skipped; if no
-    common subsumer has finite information content the model is
-    degenerate and the query fails.
-    """
-    score = _best_subsumer(model, t, "resnik", (t.index_of(c1),), (t.index_of(c2),),
-                           c1, c2)
+    """Information content of the most informative concept subsuming both;
+    zero-frequency subsumers carry no evidence and are skipped."""
+    score = _best_subsumer(model, t, "resnik", (t.index_of(c1),), (t.index_of(c2),))
     return SimScore(value=score.value, witness=score.witness)
 
 
 def sim_resnik_words(model: ProbabilityModel, t: Taxonomy,
                      w1: str, w2: str) -> SimScore:
     """Word similarity: the concept measure maximized over all sense pairs."""
-    return _best_subsumer(model, t, "resnik", _sense_indices(t, w1),
-                          _sense_indices(t, w2), w1, w2)
+    return _best_subsumer(model, t, "resnik", _sense_indices(t, w1), _sense_indices(t, w2))
 
 
 def _min_sense_path(t: Taxonomy, w1: str, w2: str) -> tuple[int, tuple[str, str]]:
@@ -135,7 +124,8 @@ def _min_sense_path(t: Taxonomy, w1: str, w2: str) -> tuple[int, tuple[str, str]
             length = t.path_len(i1, i2, None if best is None else best - 1)
             if length is not None:
                 best, best_pair = length, (i1, i2)
-    return best, (t.concept_id(best_pair[0]), t.concept_id(best_pair[1]))
+    ids = t.concepts()
+    return best, (ids[best_pair[0]], ids[best_pair[1]])
 
 
 def sim_edge(t: Taxonomy, w1: str, w2: str) -> SimScore:
@@ -156,8 +146,7 @@ def sim_prob(model: ProbabilityModel, t: Taxonomy, w1: str, w2: str) -> SimScore
     subsumers are legitimate candidates here (1 - p = 1), since the
     candidate value stays finite.
     """
-    return _best_subsumer(model, t, "prob", _sense_indices(t, w1),
-                          _sense_indices(t, w2), w1, w2)
+    return _best_subsumer(model, t, "prob", _sense_indices(t, w1), _sense_indices(t, w2))
 
 
 def sim_lch(t: Taxonomy, w1: str, w2: str, *,
@@ -186,9 +175,9 @@ def _finite_ic_subsumers(model: ProbabilityModel, t: Taxonomy,
     in concept index order."""
     if model.taxonomy is not t:
         raise ValueError(_OTHER_TAXONOMY)
-    ic, inf, cid = model.ic_by_index, math.inf, t.concept_id
-    common = t.ancestor_indices(t.index_of(c1)) & t.ancestor_indices(t.index_of(c2))
-    return {cid(c): ic[c] for c in sorted(common) if ic[c] != inf}
+    ic, inf, ids, anc = model.ic_by_index, math.inf, t.concepts(), t.ancestors_by_index
+    common = anc[t.index_of(c1)] & anc[t.index_of(c2)]
+    return {ids[c]: ic[c] for c in sorted(common) if ic[c] != inf}
 
 
 def finite_common_subsumers(model: ProbabilityModel, t: Taxonomy,
@@ -203,12 +192,7 @@ def uniform_weights(model: ProbabilityModel, t: Taxonomy,
     """Equal weights over the finite-ic common subsumers of two concepts,
     keyed in concept index order (see :meth:`Taxonomy.index_of`)."""
     domain = _finite_ic_subsumers(model, t, c1, c2)
-    if not domain:
-        raise SimilarityError(
-            f"every common subsumer of {c1!r} and {c2!r} has zero frequency"
-        )
-    share = 1.0 / len(domain)
-    return dict.fromkeys(domain, share)
+    return dict.fromkeys(domain, 1.0 / len(domain))
 
 
 def sim_weighted(model: ProbabilityModel, t: Taxonomy, c1: str, c2: str,
@@ -223,19 +207,21 @@ def sim_weighted(model: ProbabilityModel, t: Taxonomy, c1: str, c2: str,
     """
     domain = _finite_ic_subsumers(model, t, c1, c2)
     if domain.keys() != weights.keys():
-        missing = sorted(domain.keys() - weights.keys())
-        extra = sorted(weights.keys() - domain.keys())
-        raise ValueError(
-            f"weight domain mismatch: missing {missing}, unexpected {extra}"
-        )
+        missing, extra = (", ".join(sorted(map(_shown, ks))) for ks in (
+            domain.keys() - weights.keys(), weights.keys() - domain.keys()))
+        raise ValueError(f"weight domain mismatch: missing [{missing}], unexpected [{extra}]")
     try:
+        if not all(issubclass(kind, Real) for kind in set(map(type, weights.values()))):
+            cid, w = next((c, w) for c, w in weights.items() if not isinstance(w, Real))
+            raise TypeError
         for cid, w in weights.items():
             if not math.isfinite(w):  # NaN would pass both checks below
                 raise ValueError(f"non-finite weight for {cid!r}: {w}")
             if w < 0:
                 raise ValueError(f"negative weight for {cid!r}: {w}")
     except (TypeError, OverflowError):  # not a real number, or an int beyond float range
-        raise ValueError(f"weight for {cid!r} is not a finite real: {type(w).__name__}") from None
+        raise ValueError(
+            f"weight for {_shown(cid)} is not a finite real: {type(w).__name__}") from None
     total = math.fsum(weights.values())
     if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
         raise ValueError(f"weights sum to {total!r}, expected 1.0")
@@ -253,7 +239,7 @@ def word_similarity(measure: str, t: Taxonomy, w1: str, w2: str,
     built with.
     """
     if measure in CORPUS_MEASURES and model is None:
-        raise ValueError(f"measure {measure!r} requires a probability model")
+        raise ValueError(f"measure {_shown(measure)} requires a probability model")
     if measure == "resnik":
         return sim_resnik_words(model, t, w1, w2)
     if measure == "edge":
@@ -262,4 +248,4 @@ def word_similarity(measure: str, t: Taxonomy, w1: str, w2: str,
         return sim_prob(model, t, w1, w2)
     if measure == "lch":
         return sim_lch(t, w1, w2, log_base=log_base, floor=lch_floor)
-    raise ValueError(f"unknown measure {measure!r}; expected one of {WORD_MEASURES}")
+    raise ValueError(f"unknown measure {_shown(measure)}; expected one of {WORD_MEASURES}")

@@ -29,9 +29,12 @@ from __future__ import annotations
 
 import functools
 import gc
+import math
+import operator
 import os
 import re
 from itertools import chain, repeat
+from sys import float_info
 from typing import Callable, Iterable, Mapping, NoReturn, TextIO, TypeVar
 
 from .errors import TaxonomyError, UnknownConceptError
@@ -57,6 +60,23 @@ def _gc_paused(func: _F) -> _F:
             if was_enabled:
                 gc.enable()
     return paused  # type: ignore[return-value]
+
+
+def _decimal_digits(n: int) -> int:
+    """Number of decimal digits of ``n`` > 0, also beyond ``str``'s limit."""
+    d = int(math.log10(n)) + 1  # may be one off near a power of ten
+    return d - (n < 10 ** (d - 1)) + (n >= 10 ** d)
+
+
+def _shown(value: object, form: Callable[[object], str] = repr) -> str:
+    """``form(value)`` for an error message; an int beyond float range,
+    whose digits may be too many to print, is named by its size instead."""
+    if isinstance(value, int) and abs(value) > float_info.max:
+        return f"an int of {_decimal_digits(abs(value))} digits"
+    try:
+        return form(value)
+    except ValueError:  # it holds an int too long to print
+        return f"a {type(value).__name__} holding an int of too many digits"
 
 
 def _normalized(words: Iterable[str]) -> list[str]:
@@ -141,7 +161,7 @@ class Taxonomy:
 
     def __init__(
         self,
-        ids: list[str],
+        ids: tuple[str, ...],
         index: dict[str, int],
         parents: list[tuple[int, ...]],
         senses: dict[str, tuple[int, ...]],
@@ -150,17 +170,17 @@ class Taxonomy:
         self._ids = ids
         self._index = index
         self._parents = parents
-        children: list[list[int]] = [[] for _ in range(n)]
+        children = [[] for _ in range(n)]
         for child, ps in enumerate(parents):  # ascending, so each list is sorted
             for p in ps:
                 children[p].append(child)
-        self._children = [tuple(cs) for cs in children]
+        self._children = children = [tuple(cs) for cs in children]
         self._senses = senses
 
-        # One Kahn sweep, parents before children: each node's ancestor
-        # set and longest-path depth are final once it is ordered.  It is
-        # the only cycle check, and names the loop reached from the
-        # smallest unordered index.
+        # One Kahn sweep, parents before children, in the memory of the
+        # freed child lists: each node's ancestor set and longest-path
+        # depth are final once it is ordered.  It is the only cycle check,
+        # and names the loop reached from the smallest unordered index.
         pending = [len(ps) for ps in parents]
         order = [i for i in range(n) if not pending[i]]
         ancestors: list[frozenset[int]] = [frozenset()] * n
@@ -189,7 +209,8 @@ class Taxonomy:
             chain = " -> ".join(ids[i] for i in list(path)[path[cur]:] + [cur])
             raise TaxonomyError(f"cycle detected: {chain}")
         self._root = order[0]  # build() leaves one parentless node
-        self._ancestors = ancestors
+        del pending, order  # so the tuple can reuse their memory
+        self._ancestors = tuple(ancestors)
         self._depths = depths
         self.max_depth = max(depths)
 
@@ -240,11 +261,7 @@ class Taxonomy:
         try:
             return self._index[concept]
         except (KeyError, TypeError):
-            raise UnknownConceptError(f"unknown concept: {concept!r}") from None
-
-    def concept_id(self, i: int) -> str:
-        """The concept id at index ``i``; inverse of :meth:`index_of`."""
-        return self._ids[i]
+            raise UnknownConceptError(f"unknown concept: {_shown(concept)}") from None
 
     def sense_indices(self, word: str) -> tuple[int, ...]:
         """Sorted sense indices of ``word`` (case-insensitive); () if absent
@@ -262,9 +279,10 @@ class Taxonomy:
             senses = self._senses.get(_normalized((word,))[0])
         return senses or ()
 
-    def ancestor_indices(self, i: int) -> frozenset[int]:
-        """Indices of the ancestors of index ``i``, ``i`` and the root included."""
-        return self._ancestors[i]
+    @property
+    def ancestors_by_index(self) -> tuple[frozenset[int], ...]:
+        """Ancestors (self and root included) of every concept, indexed by :meth:`index_of`."""
+        return self._ancestors
 
     @property
     def root(self) -> str:
@@ -283,7 +301,8 @@ class Taxonomy:
         return len(self._senses)
 
     def concepts(self) -> tuple[str, ...]:
-        return tuple(self._ids)
+        """Every concept id, indexed by :meth:`index_of`."""
+        return self._ids
 
     def words(self) -> frozenset[str]:
         return frozenset(self._senses)
@@ -303,13 +322,13 @@ class Taxonomy:
         queried concept and the root.
         """
         i = self.index_of(concept)
-        return frozenset(self._ids[a] for a in self.ancestor_indices(i))
+        return frozenset(self._ids[a] for a in self._ancestors[i])
 
     def common_subsumers(self, c1: str, c2: str) -> frozenset[str]:
         """Concepts subsuming both ``c1`` and ``c2``; never empty because
         the root subsumes everything."""
         i1, i2 = self.index_of(c1), self.index_of(c2)
-        common = self.ancestor_indices(i1) & self.ancestor_indices(i2)
+        common = self._ancestors[i1] & self._ancestors[i2]
         return frozenset(self._ids[a] for a in common)
 
     def shortest_path_len(self, c1: str, c2: str) -> int:
@@ -335,8 +354,13 @@ class Taxonomy:
 
         With ``limit`` set, returns None as soon as the distance is
         known to exceed ``limit`` (once ``d_a + d_b >= limit`` without a
-        meeting), and the exact length otherwise.
+        meeting), and the exact length otherwise.  An int index outside
+        ``range(concept_count)`` raises UnknownConceptError, any other
+        index TypeError.
         """
+        for k in (i, j):
+            if not 0 <= operator.index(k) < len(self._ids):
+                raise UnknownConceptError(f"unknown concept index: {_shown(k)}")
         if i == j:
             return 0 if limit is None or limit >= 0 else None
         parents, children = self._parents, self._children
@@ -383,7 +407,7 @@ class Taxonomy:
 def _check_id(cid: object) -> None:
     """Raise TaxonomyError unless ``cid`` is a hashable non-empty tab-free str."""
     if not (isinstance(cid, str) and cid and "\t" not in cid and type(cid).__hash__):
-        raise TaxonomyError(f"invalid concept id {cid!r}: "
+        raise TaxonomyError(f"invalid concept id {_shown(cid)}: "
                             "ids are non-empty tab-free strings")
 
 
@@ -400,7 +424,7 @@ def _edge_column(edges: Iterable) -> list[str]:
                 hash(cid)  # unhashable: TypeError
                 _check_id(cid)
         except (TypeError, ValueError) as exc:
-            raise TaxonomyError(f"invalid edge {edge!r}: {exc}") from None
+            raise TaxonomyError(f"invalid edge {_shown(edge)}: {exc}") from None
         ends += child, parent
     return ends
 
@@ -432,7 +456,7 @@ def _sense_columns(senses: Mapping) -> tuple[list[str], list]:
     sense_ids: list = []
     for word, cids in senses.items():
         if not isinstance(word, str):
-            raise TaxonomyError(f"lexicon word is not a string: {word!r}")
+            raise TaxonomyError(f"lexicon word is not a string: {_shown(word)}")
         if isinstance(cids, str):  # would iterate as one-letter ids
             raise TaxonomyError(f"sense set for word {_normalized((word,))[0]!r} is a "
                                 f"string, not a collection of concept ids: {cids!r}")
@@ -476,7 +500,7 @@ def _raise_bad_sense_row(words: list[str], sense_ids: list,
         if not known:
             raise TaxonomyError(
                 f"dangling concept reference: word {word!r} maps to "
-                f"unknown concept {cid!r}"
+                f"unknown concept {_shown(cid)}"
             )
     raise AssertionError("the sense checks rejected a valid lexicon")
 
@@ -487,7 +511,7 @@ def _index_columns(
     words: list[str],
     sense_ids: list,
     extra: Iterable[str] = (),
-) -> tuple[list[str], dict[str, int], list[tuple[int, ...]], dict[str, tuple[int, ...]]]:
+) -> tuple[tuple[str, ...], dict[str, int], list[tuple[int, ...]], dict]:
     """The :class:`Taxonomy` constructor's arguments from the edges as a
     child and a parent column of valid ids, the lexicon as a word and a
     concept id column, and ``extra`` concepts, which are not edge ends.
@@ -495,7 +519,7 @@ def _index_columns(
     Ids are numbered in order of first appearance: each edge's child,
     then its parent, then the extra concepts.
     """
-    ids = list(dict.fromkeys(chain(chain.from_iterable(zip(children, parents)), extra)))
+    ids = tuple(dict.fromkeys(chain(chain.from_iterable(zip(children, parents)), extra)))
     index = dict(zip(ids, range(len(ids))))
     lookup = index.__getitem__
 
@@ -517,7 +541,7 @@ def _index_columns(
                 "for the synthetic root"
             )
         root = index[SYNTHETIC_ROOT] = len(ids)
-        ids.append(SYNTHETIC_ROOT)
+        ids += (SYNTHETIC_ROOT,)
         parent_lists.append(())
         for i in parentless:
             parent_lists[i] = (root,)

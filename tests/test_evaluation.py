@@ -249,6 +249,18 @@ class TestLoadBenchmark:
         with pytest.raises(EvaluationError, match=rf"b\.csv:3: non-finite rating"):
             load_benchmark(path)
 
+    @pytest.mark.parametrize("body, problem", [
+        ('"a\nb",c,1\nx,y\n', "expected 3 columns"),  # a quoted field spans two lines
+        ("x,y,1\n\nx,y\n", "expected 3 columns"),  # a blank line
+        ('"a\nb",c,1\nx,y,high\n', "malformed rating"),
+        ('"a\nb",c,1\nx,y,nan\n', "non-finite rating"),
+    ])
+    def test_messages_name_the_physical_line(self, tmp_path, body, problem):
+        path = tmp_path / "b.csv"
+        path.write_text("word1,word2,rating\n" + body, encoding="utf-8")
+        with pytest.raises(EvaluationError, match=rf"b\.csv:4: {problem}"):
+            load_benchmark(path)
+
     def test_field_over_csv_limit(self, tmp_path):
         path = tmp_path / "b.csv"
         path.write_text(

@@ -15,6 +15,7 @@ import io
 import math
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,6 @@ from taxsim import (
     FrequencyTable,
     ModelError,
     ProbabilityModel,
-    SimilarityError,
     Taxonomy,
     TaxonomyError,
     UnknownConceptError,
@@ -125,11 +125,18 @@ class _Huge(int):
         return "10**4400"
 
 
+# An int too long for repr: an error message that shows it must not itself
+# raise.  Hypothesis writes out each strategy, so the pools draw it from one
+# that computes it.
+BIG = 10**5000
+BIG_INT = st.builds(pow, st.just(10), st.just(5000))
+
 # Values the corpus and evaluation checks must either turn away or take
 # correctly: non-finite, bool, float, str, None, negative, complex, huge.
 HOSTILE = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, True, False, None, "2", "",
                      -5, 0, 1j, 2.5, _Huge(10**4400)]),
+    BIG_INT,
     st.integers(-3, 10**6),
     st.floats(min_value=-1e6, max_value=1e6),
 )
@@ -145,6 +152,14 @@ COUNTS = st.one_of(st.dictionaries(TOY_WORDS, st.integers(0, 9), max_size=4),
 FINITE = st.one_of(st.integers(-9, 9), st.floats(-4.0, 4.0))
 ROW = st.one_of(st.tuples(TOY_WORDS, TOY_WORDS, FINITE), st.tuples(WORDS, WORDS, HOSTILE))
 PAIR = st.one_of(st.tuples(FINITE, FINITE), st.tuples(HOSTILE, HOSTILE))
+
+
+def _named(v) -> str:
+    """How a message names ``v`` by ``str``: an int beyond float range by
+    its number of decimal digits."""
+    if isinstance(v, int) and abs(v) > sys.float_info.max:
+        return f"an int of {Decimal(abs(v)).adjusted() + 1} digits"
+    return str(v)
 
 
 def _checked(counts) -> bool:
@@ -254,6 +269,7 @@ def test_pearson_surface(pairs):
        measure=st.sampled_from(WORD_MEASURES))
 @example(rows=[("x", "y", 1.0), ("x", "z", 2.0), (5, "x", 3.0)], measure="edge")
 @example(rows=[("x", "y", 1.0), ("x", "z", "2")], measure="resnik")  # a str rating
+@example(rows=[("x", "y", 1.0), ("x", "z", 2.0), (BIG, "x", 3.0)], measure="edge")
 def test_evaluate_surface(toy_taxonomy, toy_model, rows, measure):
     known = toy_taxonomy.sense_indices
     included = [(w1, w2, h) for w1, w2, h in rows if known(w1) and known(w2)]
@@ -276,7 +292,7 @@ def test_evaluate_surface(toy_taxonomy, toy_model, rows, measure):
     assert [(w1, w2) for w1, w2, _ in report.excluded] == [
         (w1, w2) for w1, w2, _ in rows if not (known(w1) and known(w2))]
     for w1, w2, reason in report.excluded:
-        absent = sorted({str(w) for w in (w1, w2) if not known(w)})
+        absent = sorted({_named(w) for w in (w1, w2) if not known(w)})
         assert reason == "word not in taxonomy: " + ", ".join(absent)
 
 
@@ -285,7 +301,7 @@ def test_evaluate_surface(toy_taxonomy, toy_model, rows, measure):
 IDS = ["r", "a", "b", "c"]
 BAD_IDS = [math.nan, math.inf, -math.inf, True, None, 5, 10**400, "", "a\tb",
            ("a",), ["a"], {"a"}]
-ID = st.one_of(st.sampled_from(IDS + [SYNTHETIC_ROOT]), st.sampled_from(BAD_IDS))
+ID = st.one_of(st.sampled_from(IDS + [SYNTHETIC_ROOT]), st.sampled_from(BAD_IDS), BIG_INT)
 GOOD_EDGE = st.tuples(st.integers(1, 3), st.integers(0, 2)).map(
     lambda ij: (IDS[ij[0]], IDS[min(ij[1], ij[0] - 1)]))
 EDGE = st.one_of(
@@ -301,7 +317,7 @@ LEXICON = st.one_of(
     st.dictionaries(st.sampled_from(["w", " W", "v"]),
                     st.lists(st.sampled_from(IDS), min_size=1, max_size=2), max_size=2),
     st.dictionaries(st.one_of(st.sampled_from(["w", " W", "v", "", " "]),
-                              st.sampled_from(BAD_IDS[:7])), SENSE_SET, max_size=3))
+                              st.sampled_from(BAD_IDS[:7]), BIG_INT), SENSE_SET, max_size=3))
 CONCEPTS = st.one_of(st.lists(st.sampled_from(IDS), max_size=2), st.lists(ID, max_size=3),
                      st.sampled_from(["ab", ""]))
 
@@ -348,6 +364,11 @@ def _expected_build(edges, senses, concepts):
 @example(edges=["ab"], senses={}, concepts=[])
 @example(edges=[("a", "r")], senses={}, concepts="xy")
 @example(edges=[("a", "r")], senses={"w": ["a\tb"]}, concepts=[""])
+@example(edges=[(BIG, "r")], senses={}, concepts=[])
+@example(edges=[(["a"], BIG)], senses={}, concepts=[])
+@example(edges=[("a", "r")], senses={}, concepts=[BIG])
+@example(edges=[("a", "r")], senses={"w": [BIG]}, concepts=[])
+@example(edges=[("a", "r")], senses={BIG: ["a"]}, concepts=[])
 def test_build_surface(edges, senses, concepts):
     expected = _expected_build(edges, senses, concepts)
     if expected is None:
@@ -358,6 +379,15 @@ def test_build_surface(edges, senses, concepts):
     parents, lexicon = expected
     assert {c: t.parents_of(c) for c in t.concepts()} == parents
     assert {w: t.senses_of(w) for w in t.words()} == lexicon
+    ids = t.concepts()  # the index level
+    for c in ids:
+        i = t.index_of(c)
+        assert ids[i] == c
+        assert {ids[a] for a in t.ancestors_by_index[i]} == t.subsumers(c)
+    for i in (-1, t.concept_count, 10**400, 1.0, None):
+        for args in ((i, 0), (0, i)):
+            with pytest.raises(UnknownConceptError if isinstance(i, int) else TypeError):
+                t.path_len(*args)
 
 
 # concept ids of the toy taxonomy, near misses, hostile values and unhashables
@@ -370,6 +400,7 @@ WORD_VALUE = st.one_of(st.sampled_from(["x", "y", "z", " X", "Z "]), WORDS,
 @settings(max_examples=_budget(150), derandomize=True, database=None, deadline=None)
 @given(concept=CONCEPT, word=WORD_VALUE)
 @example(concept=["x"], word=["x"])
+@example(concept=BIG, word=BIG)
 def test_lookup_surface(toy_taxonomy, toy_model, concept, word):
     t, m = toy_taxonomy, toy_model
     senses = {w: frozenset(cs) for w, cs in TOY_SENSES.items()}
@@ -385,7 +416,7 @@ def test_lookup_surface(toy_taxonomy, toy_model, concept, word):
             with pytest.raises(UnknownConceptError, match="^unknown concept: "):
                 lookup(concept)
         return
-    assert t.concept_id(t.index_of(concept)) == concept
+    assert t.concepts()[t.index_of(concept)] == concept
     anc = helpers.oracle_ancestors(t.concepts(), TOY_EDGES)
     assert t.subsumers(concept) == anc[concept]
     assert m.freq(concept) == helpers.oracle_freq(
@@ -414,6 +445,8 @@ DIRECT = {"resnik": lambda t, m, a, b, base, floor: sim_resnik_words(m, t, a, b)
 @example(w1="x", w2="y", measure="lch", log_base=2.0, floor=None)
 @example(w1="x", w2="y", measure="lch", log_base=10**400, floor=1.0)
 @example(w1="x", w2="y", measure="lch", log_base=2.0, floor="1")  # lch_floor in evaluate
+@example(w1=BIG, w2="w", measure="resnik", log_base=2.0, floor=1.0)
+@example(w1=BIG, w2="w", measure="edge", log_base=2.0, floor=1.0)
 def test_word_measure_surface(toy_taxonomy, toy_model, w1, w2, measure, log_base, floor):
     t, m = toy_taxonomy, toy_model
     rows = ((w1, w2, 1.0), ("x", "y", 2.0), ("x", "z", 4.0))  # two rows always score
@@ -453,13 +486,16 @@ def test_word_measure_surface(toy_taxonomy, toy_model, w1, w2, measure, log_base
 
 @settings(max_examples=_budget(150), derandomize=True, database=None, deadline=None)
 @given(c1=CONCEPT, c2=CONCEPT, position=st.integers(-1, 2),
-       weight=st.one_of(HOSTILE, st.sampled_from([10**400, "0.5", "", "a\tb", [0.5]])))
-@example(c1="A1", c2="A2", position=0, weight="0.5")
-@example(c1="A1", c2="A2", position=0, weight=None)
-@example(c1="A1", c2="A2", position=0, weight=10**400)
-@example(c1=["x"], c2="A", position=-1, weight=0.5)
-@example(c1={}, c2="A", position=-1, weight=0.5)
-def test_weights_surface(toy_taxonomy, toy_model, c1, c2, position, weight):
+       weight=st.one_of(HOSTILE, st.sampled_from([10**400, "0.5", "", "a\tb", [0.5]])),
+       extra_key=st.one_of(st.sampled_from([None, None, "nope", 5]), BIG_INT))
+@example(c1="A1", c2="A2", position=0, weight="0.5", extra_key=None)
+@example(c1="A1", c2="A2", position=0, weight=None, extra_key=None)
+@example(c1="A1", c2="A2", position=0, weight=10**400, extra_key=None)
+@example(c1="A1", c2="A2", position=0, weight=Decimal("1"), extra_key=None)
+@example(c1="A1", c2="A2", position=0, weight=0.5, extra_key=BIG)
+@example(c1=["x"], c2="A", position=-1, weight=0.5, extra_key=None)
+@example(c1={}, c2="A", position=-1, weight=0.5, extra_key=None)
+def test_weights_surface(toy_taxonomy, toy_model, c1, c2, position, weight, extra_key):
     t, m = toy_taxonomy, toy_model
     known = set(t.concepts())
     if not all(isinstance(c, str) and c in known for c in (c1, c2)):
@@ -470,14 +506,13 @@ def test_weights_surface(toy_taxonomy, toy_model, c1, c2, position, weight):
         return
     domain = helpers.oracle_finite_common_subsumers(t.concepts(), TOY_EDGES, m, c1, c2)
     assert finite_common_subsumers(m, t, c1, c2) == domain
-    if not domain:
-        with pytest.raises(SimilarityError):
-            uniform_weights(m, t, c1, c2)
-        return
     weights = uniform_weights(m, t, c1, c2)
     assert weights == dict.fromkeys(sorted(domain, key=t.index_of), 1.0 / len(domain))
     if 0 <= position < len(weights):
         weights[list(weights)[position]] = weight
+    if extra_key is not None:
+        with pytest.raises(ValueError, match="^weight domain mismatch: "):
+            sim_weighted(m, t, c1, c2, {**weights, extra_key: 0.0})
     values = list(weights.values())
     if not (all(_param_ok(w, -1) and w >= 0 for w in values)
             and abs(math.fsum(values) - 1.0) <= 1e-9):

@@ -182,8 +182,7 @@ class TestConstructors:
         assert list(model.dump_rows()) == list(toy_model.dump_rows())
         assert model.ic_by_index == toy_model.ic_by_index
         assert model.one_minus_p_by_index == tuple(
-            1.0 - model.p(toy_taxonomy.concept_id(i))
-            for i in range(toy_taxonomy.concept_count)
+            1.0 - model.p(c) for c in toy_taxonomy.concepts()
         )
 
 

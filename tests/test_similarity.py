@@ -59,12 +59,6 @@ class TestResnikConcepts:
         with pytest.raises(UnknownConceptError):
             sim_resnik_concepts(toy_model, toy_taxonomy, "A1", "nope")
 
-    def test_all_infinite_subsumers_degenerate(self, toy_taxonomy):
-        model = build_model(toy_taxonomy, FrequencyTable.from_counts(TOY_COUNTS))
-        model._ic = [math.inf] * toy_taxonomy.concept_count  # doctored model
-        with pytest.raises(SimilarityError, match="zero frequency"):
-            sim_resnik_concepts(model, toy_taxonomy, "A1", "A2")
-
 
 class TestResnikWords:
     def test_toy(self, toy_model, toy_taxonomy):
@@ -377,6 +371,10 @@ class TestWeighted:
                 toy_model, toy_taxonomy, "A1", "A2",
                 {"A": 0.5, "root": 0.25, "B": 0.25},
             )
+        # unexpected keys of types that do not sort together are named, not a TypeError
+        with pytest.raises(ValueError, match=r"unexpected \['B', 5\]$"):
+            sim_weighted(toy_model, toy_taxonomy, "A1", "A2",
+                         {"A": 0.5, "root": 0.5, "B": 0.0, 5: 0.0})
 
     def test_weights_must_sum_to_one(self, toy_model, toy_taxonomy):
         with pytest.raises(ValueError, match="sum"):
