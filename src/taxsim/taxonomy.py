@@ -33,7 +33,7 @@ import math
 import operator
 import os
 import re
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from sys import float_info
 from typing import Callable, Iterable, Mapping, NoReturn, TextIO, TypeVar
 
@@ -174,17 +174,20 @@ class Taxonomy:
         for child, ps in enumerate(parents):  # ascending, so each list is sorted
             for p in ps:
                 children[p].append(child)
-        self._children = children = [tuple(cs) for cs in children]
+        children = [tuple(cs) for cs in children]
         self._senses = senses
 
         # One Kahn sweep, parents before children, in the memory of the
         # freed child lists: each node's ancestor set and longest-path
         # depth are final once it is ordered.  It is the only cycle check,
         # and names the loop reached from the smallest unordered index.
+        # It also flags every valley: an ancestor-or-self of a node with
+        # two or more parents.
         pending = [len(ps) for ps in parents]
         order = [i for i in range(n) if not pending[i]]
         ancestors: list[frozenset[int]] = [frozenset()] * n
         depths = [0] * n
+        valleys = bytearray(n)
         for i in order:
             ps = parents[i]
             if len(ps) == 1:  # most nodes
@@ -195,6 +198,8 @@ class Taxonomy:
                 ancestors[i] = frozenset({i}).union(*(ancestors[p] for p in ps))
                 if ps:
                     depths[i] = 1 + max(depths[p] for p in ps)
+                    for a in ancestors[i]:
+                        valleys[a] = 1
             for child in children[i]:
                 pending[child] -= 1
                 if not pending[child]:
@@ -212,6 +217,14 @@ class Taxonomy:
         del pending, order  # so the tuple can reuse their memory
         self._ancestors = tuple(ancestors)
         self._depths = depths
+        del children  # so the lists below can reuse its memory
+        # path_len steps down only into the far end's ancestors and into
+        # valleys, listed here under each of their parents.
+        down: list[tuple[int, ...]] = [()] * n
+        for v in compress(range(n), valleys):
+            for p in parents[v]:
+                down[p] += (v,)
+        self._down = down
         self.max_depth = max(depths)
 
     # ------------------------------------------------------------------
@@ -336,19 +349,36 @@ class Taxonomy:
         edges as traversable in both directions.
 
         The path may run down through a shared child as well as up
-        through a common subsumer.  Found by a bidirectional
-        breadth-first search from both concepts, run without a length
-        limit, so the result is always the exact length."""
+        through a common subsumer.  Found by :meth:`path_len`'s
+        bidirectional breadth-first search from both concepts, run
+        without a length limit, so the result is always the exact
+        length.  The search skips every step down that no shortest path
+        can take: it steps down only into a concept that is an
+        ancestor-or-self of the far end or of a concept with two or more
+        parents; :meth:`path_len` gives the reason this is exact."""
         return self.path_len(self.index_of(c1), self.index_of(c2))
 
     def path_len(self, i: int, j: int, limit: int | None = None) -> int | None:
         """Undirected shortest path length between concept indices.
 
         Bidirectional BFS: each step expands the smaller of the two
-        frontiers by one whole level over parents and children.  While
-        the searched balls (radii ``d_a`` from ``i`` and ``d_b`` from
-        ``j``) are disjoint, the distance exceeds ``d_a + d_b``; so the
-        first node one side reaches inside the other's ball closes a
+        frontiers by one whole level, up to every parent and down to
+        some children.  A side steps down from ``u`` to its child ``v``
+        only if ``v`` is an ancestor-or-self of a concept with two or
+        more parents (a valley), or of the far end of the search (``j``
+        for the side that started at ``i``, and ``i`` for the other).
+
+        This skips no step of any shortest path.  After a shortest path
+        goes down into ``v``, it either keeps going down to the far end,
+        so ``v`` is an ancestor of that end, or it turns upward at some
+        ``w`` at or below ``v``.  It leaves ``w`` by a different parent
+        than the one it came in by, else it would not be shortest, so
+        ``w`` has two or more parents.  Hence each side reaches every
+        node of every shortest path at that node's distance from its
+        start.  While the searched balls (radii ``d_a`` from ``i`` and
+        ``d_b`` from ``j``) are disjoint, the distance therefore
+        exceeds ``d_a + d_b``; and every meeting is a real path.  So
+        the first node one side reaches inside the other's ball closes a
         path of exactly ``d_a + d_b + 1``, the minimum over every
         meeting node of that level.
 
@@ -356,16 +386,19 @@ class Taxonomy:
         known to exceed ``limit`` (once ``d_a + d_b >= limit`` without a
         meeting), and the exact length otherwise.  An int index outside
         ``range(concept_count)`` raises UnknownConceptError, any other
-        index TypeError.
+        index, or a ``limit`` other than an int or None, TypeError.
         """
         for k in (i, j):
             if not 0 <= operator.index(k) < len(self._ids):
                 raise UnknownConceptError(f"unknown concept index: {_shown(k)}")
+        if limit is not None:
+            limit = operator.index(limit)
         if i == j:
             return 0 if limit is None or limit >= 0 else None
-        parents, children = self._parents, self._children
+        parents, down = self._parents, self._down
         seen_a, seen_b = {i}, {j}
         front_a, front_b = [i], [j]
+        goal_a, goal_b = self._ancestors[j], self._ancestors[i]  # far ends' ancestors
         reach = 0  # d_a + d_b
         while front_a and front_b:
             if limit is not None and reach >= limit:
@@ -373,9 +406,13 @@ class Taxonomy:
             if len(front_a) > len(front_b):
                 front_a, front_b = front_b, front_a
                 seen_a, seen_b = seen_b, seen_a
+                goal_a, goal_b = goal_b, goal_a
             nxt = []
             for u in front_a:
-                for adjacent in (parents[u], children[u]):
+                below = down[u]
+                if u in goal_a:  # a child of u may be an ancestor of the far end too
+                    below += tuple([g for g in goal_a if u in parents[g]])
+                for adjacent in (parents[u], below):
                     for v in adjacent:
                         if v in seen_b:
                             return reach + 1

@@ -137,6 +137,28 @@ def random_instance(rng: random.Random, max_concepts: int = 50,
     return concepts, edges, senses, counts
 
 
+def random_sparse_instance(rng: random.Random, max_concepts: int = 60,
+                           two_parent_rate: float = 0.08, max_words: int = 12):
+    """A random taxonomy shaped like a WordNet-scale one: mostly a tree.
+
+    Returns (concepts, edges, senses).  Concept c0 is the root; each later
+    node picks one earlier parent, or two with probability
+    ``two_parent_rate``, so most concepts are no ancestor of any
+    two-parent concept.  Words have 1-3 senses.
+    """
+    n = rng.randint(2, max_concepts)
+    concepts = [f"c{i}" for i in range(n)]
+    edges = []
+    for i in range(1, n):
+        k = 2 if i > 1 and rng.random() < two_parent_rate else 1
+        edges += [(concepts[i], concepts[p]) for p in rng.sample(range(i), k)]
+    senses = {
+        f"w{w}": set(rng.sample(concepts, rng.randint(1, min(3, n))))
+        for w in range(rng.randint(1, max_words))
+    }
+    return concepts, edges, senses
+
+
 #: Size of the fixed random-DAG suite the oracle tests share.
 N_RANDOM_INSTANCES = 200
 

@@ -13,6 +13,7 @@ scales every budget by the same factor."""
 import contextlib
 import io
 import math
+import random
 import re
 import sys
 from decimal import Decimal
@@ -369,6 +370,7 @@ def _expected_build(edges, senses, concepts):
 @example(edges=[("a", "r")], senses={}, concepts=[BIG])
 @example(edges=[("a", "r")], senses={"w": [BIG]}, concepts=[])
 @example(edges=[("a", "r")], senses={BIG: ["a"]}, concepts=[])
+@example(edges=[("a", "r"), ("b", "r"), ("c", "a")], senses={}, concepts=[])
 def test_build_surface(edges, senses, concepts):
     expected = _expected_build(edges, senses, concepts)
     if expected is None:
@@ -388,6 +390,40 @@ def test_build_surface(edges, senses, concepts):
         for args in ((i, 0), (0, i)):
             with pytest.raises(UnknownConceptError if isinstance(i, int) else TypeError):
                 t.path_len(*args)
+    edge_list = [(c, p) for c, ps in parents.items() for p in ps]
+    for c1 in ids:
+        for c2 in ids:
+            i, j = t.index_of(c1), t.index_of(c2)
+            d = helpers.oracle_path_len(ids, edge_list, c1, c2)
+            for limit in (None, -1, 0, d - 1, d, 10**400):
+                assert t.path_len(i, j, limit) == (
+                    None if limit is not None and d > limit else d)
+            for limit in (0.5, 1.0, math.nan, "1", Fraction(1), Decimal(1)):
+                with pytest.raises(TypeError):
+                    t.path_len(i, j, limit)
+
+
+@settings(max_examples=_budget(20), derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_path_len_on_sparse_dags(seed):
+    # mostly trees, as at benchmark scale, so that the path search may
+    # step down into few children: every length, cut-off and sense pair
+    # must still match the unpruned deque BFS
+    concepts, edges, senses = helpers.random_sparse_instance(random.Random(seed))
+    t = Taxonomy.build(edges, senses, concepts=concepts)
+    for c1 in concepts:
+        for c2 in concepts:
+            d = helpers.oracle_path_len(concepts, edges, c1, c2)
+            i, j = t.index_of(c1), t.index_of(c2)
+            assert t.path_len(i, j) == d
+            for limit in range(-1, d + 2):
+                assert t.path_len(i, j, limit) == (d if d <= limit else None)
+    for w1 in senses:
+        for w2 in senses:
+            score = sim_edge(t, w1, w2)
+            assert score.sense_pair == helpers.oracle_min_sense_pair(
+                t.concepts(), edges, senses, w1, w2)
+            assert score.value == helpers.oracle_edge_words(concepts, edges, senses, w1, w2)
 
 
 # concept ids of the toy taxonomy, near misses, hostile values and unhashables

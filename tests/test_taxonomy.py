@@ -355,6 +355,25 @@ class TestShortestPath:
         with pytest.raises(UnknownConceptError):
             toy_taxonomy.shortest_path_len("A1", "nope")
 
+    @pytest.mark.parametrize("edges, c1, c2, length", [
+        # v is the one concept with two parents: a1-b1 is 2 via v, not 4 via r
+        ([("a", "r"), ("a1", "a"), ("b", "r"), ("b1", "b"), ("v", "a1"), ("v", "b1")],
+         "a1", "b1", 2),
+        # x's two parents make r and b valleys, but nothing under a is one:
+        # only the far end's ancestors lead the search down to a2 or b1
+        ([("a", "r"), ("a1", "a"), ("a2", "a1"), ("b", "r"), ("b1", "b"),
+          ("x", "r"), ("x", "b")], "b1", "a2", 5),
+        # no valley at all: the only route runs over the root
+        ([("a", "r"), ("b", "r")], "a", "b", 2),
+    ], ids=["turn-at-valley", "far-end-under-no-valley", "root-only"])
+    def test_pruned_down_moves_keep_every_shortest_path(self, edges, c1, c2, length):
+        t = Taxonomy.build(edges)
+        for x, y in ((c1, c2), (c2, c1)):
+            i, j = t.index_of(x), t.index_of(y)
+            assert t.shortest_path_len(x, y) == t.path_len(i, j) == length
+            assert t.path_len(i, j, length - 1) is None
+            assert t.path_len(i, j, length) == length
+
 
 class TestDepths:
     def test_toy(self, toy_taxonomy):
