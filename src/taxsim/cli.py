@@ -34,7 +34,7 @@ from .evaluation import (
 )
 from .probability import _check_real, build_model, load_counts
 from .similarity import CORPUS_MEASURES, WORD_MEASURES, word_similarity
-from .taxonomy import _gc_paused, load_taxonomy
+from .taxonomy import _gc_paused, _normalized, load_taxonomy
 
 #: Exit code of each failure class, matched in order like ``except`` clauses.
 EXIT_CODES = {
@@ -79,13 +79,14 @@ def cmd_validate(args: argparse.Namespace, measures) -> int:
 def cmd_sim(args: argparse.Namespace, measures) -> int:
     t, model = _load(args, measures)
     w1, w2 = args.word1, args.word2
+    shown = "\t".join(_normalized((w1, w2)))  # the words as looked up
     for measure in measures:
         score = word_similarity(
             measure, t, w1, w2, model,
             log_base=args.log_base, lch_floor=args.lch_floor,
         )
         print(
-            f"{w1.lower()}\t{w2.lower()}\t{measure}\t{score.value:.4f}\t"
+            f"{shown}\t{measure}\t{score.value:.4f}\t"
             f"{score.witness or '-'}"
         )
     return 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from numbers import Real
 from sys import float_info
@@ -99,8 +100,7 @@ def _table(words: list[str], counts: list[int],
             merged[word] += count
     if plural_stems is not None:
         folded: dict[str, int] = _Fresh()
-        for word in sorted(merged):
-            count = merged[word]
+        for word, count in merged.items():
             stem = word[:-1]
             if word.endswith("s") and len(word) > 1 and stem in plural_stems:
                 folded[stem] = folded.get(stem, 0) + count
@@ -111,7 +111,8 @@ def _table(words: list[str], counts: list[int],
 
 
 def _count_problem(field: str) -> str | None:
-    """What is wrong with the count field ``field``, if anything."""
+    """What is wrong with the count field ``field``, if anything; a field
+    that :func:`_count_pattern` rejects always has a fault."""
     digits = field.removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
         return f"malformed count {field!r}"
@@ -124,16 +125,14 @@ def _count_problem(field: str) -> str | None:
     return None
 
 
-def _count_column(fields: list[str]) -> list[int]:
-    """The counts written in ``fields``; ``ValueError`` if
-    :func:`_count_problem` finds fault with any of them."""
-    counts = list(map(int, fields))  # ValueError for most malformed fields
-    # int() also reads a sign, spaces, underscores and non-ASCII digits;
-    # of these, only the sign of a negative zero is allowed
-    digits = "".join(fields).replace("-", "")
-    if counts and (min(counts) < 0 or not (digits.isascii() and digits.isdigit())):
-        raise ValueError("malformed count")
-    return counts
+def _count_pattern() -> str:
+    """The pattern of a count field: ASCII decimal digits, or a negative
+    zero, no more of them than ``int()``'s limit on decimal digits when
+    called (0, and Python before 3.10.7, which has no such limit, allow
+    any number)."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    repeat = f"{{1,{limit}}}" if limit else "+"
+    return f"[0-9]{repeat}|-0{repeat}"
 
 
 @_gc_paused
@@ -152,8 +151,9 @@ def load_counts(
     """
     label = str(path)
     with open(path, encoding="utf-8-sig") as fh:
-        words, counts = _parse_pair_columns(fh, label, ModelError, _count_column,
+        words, counts = _parse_pair_columns(fh, label, ModelError, _count_pattern(),
                                             _count_problem)
+    counts = list(map(int, counts))  # frees the count strings before _table runs
     try:
         return _table(words, counts, plural_stems)
     except ModelError as exc:  # the total, or a str plural_stems: the counts were checked

@@ -85,71 +85,53 @@ def _normalized(words: Iterable[str]) -> list[str]:
     return list(map(str.lower, map(str.strip, words)))
 
 
-# Patterns over a file's text with one "\n" before every line: a run of
-# blank and comment lines, and a second tab or an empty right field.
+# A run of blank and comment lines in a file's text with one "\n" before
+# every line.
 _SKIPPED_LINES = re.compile(r"\n(?:[^\S\n]*(?:#[^\n]*)?\n)+")
-_TWO_TABS_OR_EMPTY_RIGHT = re.compile(r"\t(?:[^\t\n]*\t|\n)")
 
 
 def _parse_pair_columns(
     fh: TextIO,
     label: str,
     error: type = TaxonomyError,
-    convert: Callable[[list[str]], list] | None = None,
+    right: str = r"[^\t\n]+",
     problem: Callable[[str], str | None] | None = None,
-) -> tuple[list[str], list]:
+) -> tuple[list[str], list[str]]:
     """The left and right columns of the ``left<TAB>right`` lines of the
     text file ``fh``, opened with universal newlines.
 
     Blank lines and lines starting with ``#`` (after whitespace) are
-    skipped; every other line must hold two non-empty tab-separated
-    fields.  The file is read whole and checked by a few whole-text
-    scans, then split into one flat field list.  ``convert``, if given,
-    maps the right column to the returned one and raises ``ValueError``
-    to reject it.  Only when a check fails is the text walked line by
-    line, to raise ``error`` naming the first bad line: a malformed line,
-    or one whose right field ``problem`` describes.  ``label`` is the
-    file path used in diagnostics; a decoding failure anywhere in the
-    file raises ``error`` too.
+    skipped; every other line must be a non-empty tab-free left field, a
+    tab, and a right field matched whole by the regular expression
+    ``right`` (by default any non-empty tab-free field; it may match no
+    tab or line end).  That line pattern is the one rule: a scan of the
+    text, once blank and comment lines are dropped, accepts the file,
+    which is then split into one flat field list; or the same pattern
+    finds the first bad line, and ``error`` is raised naming its
+    ``label:line`` and its fault: its number of fields, an empty field,
+    or ``problem(right_field)``.  ``label`` is the file path used in
+    diagnostics; a decoding failure anywhere in the file raises
+    ``error`` too.
     """
     try:
         text = fh.read()
     except UnicodeDecodeError:
         raise error(f"{label}: not valid UTF-8") from None
+    line = rf"[^\t\n]+\t(?:{right})"
     body = _SKIPPED_LINES.sub("\n", f"\n{text}\n")
-    # as many tabs as lines, and no line with an empty left field, a
-    # second tab or an empty right field: one tab between two fields each
-    if (body.count("\t") == body.count("\n") - 1 and "\n\t" not in body
-            and not _TWO_TABS_OR_EMPTY_RIGHT.search(body)):
+    if not re.search(rf"\n(?!{line}\n|\Z)", body):
         fields = body.replace("\n", "\t").split("\t")
-        right = fields[2:-1:2]
-        try:
-            return fields[1:-1:2], (right if convert is None else convert(right))
-        except ValueError:
-            pass
-    _raise_first_bad_line(text, label, error, problem)
-
-
-def _raise_first_bad_line(text: str, label: str, error: type,
-                          problem: Callable[[str], str | None] | None) -> NoReturn:
-    """Raise ``error`` naming the first line of ``text`` that
-    :func:`_parse_pair_columns` rejects."""
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise error(
-                f"{label}:{lineno}: expected 2 tab-separated fields, got {len(fields)}"
-            )
-        left, right = fields
-        if not left or not right:
-            raise error(f"{label}:{lineno}: empty field")
-        found = problem(right) if problem else None
-        if found:
-            raise error(f"{label}:{lineno}: {found}")
-    raise AssertionError(f"{label}: the column checks rejected a well-formed file")
+        return fields[1:-1:2], fields[2:-1:2]
+    bad = re.search(rf"(?m)^(?![^\S\n]*(?:#.*)?$|{line}$).*", text)
+    fields = bad[0].split("\t")
+    if len(fields) != 2:
+        found = f"expected 2 tab-separated fields, got {len(fields)}"
+    elif not all(fields):
+        found = "empty field"
+    else:
+        found = problem(fields[1])
+    lineno = text.count("\n", 0, bad.start()) + 1
+    raise error(f"{label}:{lineno}: {found}")
 
 
 class Taxonomy:

@@ -16,8 +16,9 @@ from helpers import (
     write_toy_files,
 )
 
-# A bigger, deterministic budget for the fuzz tests, which scale their own
-# budgets by its max_examples: pytest tests/test_fuzz.py --hypothesis-profile=fuzz.
+# A bigger, deterministic budget for the fuzz and reader-agreement tests,
+# which scale their own budgets by its max_examples (helpers._budget):
+# pytest tests/test_fuzz.py --hypothesis-profile=fuzz.
 # Not named "ci": Hypothesis loads its own "ci" profile whenever the CI
 # environment variable is set, and with it every tier-1 run there.
 settings.register_profile("fuzz", max_examples=1000, derandomize=True)

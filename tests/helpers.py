@@ -1,5 +1,5 @@
-"""Shared fixtures data, random-instance generators, and brute-force
-oracles.
+"""Shared fixtures data, random-instance generators, the Hypothesis
+budget, and brute-force oracles.
 
 The oracles work from the raw edge/sense/count data with their own naive
 algorithms (fixpoint ancestor closure, deque BFS, recursive depth) and
@@ -13,7 +13,16 @@ import math
 import random
 from collections import deque
 
+from hypothesis import settings
+
 from taxsim import pearson
+
+
+def _budget(examples: int) -> int:
+    """``examples``, scaled by the loaded profile's ``max_examples`` over
+    Hypothesis's default of 100."""
+    return examples * settings.default.max_examples // 100
+
 
 # ----------------------------------------------------------------------
 # hand-checked fixture data

@@ -84,6 +84,13 @@ class TestSim:
         assert lines[2] == "x\ty\tprob\t0.2500\tA"
         assert lines[3] == "x\ty\tlch\t1.0000\t-"
 
+    def test_echoes_the_words_as_looked_up(self, capsys, toy_files):
+        # a line end or tab in a word used to split the row or add a field
+        args = _base_args(toy_files) + ["--counts", str(toy_files["counts"])]
+        expected = _run(capsys, ["sim", "x", "y"] + args)
+        assert expected[0] == 0
+        assert _run(capsys, ["sim", "x\n", " Y"] + args) == expected
+
     def test_unknown_word_exits_3_and_names_it(self, capsys, toy_files):
         code, _, err = _run(
             capsys,

@@ -24,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import TOY_COUNTS, TOY_EDGES, TOY_SENSES, write_toy_files
+from helpers import TOY_COUNTS, TOY_EDGES, TOY_SENSES, _budget, write_toy_files
 from taxsim import (
     SYNTHETIC_ROOT,
     Benchmark,
@@ -51,12 +51,6 @@ from taxsim import (
     word_similarity,
 )
 from taxsim.cli import main
-
-
-def _budget(examples: int) -> int:
-    """``examples``, scaled by the loaded profile's ``max_examples`` over
-    Hypothesis's default of 100."""
-    return examples * settings.default.max_examples // 100
 
 
 # Pieces of the four input formats, so that many generated files get past

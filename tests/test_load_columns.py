@@ -3,14 +3,16 @@ the same as building from the same pairs in memory."""
 
 import io
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import _budget
 from taxsim import FrequencyTable, ModelError, Taxonomy, TaxonomyError, load_counts, load_taxonomy
-from taxsim.probability import _count_column, _count_problem
+from taxsim.probability import _count_pattern, _count_problem
 from taxsim.taxonomy import _parse_pair_columns
 
 # Ids and words that survive a trip through a file: no tab or line end,
@@ -47,7 +49,7 @@ def _file_text(rng: random.Random, pairs, eol: str, bom: bool) -> str:
     return ("\ufeff" if bom else "") + text
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=_budget(150), derandomize=True, database=None, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), eol=st.sampled_from(["\n", "\r\n", "\r"]),
        bom=st.booleans())
 def test_files_load_as_the_same_pairs_build(tmp_path_factory, seed, eol, bom):
@@ -92,11 +94,11 @@ def _counts_or_error(data: bytes):
     try:
         words, counts = _parse_pair_columns(
             io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig"), "c.tsv", ModelError,
-            _count_column, _count_problem)
+            _count_pattern(), _count_problem)
     except ModelError as e:
         return str(e)
     merged = {}
-    for word, count in zip(words, counts):
+    for word, count in zip(words, map(int, counts)):
         merged[word] = merged.get(word, 0) + count
     return merged
 
@@ -109,7 +111,7 @@ def _reference_counts_or_error(data: bytes):
         return str(e)
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=_budget(500), derandomize=True, database=None, deadline=None)
 @given(text=st.text(
     alphabet=["x", "0", "7", "-", "+", "_", " ", "\t", "\n", "#", "٣", "\xa0"],
     max_size=30,
@@ -155,3 +157,22 @@ def test_comment_only_counts_file_is_empty(tmp_path):
     path.write_text("# nothing counted\n\n", encoding="utf-8")
     table = load_counts(path)
     assert table.counts == {} and table.total_raw == 0
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no limit on int() digits")
+def test_count_digits_follow_the_runtime_limit(tmp_path):
+    path = tmp_path / "c.tsv"
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        path.write_text("a\t1\nb\t" + "9" * 641 + "\n", encoding="utf-8")
+        with pytest.raises(ModelError, match=r"c\.tsv:2: count too large \(641 digits\)$"):
+            load_counts(path)
+        path.write_text("a\t-" + "0" * 640 + "\n", encoding="utf-8")
+        assert load_counts(path).counts == {"a": 0}
+        sys.set_int_max_str_digits(0)
+        path.write_text("a\t" + "9" * 5000 + "\n", encoding="utf-8")
+        assert load_counts(path).counts == {"a": 10**5000 - 1}
+    finally:
+        sys.set_int_max_str_digits(limit)

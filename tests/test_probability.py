@@ -97,6 +97,11 @@ class TestPluralFold:
         assert table.counts == {"car": 4}
         assert table.total_raw == 4
 
+    def test_keeps_first_appearance_order(self):
+        counts = {"b": 1, "a": 2, "cats": 3}
+        for stems, words in ((set(), ["b", "a", "cats"]), ({"cat"}, ["b", "a", "cat"])):
+            assert list(FrequencyTable.from_counts(counts, plural_stems=stems).counts) == words
+
     def test_unknown_stem_left_alone(self):
         table = FrequencyTable.from_counts({"glass": 2}, plural_stems={"car"})
         assert table.counts == {"glass": 2}

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import DIAMOND_EDGES, DIAMOND_SENSES, TOY_EDGES, TOY_SENSES
+from helpers import DIAMOND_EDGES, DIAMOND_SENSES, TOY_EDGES, TOY_SENSES, _budget
 from taxsim import (
     SYNTHETIC_ROOT,
     Taxonomy,
@@ -286,7 +286,7 @@ def _reference_parsed(data: bytes):
         return str(e)
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=_budget(500), derandomize=True, database=None, deadline=None)
 @given(text=st.text(
     alphabet=["a", "b", "#", " ", "\t", "\r", "\n", "\x0b", "\x1f", "\xa0", "\u2028"],
     max_size=40,
