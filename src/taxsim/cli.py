@@ -50,7 +50,8 @@ EXIT_CODES = {
 
 def _load(args: argparse.Namespace, measures):
     """The taxonomy, and the probability model if any of ``measures``
-    needs corpus counts (else ``None``)."""
+    needs corpus counts (else ``None``).  Count mass that the model drops,
+    because its words are not in the lexicon, is reported on stderr."""
     if not (args.taxonomy and args.lexicon):
         raise ModelError("--taxonomy and --lexicon are required")
     taxonomy = load_taxonomy(Path(args.taxonomy), Path(args.lexicon))
@@ -64,7 +65,13 @@ def _load(args: argparse.Namespace, measures):
         Path(args.counts),
         plural_stems=taxonomy.words() if args.plural_fold else None,
     )
-    return taxonomy, build_model(taxonomy, table, log_base=args.log_base)
+    model = build_model(taxonomy, table, log_base=args.log_base)
+    if table.total_raw > model.N:
+        dropped = table.total_raw - model.N
+        print(f"note: {dropped / table.total_raw:.2%} of the count mass "
+              f"({dropped} of {table.total_raw}) is dropped: "
+              "its words are not in the lexicon", file=sys.stderr)
+    return taxonomy, model
 
 
 def cmd_validate(args: argparse.Namespace, measures) -> int:

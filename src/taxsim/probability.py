@@ -75,7 +75,8 @@ class FrequencyTable:
         """Build a table from a word -> count mapping, checked as by the
         constructor.
 
-        Words are lowercased.  With ``plural_stems`` given, a word ending
+        Words are normalized as the lexicon's are (stripped, lowercased,
+        NFC).  With ``plural_stems`` given, a word ending
         in "s" whose stripped form is in ``plural_stems`` has its count
         folded into the stripped form; ``None`` folds nothing.  The rule
         is deliberately naive; counts files are expected to arrive
@@ -171,29 +172,54 @@ class ProbabilityModel:
     @_gc_paused
     def __init__(self, taxonomy: Taxonomy, table: FrequencyTable, log_base: float = 2.0):
         """Propagate the counts of ``table`` up ``taxonomy``: each counted
-        word credits its count once to the union of the ancestor sets of its
-        senses (set semantics under polysemy and diamond inheritance); a
-        one-sense word's count goes to its concept's direct count, whose
-        ancestors are credited once with the sum.  Words absent from the
-        lexicon do not contribute to N."""
+        word credits its count once to every ancestor-or-self of any of
+        its senses (set semantics under polysemy and diamond
+        inheritance).  Words absent from the lexicon do not contribute
+        to N.
+
+        No ancestor set is built.  A one-sense word's count is direct
+        mass on its concept.  One pass, children before parents, hands
+        each concept's mass on to its parent wherever the taxonomy is a
+        tree: a concept that is not a valley (see
+        :attr:`Taxonomy.valleys_by_index`) has at most one parent and a
+        tree below it, so its frequency is its mass once its children
+        have handed theirs on.  A valley's mass, gathered from its own
+        words and its non-valley children, is walked up once, crediting
+        each ancestor-or-self once; so are the senses of each counted
+        word with two or more of them."""
         _check_real(log_base, "log_base", 1, "> 1")
         if not isinstance(table, FrequencyTable):
             raise ModelError(f"table is a {type(table).__name__}, not a FrequencyTable")
+        parents = taxonomy.parents_by_index
         freq = [0] * taxonomy.concept_count
-        direct = [0] * taxonomy.concept_count
-        ancestors = taxonomy.ancestors_by_index
+        mass = [0] * taxonomy.concept_count
+
+        def credit(starts, count):
+            """Add ``count`` once to every ancestor-or-self of ``starts``."""
+            todo, seen = list(starts), set(starts)
+            for u in todo:
+                freq[u] += count
+                for p in parents[u]:
+                    if p not in seen:
+                        seen.add(p)
+                        todo.append(p)
+
         for word, count in table.counts.items():
             senses = taxonomy.sense_indices(word)  # () for a word not in the lexicon
             if len(senses) == 1:
-                direct[senses[0]] += count
+                mass[senses[0]] += count
+            elif senses:
+                credit(senses, count)
+        valleys = taxonomy.valleys_by_index
+        for i in reversed(taxonomy.topological_order):
+            if not mass[i]:
                 continue
-            covered = frozenset().union(*map(ancestors.__getitem__, senses))
-            for i in covered:
-                freq[i] += count
-        for c, count in enumerate(direct):
-            if count:
-                for i in ancestors[c]:
-                    freq[i] += count
+            if valleys[i]:
+                credit((i,), mass[i])
+            else:
+                freq[i] += mass[i]
+                for p in parents[i]:  # the only one, if any
+                    mass[p] += mass[i]
         n_total = freq[taxonomy.index_of(taxonomy.root)]
         if n_total <= 0:
             raise ModelError(

@@ -81,13 +81,13 @@ def _best_subsumer(model: ProbabilityModel, t: Taxonomy, measure: str,
     p can round to one ``1 - p``, and the tie-break must see that tie."""
     if model.taxonomy is not t:
         raise ValueError(_OTHER_TAXONOMY)
-    anc = t.ancestors_by_index
+    anc = t.ancestor_indices
     values = model.one_minus_p_by_index if measure == "prob" else model.ic_by_index
     best, found, inf = -math.inf, None, math.inf
     for i1 in s1:
-        a1 = anc[i1]
+        a1 = anc(i1)
         for i2 in s2:
-            for c in sorted(a1 & anc[i2]):
+            for c in sorted(a1 & anc(i2)):
                 if best < (v := values[c]) < inf:
                     best, found = v, (c, i1, i2)
     ids, (c, i1, i2) = t.concepts(), found
@@ -175,8 +175,8 @@ def _finite_ic_subsumers(model: ProbabilityModel, t: Taxonomy,
     in concept index order."""
     if model.taxonomy is not t:
         raise ValueError(_OTHER_TAXONOMY)
-    ic, inf, ids, anc = model.ic_by_index, math.inf, t.concepts(), t.ancestors_by_index
-    common = anc[t.index_of(c1)] & anc[t.index_of(c2)]
+    ic, inf, ids, anc = model.ic_by_index, math.inf, t.concepts(), t.ancestor_indices
+    common = anc(t.index_of(c1)) & anc(t.index_of(c2))
     return {ids[c]: ic[c] for c in sorted(common) if ic[c] != inf}
 
 

@@ -7,6 +7,14 @@ senses.  Construction validates the structure once; afterwards the
 object is immutable and every query is safe for unsynchronized use from
 multiple threads.
 
+The one thing a query changes is a memo: each concept's ancestor set is
+built the first time a query asks for it and kept in a list slot that
+held None.  That needs no lock.  Every set built for a slot is equal to
+any other built for it, since each is a function of the fixed graph
+alone; storing an item in a list is atomic; and a build reads only
+slots that are already filled, which never go back to None.  Two
+threads that miss together at worst build the same set twice.
+
 Input formats (UTF-8 text, ``#`` lines ignored, duplicate lines
 idempotent):
 
@@ -14,7 +22,8 @@ idempotent):
 * lexicon file: one ``word<TAB>concept_id`` pair per line.
 
 Concept ids are arbitrary non-empty tab-free strings and are
-case-sensitive.  Words are stripped and lowercased on load and on lookup.
+case-sensitive.  Words are stripped, lowercased and put in Unicode
+normal form NFC on load and on lookup.
 
 Loading (:func:`load_taxonomy`, :meth:`Taxonomy.build`, and the counts
 loader and model builder in :mod:`taxsim.probability`) pauses Python's
@@ -22,7 +31,9 @@ process-wide cyclic garbage collector and restores the caller's
 ``gc.isenabled()`` state when it returns or raises.  A load makes only
 acyclic containers, which the collector would otherwise scan many times
 over as they pile up.  Two threads loading at once may overlap their
-pauses, which is harmless; queries never touch the collector.
+pauses, which is harmless; queries never touch the collector, and
+building an ancestor set on a query's first request for it does not
+pause it either.
 """
 
 from __future__ import annotations
@@ -33,6 +44,7 @@ import math
 import operator
 import os
 import re
+import unicodedata
 from itertools import chain, compress, repeat
 from sys import float_info
 from typing import Callable, Iterable, Mapping, NoReturn, TextIO, TypeVar
@@ -80,9 +92,14 @@ def _shown(value: object, form: Callable[[object], str] = repr) -> str:
 
 
 def _normalized(words: Iterable[str]) -> list[str]:
-    """``words`` stripped, then lowercased: the one form of a word that
-    the lexicon, the counts and the benchmarks store and look up."""
-    return list(map(str.lower, map(str.strip, words)))
+    """``words`` stripped, then lowercased, then, if not ASCII, in
+    Unicode normal form NFC: the one form of a word that the lexicon, the
+    counts and the benchmarks store and look up, so that the composed and
+    the decomposed spelling of "café" are one word."""
+    words = list(map(str.lower, map(str.strip, words)))
+    if "".join(words).isascii():  # one check of the whole column, as most are
+        return words
+    return [w if w.isascii() else unicodedata.normalize("NFC", w) for w in words]
 
 
 # A run of blank and comment lines in a file's text with one "\n" before
@@ -151,7 +168,7 @@ class Taxonomy:
         n = len(ids)
         self._ids = ids
         self._index = index
-        self._parents = parents
+        self._parents = parents = tuple(parents)
         children = [[] for _ in range(n)]
         for child, ps in enumerate(parents):  # ascending, so each list is sorted
             for p in ps:
@@ -160,28 +177,18 @@ class Taxonomy:
         self._senses = senses
 
         # One Kahn sweep, parents before children, in the memory of the
-        # freed child lists: each node's ancestor set and longest-path
-        # depth are final once it is ordered.  It is the only cycle check,
-        # and names the loop reached from the smallest unordered index.
-        # It also flags every valley: an ancestor-or-self of a node with
-        # two or more parents.
+        # freed child lists: each node's longest-path depth is final once
+        # it is ordered.  It is the only cycle check, and names the loop
+        # reached from the smallest unordered index.
         pending = [len(ps) for ps in parents]
         order = [i for i in range(n) if not pending[i]]
-        ancestors: list[frozenset[int]] = [frozenset()] * n
         depths = [0] * n
-        valleys = bytearray(n)
         for i in order:
             ps = parents[i]
             if len(ps) == 1:  # most nodes
-                p = ps[0]
-                ancestors[i] = ancestors[p] | {i}
-                depths[i] = depths[p] + 1
-            else:
-                ancestors[i] = frozenset({i}).union(*(ancestors[p] for p in ps))
-                if ps:
-                    depths[i] = 1 + max(depths[p] for p in ps)
-                    for a in ancestors[i]:
-                        valleys[a] = 1
+                depths[i] = depths[ps[0]] + 1
+            elif ps:
+                depths[i] = 1 + max(depths[p] for p in ps)
             for child in children[i]:
                 pending[child] -= 1
                 if not pending[child]:
@@ -196,10 +203,20 @@ class Taxonomy:
             chain = " -> ".join(ids[i] for i in list(path)[path[cur]:] + [cur])
             raise TaxonomyError(f"cycle detected: {chain}")
         self._root = order[0]  # build() leaves one parentless node
-        del pending, order  # so the tuple can reuse their memory
-        self._ancestors = tuple(ancestors)
+        del pending, children  # so the lists below can reuse their memory
+        self._order = order = tuple(order)
         self._depths = depths
-        del children  # so the lists below can reuse its memory
+        # A valley is an ancestor-or-self of a node with two or more
+        # parents: one pass, children before parents, flags each node
+        # before it passes the flag on to its parents.
+        valleys = bytearray(n)
+        for i in reversed(order):
+            ps = parents[i]
+            if valleys[i] or len(ps) > 1:
+                valleys[i] = 1
+                for p in ps:
+                    valleys[p] = 1
+        self._valleys = bytes(valleys)
         # path_len steps down only into the far end's ancestors and into
         # valleys, listed here under each of their parents.
         down: list[tuple[int, ...]] = [()] * n
@@ -208,6 +225,9 @@ class Taxonomy:
                 down[p] += (v,)
         self._down = down
         self.max_depth = max(depths)
+        # Each concept's ancestor set, built by ancestor_indices on first
+        # request; None until then.
+        self._ancestors: list[frozenset[int] | None] = [None] * n
 
     # ------------------------------------------------------------------
     # construction
@@ -225,8 +245,10 @@ class Taxonomy:
 
         ``edges`` are (child, parent) id pairs; duplicates are merged.
         ``senses`` maps words to non-empty sets of concept ids.  Words
-        are stripped and lowercased; keys that become equal (``"Dog"``
-        and ``" dog"``) have their sense sets merged.
+        are stripped, lowercased and put in Unicode normal form NFC; keys
+        that become equal (``"Dog"`` and ``" dog"``, or ``"café"`` with a
+        composed and with a decomposed ``é``) have their sense sets
+        merged.
         ``concepts`` declares additional isolated concepts (useful for
         single-node taxonomies, which have no edges).
 
@@ -262,9 +284,9 @@ class Taxonomy:
         """Sorted sense indices of ``word`` (case-insensitive); () if absent
         or not a ``str``.
 
-        ``word`` is looked up as given before it is stripped and
-        lowercased: every stored word is already unchanged by both, so a
-        hit as given is the hit the normalized lookup would make.
+        ``word`` is looked up as given before it is normalized (stripped,
+        lowercased, NFC): every stored word is already unchanged by that,
+        so a hit as given is the hit the normalized lookup would make.
         """
         try:
             senses = self._senses.get(word)
@@ -274,10 +296,54 @@ class Taxonomy:
             senses = self._senses.get(_normalized((word,))[0])
         return senses or ()
 
+    def ancestor_indices(self, i: int) -> frozenset[int]:
+        """The indices of the ancestors of the concept of index ``i``
+        (itself and the root included).
+
+        A set is built from its parents' sets the first time it is asked
+        for, and kept.  A miss collects the unbuilt ancestors of ``i`` by
+        walking up, then builds them in order of depth, so that each
+        parent's set is there before its children's.  An int index
+        outside ``range(concept_count)`` raises UnknownConceptError, any
+        other index TypeError.
+        """
+        if not 0 <= operator.index(i) < len(self._ids):
+            raise UnknownConceptError(f"unknown concept index: {_shown(i)}")
+        built = self._ancestors[i]
+        if built is not None:
+            return built
+        memo, parents = self._ancestors, self._parents
+        todo, seen = [i], {i}
+        for u in todo:
+            for p in parents[u]:
+                if memo[p] is None and p not in seen:
+                    seen.add(p)
+                    todo.append(p)
+        todo.sort(key=self._depths.__getitem__)  # a parent is shallower than its child
+        for u in todo:
+            ps = parents[u]
+            if len(ps) == 1:  # most nodes
+                memo[u] = memo[ps[0]] | {u}
+            else:
+                memo[u] = frozenset({u}).union(*map(memo.__getitem__, ps))
+        return memo[i]
+
     @property
-    def ancestors_by_index(self) -> tuple[frozenset[int], ...]:
-        """Ancestors (self and root included) of every concept, indexed by :meth:`index_of`."""
-        return self._ancestors
+    def parents_by_index(self) -> tuple[tuple[int, ...], ...]:
+        """The sorted parent indices of every concept, indexed by :meth:`index_of`."""
+        return self._parents
+
+    @property
+    def topological_order(self) -> tuple[int, ...]:
+        """Every concept index, each after all of its parents."""
+        return self._order
+
+    @property
+    def valleys_by_index(self) -> bytes:
+        """1 for every concept that is an ancestor-or-self of a concept
+        with two or more parents (a valley), else 0, indexed by
+        :meth:`index_of`; below any other concept the taxonomy is a tree."""
+        return self._valleys
 
     @property
     def root(self) -> str:
@@ -317,13 +383,13 @@ class Taxonomy:
         queried concept and the root.
         """
         i = self.index_of(concept)
-        return frozenset(self._ids[a] for a in self._ancestors[i])
+        return frozenset(self._ids[a] for a in self.ancestor_indices(i))
 
     def common_subsumers(self, c1: str, c2: str) -> frozenset[str]:
         """Concepts subsuming both ``c1`` and ``c2``; never empty because
         the root subsumes everything."""
-        i1, i2 = self.index_of(c1), self.index_of(c2)
-        common = self._ancestors[i1] & self._ancestors[i2]
+        common = (self.ancestor_indices(self.index_of(c1))
+                  & self.ancestor_indices(self.index_of(c2)))
         return frozenset(self._ids[a] for a in common)
 
     def shortest_path_len(self, c1: str, c2: str) -> int:
@@ -370,9 +436,7 @@ class Taxonomy:
         ``range(concept_count)`` raises UnknownConceptError, any other
         index, or a ``limit`` other than an int or None, TypeError.
         """
-        for k in (i, j):
-            if not 0 <= operator.index(k) < len(self._ids):
-                raise UnknownConceptError(f"unknown concept index: {_shown(k)}")
+        goal_b, goal_a = self.ancestor_indices(i), self.ancestor_indices(j)  # far ends' ancestors
         if limit is not None:
             limit = operator.index(limit)
         if i == j:
@@ -380,7 +444,6 @@ class Taxonomy:
         parents, down = self._parents, self._down
         seen_a, seen_b = {i}, {j}
         front_a, front_b = [i], [j]
-        goal_a, goal_b = self._ancestors[j], self._ancestors[i]  # far ends' ancestors
         reach = 0  # d_a + d_b
         while front_a and front_b:
             if limit is not None and reach >= limit:
@@ -578,5 +641,5 @@ def load_taxonomy(edges_path: str | os.PathLike,
     with open(lexicon_path, encoding="utf-8-sig") as fh:
         lexicon = _parse_pair_columns(fh, str(lexicon_path))
     parts = _index_columns(*edges, *lexicon)
-    del edges, lexicon  # free the columns before the closure is built
+    del edges, lexicon  # free the columns before the taxonomy is built
     return Taxonomy(*parts)

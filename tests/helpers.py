@@ -256,6 +256,14 @@ def oracle_ancestors(concepts, edges):
     return anc
 
 
+def oracle_valleys(concepts, edges):
+    """The valleys: every ancestor-or-self of a concept with two or more
+    parents, from the fixpoint closure."""
+    parents = oracle_parents(concepts, edges)
+    anc = oracle_ancestors(concepts, edges)
+    return set().union(*(anc[c] for c in concepts if len(parents[c]) > 1))
+
+
 def oracle_freq(concepts, edges, senses, counts):
     """freq(c) by enumerating every word and testing subsumption against
     independently computed ancestor sets."""

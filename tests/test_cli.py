@@ -2,6 +2,7 @@
 
 import json
 import math
+import unicodedata
 from types import SimpleNamespace
 
 import pytest
@@ -370,6 +371,75 @@ class TestStats:
         _, first, _ = _run(capsys, args)
         _, second, _ = _run(capsys, args)
         assert first == second
+
+
+class TestOneFormPerWord:
+    """A word in its composed and in its decomposed Unicode form is one
+    word in every file and argument."""
+
+    @pytest.fixture
+    def cafe_files(self, tmp_path):
+        paths = {kind: tmp_path / f"{kind}.tsv" for kind in ("taxonomy", "lexicon")}
+        paths["taxonomy"].write_text("a\tr\nb\tr\n", encoding="utf-8")
+        paths["lexicon"].write_text("caf\u00e9\ta\ntea\tb\n", encoding="utf-8")
+        for form in ("NFC", "NFD"):
+            paths[form] = tmp_path / f"counts-{form}.tsv"
+            paths[form].write_text(
+                unicodedata.normalize(form, "caf\u00e9\t30\ntea\t10\n"), encoding="utf-8")
+        return paths
+
+    def test_counts_in_either_form_give_identical_stdout(self, capsys, cafe_files):
+        outs = []
+        for form in ("NFC", "NFD"):
+            code, out, err = _run(capsys, ["stats"] + _base_args(cafe_files)
+                                  + ["--counts", str(cafe_files[form])])
+            assert (code, err) == (0, "")  # no count mass dropped
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert outs[0].splitlines()[0] == "a\t30\t0.7500\t0.4150"
+
+    def test_sim_words_in_either_form_give_identical_stdout(self, capsys, cafe_files):
+        outs = [
+            _run(capsys, ["sim", unicodedata.normalize(form, "Caf\u00e9"), "tea"]
+                 + _base_args(cafe_files) + ["--counts", str(cafe_files["NFD"])])
+            for form in ("NFC", "NFD")
+        ]
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0
+        assert outs[0][1].startswith("caf\u00e9\ttea\tresnik\t")
+
+
+class TestDroppedCountMass:
+    @pytest.mark.parametrize("command", [["sim", "x", "y"], ["stats"], ["eval"]],
+                             ids=["sim", "stats", "eval"])
+    def test_share_on_stderr_and_stdout_unchanged(self, capsys, tmp_path, toy_files,
+                                                  command):
+        if command == ["eval"]:
+            command = ["eval", "--benchmark", str(toy_files["benchmark"])]
+        args = command + _base_args(toy_files)
+        code, kept, err = _run(capsys, args + ["--counts", str(toy_files["counts"])])
+        assert (code, err) == (0, "")
+        counts = tmp_path / "more.tsv"
+        counts.write_text(toy_files["counts"].read_text(encoding="utf-8")
+                          + "unlisted\t12\n", encoding="utf-8")
+        code, out, err = _run(capsys, args + ["--counts", str(counts)])
+        assert code == 0
+        assert err == ("note: 75.00% of the count mass (12 of 16) is dropped: "
+                       "its words are not in the lexicon\n")
+        if command[0] == "sim":  # the scores do not depend on the dropped words
+            assert out.replace("resnik\t2.0000", "resnik\t0.4150").splitlines()[1:] == (
+                kept.splitlines()[1:])
+        elif command[0] == "stats":
+            assert out == kept
+
+    def test_share_of_counts_beyond_float_range(self, capsys, tmp_path, toy_files):
+        counts = tmp_path / "huge.tsv"
+        counts.write_text("x\t1\nunlisted\t" + "9" * 400 + "\n", encoding="utf-8")
+        code, _, err = _run(capsys, ["stats"] + _base_args(toy_files)
+                            + ["--counts", str(counts)])
+        assert code == 0
+        assert err == (f"note: 100.00% of the count mass ({'9' * 400} of 1{'0' * 400}) "
+                       "is dropped: its words are not in the lexicon\n")
 
 
 class TestUnreadableInput:

@@ -16,6 +16,7 @@ import math
 import random
 import re
 import sys
+import unicodedata
 from decimal import Decimal
 from fractions import Fraction
 
@@ -60,6 +61,7 @@ FRAGMENTS = [
     b"\t", b"\n", b"\r\n", b"\r", b" ", b"#", b",", b'"', b"-", b"0", b"7",
     b"1e308", b"-1.7e308", b"nan", b"word1,word2,rating\n",
     b"\xef\xbb\xbf", b"\xff", b"\xc3", b"\x00",
+    "caf\u00e9".encode(), "cafe\u0301".encode(),  # one word, composed and decomposed
 ]
 CONTENTS = st.one_of(
     st.binary(max_size=64),
@@ -135,9 +137,12 @@ HOSTILE = st.one_of(
     st.integers(-3, 10**6),
     st.floats(min_value=-1e6, max_value=1e6),
 )
-# toy lexicon words as given and unnormalized, an unlisted word, and a
-# plural of a toy word
-TOY_WORDS = st.sampled_from(["x", "y", "z", " X", "Z ", "unlisted", "Xs"])
+# one word with a composed and with a decomposed accent, each also
+# capitalized: all four are one word
+CAFE = ["caf\u00e9", "cafe\u0301", "CAF\u00c9", "CAFE\u0301"]
+# toy lexicon words as given and unnormalized, an unlisted word, a
+# plural of a toy word, and the spellings of an unlisted non-ASCII word
+TOY_WORDS = st.sampled_from(["x", "y", "z", " X", "Z ", "unlisted", "Xs"] + CAFE)
 WORDS = st.one_of(TOY_WORDS, HOSTILE)  # hostile words are hashable non-str
 NOT_A_TABLE = [None, [5, 2], {"x": 2}, "x"]
 # about half of the tables and rows are valid, so that the value checks run
@@ -147,6 +152,11 @@ COUNTS = st.one_of(st.dictionaries(TOY_WORDS, st.integers(0, 9), max_size=4),
 FINITE = st.one_of(st.integers(-9, 9), st.floats(-4.0, 4.0))
 ROW = st.one_of(st.tuples(TOY_WORDS, TOY_WORDS, FINITE), st.tuples(WORDS, WORDS, HOSTILE))
 PAIR = st.one_of(st.tuples(FINITE, FINITE), st.tuples(HOSTILE, HOSTILE))
+
+
+def _norm(word: str) -> str:
+    """The documented normal form of a word: stripped, lowercased, NFC."""
+    return unicodedata.normalize("NFC", word.strip().lower())
 
 
 def _named(v) -> str:
@@ -198,7 +208,7 @@ def test_corpus_surface(toy_taxonomy, counts, log_base, other, stems):
         table.counts["y"] = 2.5
     merged = {}
     for word, count in counts.items():
-        key = word.strip().lower()
+        key = _norm(word)
         if stems is not None and key.endswith("s") and key[:-1] in stems:
             key = key[:-1]
         merged[key] = merged.get(key, 0) + count
@@ -309,9 +319,9 @@ SENSE_SET = st.one_of(st.lists(ID, max_size=3),
 # about half of the arguments hold only valid values, so that builds succeed
 EDGES = st.one_of(st.lists(GOOD_EDGE, min_size=1, max_size=5), st.lists(EDGE, max_size=5))
 LEXICON = st.one_of(
-    st.dictionaries(st.sampled_from(["w", " W", "v"]),
+    st.dictionaries(st.sampled_from(["w", " W", "v"] + CAFE),
                     st.lists(st.sampled_from(IDS), min_size=1, max_size=2), max_size=2),
-    st.dictionaries(st.one_of(st.sampled_from(["w", " W", "v", "", " "]),
+    st.dictionaries(st.one_of(st.sampled_from(["w", " W", "v", "", " "] + CAFE[:2]),
                               st.sampled_from(BAD_IDS[:7]), BIG_INT), SENSE_SET, max_size=3))
 CONCEPTS = st.one_of(st.lists(st.sampled_from(IDS), max_size=2), st.lists(ID, max_size=3),
                      st.sampled_from(["ab", ""]))
@@ -348,7 +358,7 @@ def _expected_build(edges, senses, concepts):
         if not (isinstance(word, str) and word.strip() and isinstance(cids, (list, set, dict))
                 and cids and all(isinstance(c, str) and c in ids for c in cids)):
             return None
-        lexicon.setdefault(word.strip().lower(), set()).update(cids)
+        lexicon.setdefault(_norm(word), set()).update(cids)
     return parents, lexicon
 
 
@@ -365,6 +375,8 @@ def _expected_build(edges, senses, concepts):
 @example(edges=[("a", "r")], senses={"w": [BIG]}, concepts=[])
 @example(edges=[("a", "r")], senses={BIG: ["a"]}, concepts=[])
 @example(edges=[("a", "r"), ("b", "r"), ("c", "a")], senses={}, concepts=[])
+@example(edges=[("a", "r"), ("b", "r")], senses=dict(zip(CAFE[:2], (["a"], ["b"]))),
+         concepts=[])
 def test_build_surface(edges, senses, concepts):
     expected = _expected_build(edges, senses, concepts)
     if expected is None:
@@ -375,16 +387,21 @@ def test_build_surface(edges, senses, concepts):
     parents, lexicon = expected
     assert {c: t.parents_of(c) for c in t.concepts()} == parents
     assert {w: t.senses_of(w) for w in t.words()} == lexicon
+    for word in senses:  # each spelling as given
+        assert t.senses_of(word) == lexicon[_norm(word)]
     ids = t.concepts()  # the index level
+    edge_list = [(c, p) for c, ps in parents.items() for p in ps]
+    anc = helpers.oracle_ancestors(ids, edge_list)
     for c in ids:
         i = t.index_of(c)
         assert ids[i] == c
-        assert {ids[a] for a in t.ancestors_by_index[i]} == t.subsumers(c)
+        assert {ids[a] for a in t.ancestor_indices(i)} == anc[c] == t.subsumers(c)
     for i in (-1, t.concept_count, 10**400, 1.0, None):
+        with pytest.raises(UnknownConceptError if isinstance(i, int) else TypeError):
+            t.ancestor_indices(i)
         for args in ((i, 0), (0, i)):
             with pytest.raises(UnknownConceptError if isinstance(i, int) else TypeError):
                 t.path_len(*args)
-    edge_list = [(c, p) for c, ps in parents.items() for p in ps]
     for c1 in ids:
         for c2 in ids:
             i, j = t.index_of(c1), t.index_of(c2)
@@ -425,16 +442,24 @@ CONCEPT = st.one_of(st.sampled_from(["root", "A", "B", "A1", "A2", "a", "A ", "x
                     HOSTILE, st.sampled_from([["A"], {"A": 1}, {"A"}, 10**400]))
 WORD_VALUE = st.one_of(st.sampled_from(["x", "y", "z", " X", "Z "]), WORDS,
                        st.sampled_from(["", "a\tb", ["x"], {"x"}, 10**400]))
+# concept indices of the toy taxonomy, out-of-range ints and other values
+INDEX = st.one_of(st.integers(-2, 6), HOSTILE, st.sampled_from(["0", [0], 10**400]))
 
 
 @settings(max_examples=_budget(150), derandomize=True, database=None, deadline=None)
-@given(concept=CONCEPT, word=WORD_VALUE)
-@example(concept=["x"], word=["x"])
-@example(concept=BIG, word=BIG)
-def test_lookup_surface(toy_taxonomy, toy_model, concept, word):
+@given(concept=CONCEPT, word=WORD_VALUE, index=INDEX)
+@example(concept=["x"], word=["x"], index=[0])
+@example(concept=BIG, word=BIG, index=BIG)
+def test_lookup_surface(toy_taxonomy, toy_model, concept, word, index):
     t, m = toy_taxonomy, toy_model
+    anc = helpers.oracle_ancestors(t.concepts(), TOY_EDGES)
+    if isinstance(index, int) and 0 <= index < t.concept_count:
+        assert {t.concepts()[a] for a in t.ancestor_indices(index)} == anc[t.concepts()[index]]
+    else:
+        with pytest.raises(UnknownConceptError if isinstance(index, int) else TypeError):
+            t.ancestor_indices(index)
     senses = {w: frozenset(cs) for w, cs in TOY_SENSES.items()}
-    key = word.strip().lower() if isinstance(word, str) else None
+    key = _norm(word) if isinstance(word, str) else None
     assert t.senses_of(word) == senses.get(key, frozenset())
     assert t.sense_indices(word) == tuple(sorted(map(t.index_of, t.senses_of(word))))
     lookups = [t.index_of, t.subsumers, t.parents_of, t.depth_of, m.freq, m.p, m.ic,
@@ -447,7 +472,6 @@ def test_lookup_surface(toy_taxonomy, toy_model, concept, word):
                 lookup(concept)
         return
     assert t.concepts()[t.index_of(concept)] == concept
-    anc = helpers.oracle_ancestors(t.concepts(), TOY_EDGES)
     assert t.subsumers(concept) == anc[concept]
     assert m.freq(concept) == helpers.oracle_freq(
         t.concepts(), TOY_EDGES, TOY_SENSES, TOY_COUNTS)[concept]
@@ -499,7 +523,7 @@ def test_word_measure_surface(toy_taxonomy, toy_model, w1, w2, measure, log_base
             with pytest.raises(UnknownWordError):
                 call()
         return
-    a, b = w1.strip().lower(), w2.strip().lower()
+    a, b = _norm(w1), _norm(w2)
     args = (t.concepts(), TOY_EDGES, TOY_SENSES)
     expected = {"resnik": lambda: helpers.oracle_resnik_words(*args, m, a, b),
                 "edge": lambda: helpers.oracle_edge_words(*args, a, b),

@@ -6,7 +6,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -17,6 +17,7 @@ from helpers import (
     TOY_COUNTS,
     TOY_EDGES,
     TOY_SENSES,
+    _budget,
 )
 from taxsim import (
     FrequencyTable,
@@ -284,6 +285,49 @@ def test_propagation_oracle_with_every_kind_of_word():
                     else "one" if len(senses[word]) == 1 else "several")
             kinds[kind] += 1
     assert min(kinds.values()) >= 20, kinds
+
+
+def test_propagation_under_nested_diamonds_and_trees_below_valleys():
+    # d is the bottom of the diamond a, b; x the bottom of a second one,
+    # m1, m2, under d.  Trees hang below the valleys m1 and x, and below
+    # the root; their mass is handed up to the valley above them, which
+    # walks it up once.
+    edges = [("a", "r"), ("b", "r"), ("d", "a"), ("d", "b"),
+             ("m1", "d"), ("m2", "d"), ("x", "m1"), ("x", "m2"),
+             ("t1", "m1"), ("t2", "t1"), ("t3", "t1"),
+             ("u1", "x"), ("u2", "u1"),
+             ("s1", "r"), ("s2", "s1")]
+    senses = {"t2": {"t2"}, "t3": {"t3"}, "u1": {"u1"}, "u2": {"u2"}, "x": {"x"},
+              "d": {"d"}, "m1": {"m1"}, "s2": {"s2"}, "t1": {"t1"},
+              "two": {"t2", "u2"}, "far": {"s2", "x"}, "nested": {"x", "m2", "t3"}}
+    counts = {"t2": 1, "t3": 2, "u1": 4, "u2": 8, "x": 16, "d": 32, "m1": 64,
+              "s2": 128, "t1": 0, "two": 256, "far": 512, "nested": 1024, "none": 2048}
+    concepts = sorted({c for e in edges for c in e})
+    t = Taxonomy.build(edges, senses)
+    ids = t.concepts()
+    assert {ids[i] for i, flag in enumerate(t.valleys_by_index) if flag} == {
+        "r", "a", "b", "d", "m1", "m2", "x"}
+    model = build_model(t, FrequencyTable.from_counts(counts))
+    expected = helpers.oracle_freq(concepts, edges, senses, counts)
+    assert {c: model.freq(c) for c in concepts} == expected
+    assert model.N == expected["r"] == sum(counts.values()) - counts["none"]
+
+
+@settings(max_examples=_budget(60), derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=0)
+def test_propagation_on_sparse_dags(seed):
+    # mostly trees, as at benchmark scale, so that most one-sense mass is
+    # handed up from child to parent rather than walked up from a valley
+    rng = random.Random(seed)
+    concepts, edges, senses = helpers.random_sparse_instance(rng)
+    counts = {w: rng.randint(0, 50) for w in senses}
+    counts["w0"] += 1
+    counts["unlisted"] = rng.randint(0, 50)
+    t = Taxonomy.build(edges, senses, concepts=concepts)
+    model = build_model(t, FrequencyTable.from_counts(counts))
+    expected = helpers.oracle_freq(concepts, edges, senses, counts)
+    assert [model.freq(c) for c in concepts] == [expected[c] for c in concepts]
 
 
 @settings(max_examples=60, deadline=None)

@@ -16,6 +16,7 @@ from taxsim import (
     Taxonomy,
     UnknownConceptError,
     UnknownWordError,
+    WORD_MEASURES,
     build_model,
     evaluate,
     finite_common_subsumers,
@@ -636,3 +637,20 @@ def test_log_base_change_preserves_witnesses(seed):
         assert s2.witness == se.witness
         assert s2.sense_pair == se.sense_pair
         assert se.value == pytest.approx(s2.value * math.log(2), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_query_builds_only_the_ancestors_of_its_senses(seed):
+    rng = random.Random(seed)
+    concepts, edges, senses = helpers.random_sparse_instance(rng)
+    t = Taxonomy.build(edges, senses, concepts=concepts)
+    model = build_model(t, FrequencyTable.from_counts(dict.fromkeys(senses, 1)))
+    ids = t.concepts()
+    assert all(anc is None for anc in t._ancestors)  # the load built none
+    w1, w2 = rng.choice(sorted(senses)), rng.choice(sorted(senses))
+    for measure in WORD_MEASURES:
+        word_similarity(measure, t, w1, w2, model)
+    anc = helpers.oracle_ancestors(concepts, edges)
+    built = {ids[i]: {ids[a] for a in s} for i, s in enumerate(t._ancestors) if s is not None}
+    assert set(built) == set().union(*(anc[c] for c in senses[w1] | senses[w2]))
+    assert all(s == anc[c] for c, s in built.items())

@@ -2,6 +2,9 @@
 
 import io
 import random
+import sys
+import threading
+import unicodedata
 
 import pytest
 from hypothesis import example, given, settings
@@ -164,14 +167,15 @@ class TestBuild:
 
 @settings(max_examples=100, deadline=None)
 @given(senses=st.dictionaries(
-    st.sampled_from(["dog", "Dog", " dog", "DOG\t", "cat", "Cat", "eel"]),
+    st.sampled_from(["dog", "Dog", " dog", "DOG\t", "cat", "Cat", "eel",
+                     "caf\u00e9", "CAFE\u0301"]),
     st.lists(st.sampled_from(["a", "b", "c", "r"]), min_size=1, max_size=3),
 ))
 def test_sense_map_independent_of_container_type(senses):
     edges = [("a", "r"), ("b", "r"), ("c", "a")]
     expected = {}
     for word, cids in senses.items():
-        expected.setdefault(word.strip().lower(), set()).update(cids)
+        expected.setdefault(_nfc(word.strip().lower()), set()).update(cids)
     for make in (list, tuple, set, lambda cids: (c for c in cids)):
         t = Taxonomy.build(edges, {w: make(cids) for w, cids in senses.items()})
         assert {w: t.sense_indices(w) for w in t.words()} == {
@@ -179,22 +183,29 @@ def test_sense_map_independent_of_container_type(senses):
         }
 
 
-_CASE_TRAPS = st.text(st.sampled_from("İiIıΣσςΟΔẞßǅx \t\n\u00a0\u2003\u0307"), max_size=6)
+_CASE_TRAPS = st.text(st.sampled_from(
+    "İiIıΣσςΟΔẞßǅxeéÉ \t\n\u00a0\u2003\u0307\u0301"), max_size=6)
+
+
+def _nfc(word: str) -> str:
+    return unicodedata.normalize("NFC", word)
 
 
 @settings(max_examples=300, deadline=None)
 @given(lexicon=st.lists(_CASE_TRAPS, max_size=6), word=_CASE_TRAPS)
 @example(lexicon=["ΟΔΟΣ"], word=" ΟΔΟΣ")  # final sigma: "οδος"
 @example(lexicon=["İ"], word="i\u0307")   # "İ".lower() is two code points
+@example(lexicon=["caf\u00e9"], word="CAFE\u0301")  # é composed and decomposed
 def test_sense_lookup_as_given_matches_normalized(lexicon, word):
     # sense_indices tries a word as given before normalizing it, which is
-    # sound only if every stored word is unchanged by strip() and lower()
+    # sound only if every stored word is unchanged by strip(), lower() and NFC
     keys = [k for k in lexicon + [word] if k.strip().lower()]
     t = Taxonomy.build([("a", "r"), ("b", "r")],
                        {k: ["a" if n % 2 else "b"] for n, k in enumerate(keys)})
-    assert all(w.strip().lower() == w for w in t.words())
-    for probe in (word, word.upper(), word.lower(), f" {word}\t", word.strip().lower()):
-        assert t.sense_indices(probe) == t.sense_indices(probe.strip().lower())
+    assert all(_nfc(w.strip().lower()) == w for w in t.words())
+    for probe in (word, word.upper(), word.lower(), f" {word}\t", word.strip().lower(),
+                  unicodedata.normalize("NFD", word)):
+        assert t.sense_indices(probe) == t.sense_indices(_nfc(probe.strip().lower()))
 
 
 class TestLoadTaxonomy:
@@ -483,3 +494,92 @@ def test_random_dags_depth_bounded_by_root_path(seed):
     for c in concepts:
         assert t.depth_of(c) >= t.shortest_path_len(t.root, c)
         assert t.depth_of(c) <= t.max_depth
+
+
+@settings(max_examples=_budget(60), derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sparse=st.booleans())
+def test_valley_flags_match_the_closure(seed, sparse):
+    # the flags come from one pass, children before parents, that builds
+    # no closure; the oracle takes every ancestor-or-self of a concept
+    # with two or more parents from the fixpoint closure
+    rng = random.Random(seed)
+    if sparse:
+        concepts, edges, _ = helpers.random_sparse_instance(rng)
+    else:
+        concepts, edges, _, _ = helpers.random_instance(rng)
+    t = Taxonomy.build(edges, concepts=concepts)
+    ids = t.concepts()
+    assert {ids[i] for i, flag in enumerate(t.valleys_by_index) if flag} == (
+        helpers.oracle_valleys(concepts, edges))
+    assert set(t.valleys_by_index) <= {0, 1}
+    parents = helpers.oracle_parents(concepts, edges)
+    assert [{ids[p] for p in ps} for ps in t.parents_by_index] == [parents[c] for c in ids]
+    position = {i: k for k, i in enumerate(t.topological_order)}
+    assert sorted(position) == list(range(t.concept_count))
+    for i, ps in enumerate(t.parents_by_index):
+        assert all(position[p] < position[i] for p in ps)
+
+
+def _built(t):
+    """The concepts whose ancestor sets ``t`` has built."""
+    return {c for c, anc in zip(t.concepts(), t._ancestors) if anc is not None}
+
+
+class TestAncestorMemo:
+    def test_load_builds_no_ancestor_set(self, toy_files):
+        t = load_taxonomy(toy_files["taxonomy"], toy_files["lexicon"])
+        assert _built(t) == set()
+        assert t.concept_count == 5
+
+    def test_a_set_is_built_with_its_ancestors_and_kept(self):
+        t = Taxonomy.build(DIAMOND_EDGES, DIAMOND_SENSES)
+        anc = helpers.oracle_ancestors(t.concepts(), DIAMOND_EDGES)
+        first = t.ancestor_indices(t.index_of("M"))
+        assert _built(t) == anc["M"] == {"M", "top"}
+        d = t.ancestor_indices(t.index_of("D"))  # builds E, reads M and top
+        assert _built(t) == anc["D"]
+        assert {t.concepts()[a] for a in d} == anc["D"]
+        assert t.ancestor_indices(t.index_of("M")) is first
+
+    def test_threads_racing_on_a_fresh_taxonomy_agree_with_one_thread(self):
+        # a lost or torn update of the memo would show as a wrong set or
+        # path length in some thread
+        rng = random.Random(5)
+        edges = []
+        for i in range(1, 2000):
+            k = 2 if i > 1 and rng.random() < 0.1 else 1
+            edges += [(f"c{i}", f"c{p}") for p in rng.sample(range(i), k)]
+        pairs = [(rng.randrange(2000), rng.randrange(2000)) for _ in range(100)]
+        reference = Taxonomy.build(edges)
+        ids = reference.concepts()
+        want_subs = [reference.subsumers(c) for c in ids]
+        want_paths = [reference.path_len(i, j) for i, j in pairs]
+
+        t = Taxonomy.build(edges)
+        start = threading.Barrier(4)
+        results = [None] * 4
+
+        def work(k):
+            order = list(range(len(ids)))
+            random.Random(k).shuffle(order)  # each thread misses in its own order
+            start.wait()
+            subs = [None] * len(ids)
+            for i in order:
+                subs[i] = t.subsumers(ids[i])
+            results[k] = subs, [t.path_len(i, j) for i, j in pairs]
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for subs, paths in results:
+            assert subs == want_subs
+            assert paths == want_paths
+        assert [{ids[a] for a in t.ancestor_indices(i)} for i in range(len(ids))] == want_subs
