@@ -25,6 +25,7 @@ be queried with the taxonomy object it was built on; any other raises
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from numbers import Real
 from typing import Mapping
@@ -43,6 +44,9 @@ CORPUS_MEASURES = ("resnik", "prob")
 
 #: Tolerance on the sum of alpha weights.
 WEIGHT_SUM_TOLERANCE = 1e-9
+
+# The weight types that need no abstract-class check to count as real.
+_BUILTIN_REALS = frozenset({float, int})
 
 # A model's per-index arrays mean nothing over another taxonomy's indices.
 _OTHER_TAXONOMY = "the model was built on another taxonomy than the one queried"
@@ -85,9 +89,9 @@ def _best_subsumer(model: ProbabilityModel, t: Taxonomy, measure: str,
     values = model.one_minus_p_by_index if measure == "prob" else model.ic_by_index
     best, found, inf = -math.inf, None, math.inf
     for i1 in s1:
-        a1 = anc(i1)
+        a1 = set(anc(i1))
         for i2 in s2:
-            for c in sorted(a1 & anc(i2)):
+            for c in sorted(a1.intersection(anc(i2))):
                 if best < (v := values[c]) < inf:
                     best, found = v, (c, i1, i2)
     ids, (c, i1, i2) = t.concepts(), found
@@ -176,7 +180,7 @@ def _finite_ic_subsumers(model: ProbabilityModel, t: Taxonomy,
     if model.taxonomy is not t:
         raise ValueError(_OTHER_TAXONOMY)
     ic, inf, ids, anc = model.ic_by_index, math.inf, t.concepts(), t.ancestor_indices
-    common = anc(t.index_of(c1)) & anc(t.index_of(c2))
+    common = set(anc(t.index_of(c1))).intersection(anc(t.index_of(c2)))
     return {ids[c]: ic[c] for c in sorted(common) if ic[c] != inf}
 
 
@@ -210,8 +214,10 @@ def sim_weighted(model: ProbabilityModel, t: Taxonomy, c1: str, c2: str,
         missing, extra = (", ".join(sorted(map(_shown, ks))) for ks in (
             domain.keys() - weights.keys(), weights.keys() - domain.keys()))
         raise ValueError(f"weight domain mismatch: missing [{missing}], unexpected [{extra}]")
+    values = weights.values()
     try:
-        if not all(issubclass(kind, Real) for kind in set(map(type, weights.values()))):
+        kinds = set(map(type, values))
+        if not (kinds <= _BUILTIN_REALS or all(issubclass(kind, Real) for kind in kinds)):
             cid, w = next((c, w) for c, w in weights.items() if not isinstance(w, Real))
             raise TypeError
         for cid, w in weights.items():
@@ -222,10 +228,10 @@ def sim_weighted(model: ProbabilityModel, t: Taxonomy, c1: str, c2: str,
     except (TypeError, OverflowError):  # not a real number, or an int beyond float range
         raise ValueError(
             f"weight for {_shown(cid)} is not a finite real: {type(w).__name__}") from None
-    total = math.fsum(weights.values())
+    total = math.fsum(values)
     if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
         raise ValueError(f"weights sum to {total!r}, expected 1.0")
-    return math.fsum(w * domain[cid] for cid, w in weights.items())
+    return math.fsum(map(operator.mul, values, map(domain.__getitem__, weights)))
 
 
 def word_similarity(measure: str, t: Taxonomy, w1: str, w2: str,

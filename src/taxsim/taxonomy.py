@@ -7,13 +7,14 @@ senses.  Construction validates the structure once; afterwards the
 object is immutable and every query is safe for unsynchronized use from
 multiple threads.
 
-The one thing a query changes is a memo: each concept's ancestor set is
-built the first time a query asks for it and kept in a list slot that
-held None.  That needs no lock.  Every set built for a slot is equal to
-any other built for it, since each is a function of the fixed graph
-alone; storing an item in a list is atomic; and a build reads only
-slots that are already filled, which never go back to None.  Two
-threads that miss together at worst build the same set twice.
+The one thing a query changes is a memo: each concept's ancestors are
+built the first time a query asks for them, as a tuple, and kept in a
+list slot that held None.  That needs no lock.  Every tuple built for a
+slot is equal to any other built for it, order included, since each is
+a function of the fixed graph alone; storing an item in a list is
+atomic; and a build reads only slots that are already filled, which
+never go back to None.  Two threads that miss together at worst build
+the same tuple twice.
 
 Input formats (UTF-8 text, ``#`` lines ignored, duplicate lines
 idempotent):
@@ -32,7 +33,7 @@ process-wide cyclic garbage collector and restores the caller's
 acyclic containers, which the collector would otherwise scan many times
 over as they pile up.  Two threads loading at once may overlap their
 pauses, which is harmless; queries never touch the collector, and
-building an ancestor set on a query's first request for it does not
+building an ancestor tuple on a query's first request for it does not
 pause it either.
 """
 
@@ -225,9 +226,12 @@ class Taxonomy:
                 down[p] += (v,)
         self._down = down
         self.max_depth = max(depths)
-        # Each concept's ancestor set, built by ancestor_indices on first
-        # request; None until then.
-        self._ancestors: list[frozenset[int] | None] = [None] * n
+        # Each concept's ancestor indices as a tuple, root first and the
+        # concept last, built by ancestor_indices on first request; None
+        # until then.  A tuple of ints takes a fifth of the memory of a
+        # frozenset, and the collector stops tracking it once it survives
+        # one collection.
+        self._ancestors: list[tuple[int, ...] | None] = [None] * n
 
     # ------------------------------------------------------------------
     # construction
@@ -296,23 +300,33 @@ class Taxonomy:
             senses = self._senses.get(_normalized((word,))[0])
         return senses or ()
 
-    def ancestor_indices(self, i: int) -> frozenset[int]:
-        """The indices of the ancestors of the concept of index ``i``
-        (itself and the root included).
+    def ancestor_indices(self, i: int) -> tuple[int, ...]:
+        """The distinct indices of the ancestors of the concept of index
+        ``i``, the root first, each after all of its own ancestors, and
+        ``i`` itself last.
 
-        A set is built from its parents' sets the first time it is asked
-        for, and kept.  A miss collects the unbuilt ancestors of ``i`` by
-        walking up, then builds them in order of depth, so that each
-        parent's set is there before its children's.  An int index
+        The tuple is built from its parents' tuples the first time it is
+        asked for, and kept, so every call returns the same object.  With
+        one parent, it is the parent's tuple plus ``i``; otherwise the
+        parents' tuples are merged in order, each index kept where it
+        first appears.  A miss whose one parent is built is one
+        concatenation; any other collects the unbuilt ancestors of ``i``
+        by walking up, then builds them in order of depth, so that each
+        parent's tuple is there before its children's.  An int index
         outside ``range(concept_count)`` raises UnknownConceptError, any
         other index TypeError.
         """
         if not 0 <= operator.index(i) < len(self._ids):
             raise UnknownConceptError(f"unknown concept index: {_shown(i)}")
-        built = self._ancestors[i]
+        memo = self._ancestors
+        built = memo[i]
         if built is not None:
             return built
-        memo, parents = self._ancestors, self._parents
+        parents = self._parents
+        ps = parents[i]
+        if len(ps) == 1 and (up := memo[ps[0]]) is not None:
+            memo[i] = built = up + (i,)
+            return built
         todo, seen = [i], {i}
         for u in todo:
             for p in parents[u]:
@@ -323,9 +337,9 @@ class Taxonomy:
         for u in todo:
             ps = parents[u]
             if len(ps) == 1:  # most nodes
-                memo[u] = memo[ps[0]] | {u}
-            else:
-                memo[u] = frozenset({u}).union(*map(memo.__getitem__, ps))
+                memo[u] = memo[ps[0]] + (u,)
+            else:  # the root, or a merge of two or more parents
+                memo[u] = (*dict.fromkeys(chain.from_iterable(map(memo.__getitem__, ps))), u)
         return memo[i]
 
     @property
@@ -388,8 +402,8 @@ class Taxonomy:
     def common_subsumers(self, c1: str, c2: str) -> frozenset[str]:
         """Concepts subsuming both ``c1`` and ``c2``; never empty because
         the root subsumes everything."""
-        common = (self.ancestor_indices(self.index_of(c1))
-                  & self.ancestor_indices(self.index_of(c2)))
+        common = set(self.ancestor_indices(self.index_of(c1))).intersection(
+            self.ancestor_indices(self.index_of(c2)))
         return frozenset(self._ids[a] for a in common)
 
     def shortest_path_len(self, c1: str, c2: str) -> int:
@@ -436,7 +450,8 @@ class Taxonomy:
         ``range(concept_count)`` raises UnknownConceptError, any other
         index, or a ``limit`` other than an int or None, TypeError.
         """
-        goal_b, goal_a = self.ancestor_indices(i), self.ancestor_indices(j)  # far ends' ancestors
+        # the far ends' ancestors
+        goal_b, goal_a = set(self.ancestor_indices(i)), set(self.ancestor_indices(j))
         if limit is not None:
             limit = operator.index(limit)
         if i == j:

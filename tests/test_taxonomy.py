@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import DIAMOND_EDGES, DIAMOND_SENSES, TOY_EDGES, TOY_SENSES, _budget
+from helpers import COIN_EDGES, DIAMOND_EDGES, DIAMOND_SENSES, TOY_EDGES, TOY_SENSES, _budget
 from taxsim import (
     SYNTHETIC_ROOT,
     Taxonomy,
@@ -520,6 +520,37 @@ def test_valley_flags_match_the_closure(seed, sparse):
         assert all(position[p] < position[i] for p in ps)
 
 
+@settings(max_examples=_budget(60), derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sparse=st.booleans())
+def test_ancestor_tuples_match_the_closure_in_order(seed, sparse):
+    # each stored tuple holds the fixpoint closure once, root first, each
+    # member after its parents and the concept last, whatever the order
+    # the queries miss in: a parent built before its child takes the
+    # one-parent path, a cold concept the walk from it
+    rng = random.Random(seed)
+    if sparse:
+        concepts, edges, _ = helpers.random_sparse_instance(rng)
+    else:
+        concepts, edges, _, _ = helpers.random_instance(rng)
+    t = Taxonomy.build(edges, concepts=concepts)
+    ids = t.concepts()
+    closure = helpers.oracle_ancestors(concepts, edges)
+    parents = helpers.oracle_parents(concepts, edges)
+    root = t.index_of(helpers.oracle_root(concepts, edges))
+    misses = list(range(t.concept_count))
+    rng.shuffle(misses)
+    for i in misses:
+        anc = t.ancestor_indices(i)
+        assert type(anc) is tuple
+        assert len(set(anc)) == len(anc)
+        assert {ids[a] for a in anc} == closure[ids[i]]
+        assert anc[0] == root and anc[-1] == i
+        position = {ids[a]: k for k, a in enumerate(anc)}
+        for k, a in enumerate(anc):
+            assert all(position[p] < k for p in parents[ids[a]] if p in position)
+    assert all(t.ancestor_indices(i) is anc for i, anc in enumerate(t._ancestors))
+
+
 def _built(t):
     """The concepts whose ancestor sets ``t`` has built."""
     return {c for c, anc in zip(t.concepts(), t._ancestors) if anc is not None}
@@ -540,6 +571,19 @@ class TestAncestorMemo:
         assert _built(t) == anc["D"]
         assert {t.concepts()[a] for a in d} == anc["D"]
         assert t.ancestor_indices(t.index_of("M")) is first
+        assert all(type(a) is tuple for a in t._ancestors if a is not None)
+        assert [t.concepts()[a] for a in d] == ["top", "M", "E", "D"]  # parents merged in order
+
+    def test_a_child_of_a_built_parent_extends_the_parent_tuple(self):
+        t = Taxonomy.build(COIN_EDGES)
+        coin = t.ancestor_indices(t.index_of("coin"))
+        built = _built(t)
+        nickel = t.ancestor_indices(t.index_of("nickel"))  # one parent, already built
+        assert _built(t) == built | {"nickel"}
+        assert type(nickel) is tuple
+        assert nickel == coin + (t.index_of("nickel"),)
+        assert [t.concepts()[a] for a in nickel] == [
+            "thing", "medium_of_exchange", "money", "cash", "coin", "nickel"]
 
     def test_threads_racing_on_a_fresh_taxonomy_agree_with_one_thread(self):
         # a lost or torn update of the memo would show as a wrong set or
