@@ -37,10 +37,6 @@ def _check_real(value: object, name: str, low: float, rule: str, error=ValueErro
         raise error(f"{name} must be finite and {rule}, got {_shown(value)}")
 
 
-class _Fresh(dict):
-    """A dict that no caller holds, so a table keeps it rather than a copy."""
-
-
 @dataclass(frozen=True)
 class FrequencyTable:
     """Word counts, kept as a read-only copy: ``str`` words, ``int`` counts >= 0,
@@ -50,7 +46,7 @@ class FrequencyTable:
     total_raw: int = field(init=False)
 
     def __post_init__(self):
-        counts = self.counts if type(self.counts) is _Fresh else dict(self.counts)
+        counts = dict(self.counts)
         for word, count in counts.items():
             if not isinstance(word, str):
                 raise ModelError(f"counts word is not a string: {_shown(word)}")
@@ -93,21 +89,12 @@ def _table(words: list[str], counts: list[int],
     ``plural_stems`` is as for :meth:`FrequencyTable.from_counts`."""
     if isinstance(plural_stems, str):  # would match any substring as a stem
         raise ModelError(f"plural_stems is a string, not a collection: {plural_stems!r}")
-    words = _normalized(words)
-    merged = _Fresh(zip(words, counts))  # no copy: the load's peak memory stays as it was
-    if len(merged) < len(words):  # a word repeats: sum its counts
-        merged = _Fresh.fromkeys(merged, 0)
-        for word, count in zip(words, counts):
-            merged[word] += count
-    if plural_stems is not None:
-        folded: dict[str, int] = _Fresh()
-        for word, count in merged.items():
-            stem = word[:-1]
-            if word.endswith("s") and len(word) > 1 and stem in plural_stems:
-                folded[stem] = folded.get(stem, 0) + count
-            else:
-                folded[word] = folded.get(word, 0) + count
-        merged = folded
+    merged: dict[str, int] = {}
+    for word, count in zip(_normalized(words), counts):
+        if (plural_stems is not None and word.endswith("s") and len(word) > 1
+                and word[:-1] in plural_stems):
+            word = word[:-1]
+        merged[word] = merged.get(word, 0) + count
     return FrequencyTable(merged)
 
 

@@ -45,9 +45,6 @@ CORPUS_MEASURES = ("resnik", "prob")
 #: Tolerance on the sum of alpha weights.
 WEIGHT_SUM_TOLERANCE = 1e-9
 
-# The weight types that need no abstract-class check to count as real.
-_BUILTIN_REALS = frozenset({float, int})
-
 # A model's per-index arrays mean nothing over another taxonomy's indices.
 _OTHER_TAXONOMY = "the model was built on another taxonomy than the one queried"
 
@@ -109,18 +106,18 @@ def sim_resnik_concepts(model: ProbabilityModel, t: Taxonomy,
 def sim_resnik_words(model: ProbabilityModel, t: Taxonomy,
                      w1: str, w2: str) -> SimScore:
     """Word similarity: the concept measure maximized over all sense pairs."""
-    return _best_subsumer(model, t, "resnik", _sense_indices(t, w1), _sense_indices(t, w2))
+    return word_similarity("resnik", t, w1, w2, model)
 
 
-def _min_sense_path(t: Taxonomy, w1: str, w2: str) -> tuple[int, tuple[str, str]]:
-    """Shortest undirected IS-A path over all sense pairs of two words.
+def _min_sense_path(t: Taxonomy, s1: tuple[int, ...],
+                    s2: tuple[int, ...]) -> tuple[int, tuple[str, str]]:
+    """The one rule behind edge and lch: the shortest undirected IS-A
+    path over sense pairs ``s1`` x ``s2``, and the pair that has it.
 
     After the first pair, each search is limited to ``best - 1`` edges:
     only a strictly shorter path can replace the best pair, so ties keep
     the first pair in sorted index order.
     """
-    s1 = _sense_indices(t, w1)
-    s2 = _sense_indices(t, w2)
     best = None
     best_pair = (-1, -1)
     for i1 in s1:
@@ -138,8 +135,7 @@ def sim_edge(t: Taxonomy, w1: str, w2: str) -> SimScore:
     Subtracting from the maximum possible path length converts the path
     distance into a similarity; identical senses score 2 * MAX.
     """
-    length, pair = _min_sense_path(t, w1, w2)
-    return SimScore(value=float(2 * t.max_depth - length), sense_pair=pair)
+    return word_similarity("edge", t, w1, w2)
 
 
 def sim_prob(model: ProbabilityModel, t: Taxonomy, w1: str, w2: str) -> SimScore:
@@ -150,7 +146,7 @@ def sim_prob(model: ProbabilityModel, t: Taxonomy, w1: str, w2: str) -> SimScore
     subsumers are legitimate candidates here (1 - p = 1), since the
     candidate value stays finite.
     """
-    return _best_subsumer(model, t, "prob", _sense_indices(t, w1), _sense_indices(t, w2))
+    return word_similarity("prob", t, w1, w2, model)
 
 
 def sim_lch(t: Taxonomy, w1: str, w2: str, *,
@@ -161,16 +157,7 @@ def sim_lch(t: Taxonomy, w1: str, w2: str, *,
     the score finite while leaving synonyms strictly most similar.  The
     floor is a local convention, not a published constant.
     """
-    _check_real(log_base, "log_base", 1, "> 1")
-    _check_real(floor, "floor", 0, "positive")
-    if t.max_depth < 1:
-        raise SimilarityError(
-            "taxonomy depth is 0; path-normalized similarity is undefined"
-        )
-    length, pair = _min_sense_path(t, w1, w2)
-    effective = floor if length == 0 else float(length)
-    value = _neg_log(effective / (2.0 * t.max_depth), log_base)
-    return SimScore(value=value, sense_pair=pair)
+    return word_similarity("lch", t, w1, w2, log_base=log_base, lch_floor=floor)
 
 
 def _finite_ic_subsumers(model: ProbabilityModel, t: Taxonomy,
@@ -216,8 +203,7 @@ def sim_weighted(model: ProbabilityModel, t: Taxonomy, c1: str, c2: str,
         raise ValueError(f"weight domain mismatch: missing [{missing}], unexpected [{extra}]")
     values = weights.values()
     try:
-        kinds = set(map(type, values))
-        if not (kinds <= _BUILTIN_REALS or all(issubclass(kind, Real) for kind in kinds)):
+        if not all(issubclass(kind, Real) for kind in set(map(type, values))):
             cid, w = next((c, w) for c, w in weights.items() if not isinstance(w, Real))
             raise TypeError
         for cid, w in weights.items():
@@ -228,7 +214,10 @@ def sim_weighted(model: ProbabilityModel, t: Taxonomy, c1: str, c2: str,
     except (TypeError, OverflowError):  # not a real number, or an int beyond float range
         raise ValueError(
             f"weight for {_shown(cid)} is not a finite real: {type(w).__name__}") from None
-    total = math.fsum(values)
+    try:
+        total = math.fsum(values)
+    except OverflowError:  # finite weights whose sum is beyond float range
+        total = math.inf
     if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
         raise ValueError(f"weights sum to {total!r}, expected 1.0")
     return math.fsum(map(operator.mul, values, map(domain.__getitem__, weights)))
@@ -237,21 +226,33 @@ def sim_weighted(model: ProbabilityModel, t: Taxonomy, c1: str, c2: str,
 def word_similarity(measure: str, t: Taxonomy, w1: str, w2: str,
                     model: ProbabilityModel | None = None, *,
                     log_base: float = 2.0, lch_floor: float = 1.0) -> SimScore:
-    """Dispatch a word-level query to one of :data:`WORD_MEASURES`.
+    """Score two words with one of :data:`WORD_MEASURES`: the one
+    implementation behind the word-level ``sim_*`` functions.
 
-    ``model`` is required for the corpus-based measures (resnik, prob)
-    and ignored by the purely structural ones (edge, lch).  ``log_base``
-    only affects lch; the corpus measures inherit the base the model was
-    built with.
+    The measure and its arguments are checked before the words are
+    looked up; each word's senses are then looked up once and handed to
+    the measure's kernel.  ``model`` is required for the corpus-based
+    measures (resnik, prob) and ignored by the purely structural ones
+    (edge, lch).  ``log_base`` only affects lch; the corpus measures
+    inherit the base the model was built with.
     """
-    if measure in CORPUS_MEASURES and model is None:
-        raise ValueError(f"measure {_shown(measure)} requires a probability model")
-    if measure == "resnik":
-        return sim_resnik_words(model, t, w1, w2)
+    if measure in CORPUS_MEASURES:
+        if model is None:
+            raise ValueError(f"measure {_shown(measure)} requires a probability model")
+    elif measure == "lch":
+        _check_real(log_base, "log_base", 1, "> 1")
+        _check_real(lch_floor, "floor", 0, "positive")
+        if t.max_depth < 1:
+            raise SimilarityError(
+                "taxonomy depth is 0; path-normalized similarity is undefined"
+            )
+    elif measure != "edge":
+        raise ValueError(f"unknown measure {_shown(measure)}; expected one of {WORD_MEASURES}")
+    s1, s2 = _sense_indices(t, w1), _sense_indices(t, w2)
+    if measure in CORPUS_MEASURES:
+        return _best_subsumer(model, t, measure, s1, s2)
+    length, pair = _min_sense_path(t, s1, s2)
     if measure == "edge":
-        return sim_edge(t, w1, w2)
-    if measure == "prob":
-        return sim_prob(model, t, w1, w2)
-    if measure == "lch":
-        return sim_lch(t, w1, w2, log_base=log_base, floor=lch_floor)
-    raise ValueError(f"unknown measure {_shown(measure)}; expected one of {WORD_MEASURES}")
+        return SimScore(float(2 * t.max_depth - length), None, pair)
+    effective = lch_floor if length == 0 else float(length)
+    return SimScore(_neg_log(effective / (2.0 * t.max_depth), log_base), None, pair)

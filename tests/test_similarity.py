@@ -383,6 +383,11 @@ class TestWeighted:
                 toy_model, toy_taxonomy, "A1", "A2", {"A": 0.5, "root": 0.4}
             )
 
+    def test_weights_summing_beyond_float_range(self, toy_model, toy_taxonomy):
+        # math.fsum raised a bare OverflowError here
+        with pytest.raises(ValueError, match=r"^weights sum to inf, expected 1\.0$"):
+            sim_weighted(toy_model, toy_taxonomy, "A1", "A2", {"A": 1e308, "root": 1e308})
+
     def test_negative_weight_rejected(self, toy_model, toy_taxonomy):
         with pytest.raises(ValueError, match="negative weight"):
             sim_weighted(
@@ -442,6 +447,23 @@ class TestDispatcher:
         for measure in ("resnik", "prob"):
             with pytest.raises(ValueError, match="requires a probability model"):
                 word_similarity(measure, toy_taxonomy, "x", "y")
+
+    def test_word_functions_require_model(self, toy_taxonomy):
+        # each used to fail on None.taxonomy with an AttributeError; the
+        # model is checked before the words are looked up
+        for query in (sim_resnik_words, sim_prob):
+            for w1 in ("x", "unlisted"):
+                with pytest.raises(ValueError, match="requires a probability model"):
+                    query(None, toy_taxonomy, w1, "y")
+
+    def test_lch_checks_its_arguments_in_order_before_the_words(self, toy_taxonomy):
+        with pytest.raises(ValueError, match="log_base"):
+            sim_lch(toy_taxonomy, "unlisted", "y", log_base=1.0, floor=0.0)
+        with pytest.raises(ValueError, match="floor"):
+            sim_lch(toy_taxonomy, "unlisted", "y", floor=0.0)
+        flat = Taxonomy.build([], senses={"w": {"solo"}}, concepts=["solo"])
+        with pytest.raises(SimilarityError, match="depth"):
+            sim_lch(flat, "unlisted", "w")
 
 
 @pytest.mark.parametrize("measure", ["resnik", "edge", "prob", "lch"])
@@ -522,7 +544,7 @@ def _sample_word_pairs(rng, senses, k=6):
     return pairs
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=helpers._budget(40), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_measures_match_brute_force(seed):
     rng, concepts, edges, senses, counts, t, model = _built_instance(
@@ -544,7 +566,7 @@ def test_measures_match_brute_force(seed):
             assert lch.value == helpers.oracle_lch_words(concepts, edges, senses, w1, w2)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=helpers._budget(40), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_symmetry_exact(seed):
     rng, _, _, senses, _, t, model = _built_instance(seed, max_concepts=30, max_words=15)
@@ -556,7 +578,7 @@ def test_symmetry_exact(seed):
             assert sim_lch(t, w1, w2).value == sim_lch(t, w2, w1).value
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=helpers._budget(40), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_witness_attains_reported_value(seed):
     rng, _, _, senses, _, t, model = _built_instance(seed, max_concepts=30, max_words=15)
