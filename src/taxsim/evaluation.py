@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 
 from .errors import EvaluationError
 from .probability import ProbabilityModel
-from .similarity import WORD_MEASURES, word_similarity
+from .similarity import _check_word_measure, word_similarity
 from .taxonomy import Taxonomy, _normalized, _shown
 
 _REFERENCE_RESOURCE = "miller_charles.tsv"
@@ -251,10 +251,11 @@ def evaluate(
 
     Rows where either word has no senses are excluded from both vectors
     and listed with a reason; included plus excluded always partitions
-    the benchmark.  Fails if fewer than 2 rows are usable.
+    the benchmark.  The measure and its arguments are checked once, as by
+    :func:`~taxsim.similarity.word_similarity`, before any row is
+    scored.  Fails if fewer than 2 rows are usable.
     """
-    if measure not in WORD_MEASURES:
-        raise ValueError(f"unknown measure {_shown(measure)}; expected one of {WORD_MEASURES}")
+    _check_word_measure(measure, taxonomy, model, log_base, lch_floor)
     items: list[EvalItem] = []
     known = taxonomy.sense_indices
     for w1, w2, human in benchmark.rows:

@@ -165,15 +165,15 @@ class ProbabilityModel:
         to N.
 
         No ancestor set is built.  A one-sense word's count is direct
-        mass on its concept.  One pass, children before parents, hands
-        each concept's mass on to its parent wherever the taxonomy is a
-        tree: a concept that is not a valley (see
-        :attr:`Taxonomy.valleys_by_index`) has at most one parent and a
-        tree below it, so its frequency is its mass once its children
-        have handed theirs on.  A valley's mass, gathered from its own
-        words and its non-valley children, is walked up once, crediting
-        each ancestor-or-self once; so are the senses of each counted
-        word with two or more of them."""
+        mass on its concept.  One pass, children before parents, adds
+        the mass of each concept with at most one parent to its
+        frequency and hands it on to that parent: the ancestors of such
+        a concept are itself plus its parent's ancestors, which do not
+        overlap, so no word is credited twice.  The mass of a concept
+        with two or more parents, gathered from its own words and its
+        children, is walked up once, crediting each ancestor-or-self
+        once; so are the senses of each counted word with two or more
+        of them."""
         _check_real(log_base, "log_base", 1, "> 1")
         if not isinstance(table, FrequencyTable):
             raise ModelError(f"table is a {type(table).__name__}, not a FrequencyTable")
@@ -191,22 +191,23 @@ class ProbabilityModel:
                         seen.add(p)
                         todo.append(p)
 
-        for word, count in table.counts.items():
-            senses = taxonomy.sense_indices(word)  # () for a word not in the lexicon
-            if len(senses) == 1:
+        counts = table.counts
+        for senses, count in zip(map(taxonomy.sense_indices, counts), counts.values()):
+            if len(senses) == 1:  # () for a word not in the lexicon
                 mass[senses[0]] += count
             elif senses:
                 credit(senses, count)
-        valleys = taxonomy.valleys_by_index
         for i in reversed(taxonomy.topological_order):
-            if not mass[i]:
+            m = mass[i]
+            if not m:
                 continue
-            if valleys[i]:
-                credit((i,), mass[i])
+            ps = parents[i]
+            if len(ps) > 1:
+                credit((i,), m)
             else:
-                freq[i] += mass[i]
-                for p in parents[i]:  # the only one, if any
-                    mass[p] += mass[i]
+                freq[i] += m
+                for p in ps:  # the only one, if any
+                    mass[p] += m
         n_total = freq[taxonomy.index_of(taxonomy.root)]
         if n_total <= 0:
             raise ModelError(

@@ -223,6 +223,26 @@ def sim_weighted(model: ProbabilityModel, t: Taxonomy, c1: str, c2: str,
     return math.fsum(map(operator.mul, values, map(domain.__getitem__, weights)))
 
 
+def _check_word_measure(measure: str, t: Taxonomy, model: ProbabilityModel | None,
+                        log_base: float, lch_floor: float) -> None:
+    """Raise unless ``measure`` is one of :data:`WORD_MEASURES` and can
+    score words with these arguments: resnik and prob need a ``model``;
+    lch needs ``log_base`` > 1, a positive ``lch_floor`` and a taxonomy
+    of depth 1 or more."""
+    if measure in CORPUS_MEASURES:
+        if model is None:
+            raise ValueError(f"measure {_shown(measure)} requires a probability model")
+    elif measure == "lch":
+        _check_real(log_base, "log_base", 1, "> 1")
+        _check_real(lch_floor, "floor", 0, "positive")
+        if t.max_depth < 1:
+            raise SimilarityError(
+                "taxonomy depth is 0; path-normalized similarity is undefined"
+            )
+    elif measure != "edge":
+        raise ValueError(f"unknown measure {_shown(measure)}; expected one of {WORD_MEASURES}")
+
+
 def word_similarity(measure: str, t: Taxonomy, w1: str, w2: str,
                     model: ProbabilityModel | None = None, *,
                     log_base: float = 2.0, lch_floor: float = 1.0) -> SimScore:
@@ -236,18 +256,7 @@ def word_similarity(measure: str, t: Taxonomy, w1: str, w2: str,
     (edge, lch).  ``log_base`` only affects lch; the corpus measures
     inherit the base the model was built with.
     """
-    if measure in CORPUS_MEASURES:
-        if model is None:
-            raise ValueError(f"measure {_shown(measure)} requires a probability model")
-    elif measure == "lch":
-        _check_real(log_base, "log_base", 1, "> 1")
-        _check_real(lch_floor, "floor", 0, "positive")
-        if t.max_depth < 1:
-            raise SimilarityError(
-                "taxonomy depth is 0; path-normalized similarity is undefined"
-            )
-    elif measure != "edge":
-        raise ValueError(f"unknown measure {_shown(measure)}; expected one of {WORD_MEASURES}")
+    _check_word_measure(measure, t, model, log_base, lch_floor)
     s1, s2 = _sense_indices(t, w1), _sense_indices(t, w2)
     if measure in CORPUS_MEASURES:
         return _best_subsumer(model, t, measure, s1, s2)

@@ -3,9 +3,10 @@
 A taxonomy is a directed acyclic graph of concepts linked by IS-A edges
 (child to parent, multiple inheritance allowed) with a single top node,
 plus an index mapping each word to the set of concepts that are its
-senses.  Construction validates the structure once; afterwards the
-object is immutable and every query is safe for unsynchronized use from
-multiple threads.
+senses.  Construction validates the structure once: the walk that finds
+each concept's depth is the only cycle check.  Afterwards the object is
+immutable and every query is safe for unsynchronized use from multiple
+threads.
 
 The one thing a query changes is a memo: each concept's ancestors are
 built the first time a query asks for them, as a tuple, and kept in a
@@ -170,53 +171,60 @@ class Taxonomy:
         self._ids = ids
         self._index = index
         self._parents = parents = tuple(parents)
-        children = [[] for _ in range(n)]
-        for child, ps in enumerate(parents):  # ascending, so each list is sorted
-            for p in ps:
-                children[p].append(child)
-        children = [tuple(cs) for cs in children]
         self._senses = senses
 
-        # One Kahn sweep, parents before children, in the memory of the
-        # freed child lists: each node's longest-path depth is final once
-        # it is ordered.  It is the only cycle check, and names the loop
-        # reached from the smallest unordered index.
-        pending = [len(ps) for ps in parents]
-        order = [i for i in range(n) if not pending[i]]
-        depths = [0] * n
-        for i in order:
-            ps = parents[i]
-            if len(ps) == 1:  # most nodes
-                depths[i] = depths[ps[0]] + 1
-            elif ps:
-                depths[i] = 1 + max(depths[p] for p in ps)
-            for child in children[i]:
-                pending[child] -= 1
-                if not pending[child]:
-                    order.append(child)
-        if len(order) < n:
-            done = set(order)
-            cur = min(i for i in range(n) if i not in done)
-            path: dict[int, int] = {}  # node -> position, in walk order
-            while cur not in path:
-                path[cur] = len(path)
-                cur = next(p for p in parents[cur] if p not in done)
-            chain = " -> ".join(ids[i] for i in list(path)[path[cur]:] + [cur])
-            raise TaxonomyError(f"cycle detected: {chain}")
-        self._root = order[0]  # build() leaves one parentless node
-        del pending, children  # so the lists below can reuse their memory
-        self._order = order = tuple(order)
+        # Each concept's longest-path depth, from one walk up the parent
+        # lists that keeps its own stack, not Python's, and memoises each
+        # depth: a concept's depth is set once all of its parents' are.
+        # It is the only cycle check.  Walks start from each index in
+        # turn, so the first walk that meets a parent still on its stack
+        # starts at the smallest index that reaches a cycle, and has gone
+        # up only through parents that reach one (each earlier parent
+        # reached none and was finished); it names the loop it closed.
+        depths = [-1] * n  # -1: not reached, -2: on the walk's stack
+        merges = []  # the concepts with two or more parents
+        for start in range(n):
+            if depths[start] >= 0:
+                continue
+            stack = [start]
+            depths[start] = -2
+            while stack:
+                u = stack[-1]
+                ps = parents[u]
+                for p in ps:
+                    if depths[p] < 0:  # not finished: go up to it first
+                        if depths[p] == -2:
+                            loop = stack[stack.index(p):] + [p]
+                            raise TaxonomyError(
+                                "cycle detected: " + " -> ".join(ids[i] for i in loop))
+                        depths[p] = -2
+                        stack.append(p)
+                        break
+                else:  # every parent has its depth
+                    stack.pop()
+                    if len(ps) == 1:  # most nodes
+                        depths[u] = depths[ps[0]] + 1
+                    elif ps:
+                        depths[u] = 1 + max(map(depths.__getitem__, ps))
+                        merges.append(u)
+                    else:
+                        depths[u] = 0
+        # a parent is shallower than its child, and build() leaves one
+        # parentless node, the only one of depth 0
+        self._order = order = tuple(sorted(range(n), key=depths.__getitem__))
+        self._root = order[0]
         self._depths = depths
         # A valley is an ancestor-or-self of a node with two or more
-        # parents: one pass, children before parents, flags each node
-        # before it passes the flag on to its parents.
+        # parents: one walk up from those nodes flags each valley once.
         valleys = bytearray(n)
-        for i in reversed(order):
-            ps = parents[i]
-            if valleys[i] or len(ps) > 1:
-                valleys[i] = 1
-                for p in ps:
+        todo = merges  # each listed once, when the walk set its depth
+        for u in todo:
+            valleys[u] = 1
+        for u in todo:
+            for p in parents[u]:
+                if not valleys[p]:
                     valleys[p] = 1
+                    todo.append(p)
         self._valleys = bytes(valleys)
         # path_len steps down only into the far end's ancestors and into
         # valleys, listed here under each of their parents.
@@ -349,7 +357,9 @@ class Taxonomy:
 
     @property
     def topological_order(self) -> tuple[int, ...]:
-        """Every concept index, each after all of its parents."""
+        """Every concept index, sorted by depth (the longest path from the
+        root), ties in index order: the root first, and each concept
+        after all of its parents."""
         return self._order
 
     @property

@@ -168,6 +168,21 @@ def random_sparse_instance(rng: random.Random, max_concepts: int = 60,
     return concepts, edges, senses
 
 
+def random_edges_with_cycles(rng: random.Random, max_concepts: int = 16):
+    """Random ``(child, parent)`` edges, listed in random order, that may
+    close cycles: each concept c1, c2, ... picks 1-2 parents, each an
+    earlier concept, or with a rate drawn per instance (0.05 to 0.4) any
+    concept, itself included.  The list is never empty."""
+    n = rng.randint(2, max_concepts)
+    back_rate = rng.choice([0.05, 0.15, 0.4])
+    edges = sorted({
+        (f"c{i}", f"c{rng.randrange(n) if rng.random() < back_rate else rng.randrange(i)}")
+        for i in range(1, n) for _ in range(rng.randint(1, 2))
+    })
+    rng.shuffle(edges)
+    return edges
+
+
 #: Size of the fixed random-DAG suite the oracle tests share.
 N_RANDOM_INSTANCES = 200
 
@@ -312,8 +327,9 @@ def oracle_all_pairs_path_len(concepts, edges):
     }
 
 
-def oracle_max_depth(concepts, edges):
-    """Longest root-to-node path by memoized recursion over parents."""
+def oracle_depths(concepts, edges):
+    """Longest root-to-node path of every concept, by memoized recursion
+    over parents."""
     parents = oracle_parents(concepts, edges)
     memo = {}
 
@@ -322,7 +338,35 @@ def oracle_max_depth(concepts, edges):
             memo[c] = 0 if not parents[c] else 1 + max(depth(p) for p in parents[c])
         return memo[c]
 
-    return max(depth(c) for c in concepts)
+    return {c: depth(c) for c in concepts}
+
+
+def oracle_max_depth(concepts, edges):
+    return max(oracle_depths(concepts, edges).values())
+
+
+def oracle_cycle_message(order, edges):
+    """The ``cycle detected: ...`` message a build of ``edges`` raises, or
+    None if they close no cycle.
+
+    ``order`` is the taxonomy's concept index order.  The loop named is
+    the one a walk reaches from the smallest index that reaches a cycle,
+    stepping each time to the first parent, in index order, that reaches
+    one, until it comes back to a concept it has passed; which concepts
+    reach a cycle comes from the fixpoint closure.
+    """
+    anc = oracle_ancestors(order, edges)
+    parents = oracle_parents(order, edges)
+    on_cycle = {c for c in order if any(c in anc[p] for p in parents[c])}
+    reaches = [c for c in order if anc[c] & on_cycle]
+    if not reaches:
+        return None
+    rank = {c: k for k, c in enumerate(order)}
+    path, cur = [], reaches[0]
+    while cur not in path:
+        path.append(cur)
+        cur = min((p for p in parents[cur] if anc[p] & on_cycle), key=rank.__getitem__)
+    return "cycle detected: " + " -> ".join(path[path.index(cur):] + [cur])
 
 
 def oracle_min_sense_path(concepts, edges, senses, w1, w2):

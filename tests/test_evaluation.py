@@ -24,7 +24,9 @@ from taxsim import (
     load_reference_scores,
     pearson,
     reference_correlations,
+    SimilarityError,
     SimScore,
+    Taxonomy,
 )
 from taxsim.evaluation import reference_data_bytes
 
@@ -309,6 +311,26 @@ class TestEvaluate:
         bench = Benchmark(name="toy", rows=(("x", "y", 3.0), ("x", "z", 1.0)))
         with pytest.raises(ValueError, match="unknown measure"):
             evaluate("weighted", bench, toy_taxonomy, toy_model)
+
+    @pytest.mark.parametrize("measure, kwargs, message", [
+        ("resnik", {}, "requires a probability model"),
+        ("prob", {}, "requires a probability model"),
+        ("lch", {"log_base": 0.5}, "log_base"),
+        ("lch", {"lch_floor": math.nan}, "floor"),
+    ], ids=["resnik-no-model", "prob-no-model", "lch-log-base", "lch-nan-floor"])
+    def test_arguments_checked_when_no_row_is_usable(self, toy_taxonomy, measure,
+                                                     kwargs, message):
+        # every row is out of vocabulary, so no row is scored: the
+        # arguments are still checked, once, before the rows
+        bench = Benchmark(name="oov", rows=(("ghost", "x", 3.0), ("x", "ghost", 1.0)))
+        with pytest.raises(ValueError, match=message):
+            evaluate(measure, bench, toy_taxonomy, None, **kwargs)
+
+    def test_lch_on_a_flat_taxonomy_fails_when_no_row_is_usable(self):
+        flat = Taxonomy.build([], senses={"w": {"solo"}}, concepts=["solo"])
+        bench = Benchmark(name="oov", rows=(("ghost", "w", 3.0), ("w", "ghost", 1.0)))
+        with pytest.raises(SimilarityError, match="depth"):
+            evaluate("lch", bench, flat)
 
     def test_non_finite_human_rating_rejected(self, toy_taxonomy):
         bench = Benchmark(

@@ -289,9 +289,10 @@ def test_propagation_oracle_with_every_kind_of_word():
 
 def test_propagation_under_nested_diamonds_and_trees_below_valleys():
     # d is the bottom of the diamond a, b; x the bottom of a second one,
-    # m1, m2, under d.  Trees hang below the valleys m1 and x, and below
-    # the root; their mass is handed up to the valley above them, which
-    # walks it up once.
+    # m1, m2, under d.  Trees hang below m1, a valley with one parent, and
+    # below x and the root.  Both rules carry mass: each concept with one
+    # parent, m1 included, hands its mass up to that parent, and d and x,
+    # with two parents each, walk theirs up once.
     edges = [("a", "r"), ("b", "r"), ("d", "a"), ("d", "b"),
              ("m1", "d"), ("m2", "d"), ("x", "m1"), ("x", "m2"),
              ("t1", "m1"), ("t2", "t1"), ("t3", "t1"),
@@ -318,7 +319,8 @@ def test_propagation_under_nested_diamonds_and_trees_below_valleys():
 @example(seed=0)
 def test_propagation_on_sparse_dags(seed):
     # mostly trees, as at benchmark scale, so that most one-sense mass is
-    # handed up from child to parent rather than walked up from a valley
+    # handed up from child to parent rather than walked up from a concept
+    # with two parents
     rng = random.Random(seed)
     concepts, edges, senses = helpers.random_sparse_instance(rng)
     counts = {w: rng.randint(0, 50) for w in senses}

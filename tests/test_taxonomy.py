@@ -45,7 +45,7 @@ class TestBuild:
 
     def test_cycle_beside_valid_root(self):
         edges = [("A", "root"), ("B", "C"), ("C", "B")]
-        with pytest.raises(TaxonomyError, match="cycle detected: (B -> C -> B|C -> B -> C)"):
+        with pytest.raises(TaxonomyError, match="^cycle detected: B -> C -> B$"):
             Taxonomy.build(edges)
 
     def test_synthetic_root_above_two_parentless(self):
@@ -399,11 +399,15 @@ class TestDepths:
         assert t.max_depth == 0
         assert t.root == "solo"
 
-    def test_chain(self):
-        k = 7
-        edges = [(f"n{i}", f"n{i - 1}") for i in range(1, k + 1)]
+    @pytest.mark.parametrize("k", [7, 5000])
+    def test_chain(self, k):
+        # listed deepest-first, so the walk from index 0 climbs the whole
+        # chain: deeper than Python's recursion limit at 5,000
+        edges = [(f"n{i}", f"n{i - 1}") for i in range(k, 0, -1)]
         t = Taxonomy.build(edges)
         assert t.max_depth == k
+        assert [t.depth_of(f"n{i}") for i in range(k + 1)] == list(range(k + 1))
+        assert t.topological_order == tuple(range(k, -1, -1))
 
     def test_multiple_inheritance_takes_longest_path(self):
         # s has a shallow parent (top) and a deep one (mid2)
@@ -499,9 +503,10 @@ def test_random_dags_depth_bounded_by_root_path(seed):
 @settings(max_examples=_budget(60), derandomize=True, database=None, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), sparse=st.booleans())
 def test_valley_flags_match_the_closure(seed, sparse):
-    # the flags come from one pass, children before parents, that builds
-    # no closure; the oracle takes every ancestor-or-self of a concept
-    # with two or more parents from the fixpoint closure
+    # the flags come from one walk up from the concepts with two or more
+    # parents, and the depths from one memoised walk up the parent lists;
+    # the oracles take every ancestor-or-self of a concept with two or
+    # more parents from the fixpoint closure, and the depths by recursion
     rng = random.Random(seed)
     if sparse:
         concepts, edges, _ = helpers.random_sparse_instance(rng)
@@ -514,10 +519,33 @@ def test_valley_flags_match_the_closure(seed, sparse):
     assert set(t.valleys_by_index) <= {0, 1}
     parents = helpers.oracle_parents(concepts, edges)
     assert [{ids[p] for p in ps} for ps in t.parents_by_index] == [parents[c] for c in ids]
+    depths = helpers.oracle_depths(concepts, edges)
+    assert [t.depth_of(c) for c in ids] == [depths[c] for c in ids]
+    assert t.topological_order == tuple(
+        sorted(range(t.concept_count), key=lambda i: depths[ids[i]]))
     position = {i: k for k, i in enumerate(t.topological_order)}
     assert sorted(position) == list(range(t.concept_count))
     for i, ps in enumerate(t.parents_by_index):
         assert all(position[p] < position[i] for p in ps)
+
+
+@settings(max_examples=_budget(200), derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=0)
+def test_cycle_message_matches_the_oracle(seed):
+    # the depth walk is the only cycle check: it names the loop reached
+    # from the smallest index that reaches a cycle, through the first
+    # parent that reaches one at each step
+    rng = random.Random(seed)
+    edges = helpers.random_edges_with_cycles(rng)
+    order = list(dict.fromkeys(c for edge in edges for c in edge))  # index order
+    expected = helpers.oracle_cycle_message(order, edges)
+    if expected is None:
+        assert Taxonomy.build(edges).concepts()[:len(order)] == tuple(order)
+        return
+    with pytest.raises(TaxonomyError) as raised:
+        Taxonomy.build(edges)
+    assert str(raised.value) == expected
 
 
 @settings(max_examples=_budget(60), derandomize=True, database=None, deadline=None)
