@@ -173,7 +173,11 @@ class ProbabilityModel:
         with two or more parents, gathered from its own words and its
         children, is walked up once, crediting each ancestor-or-self
         once; so are the senses of each counted word with two or more
-        of them."""
+        of them.
+
+        ic and 1 - p are computed once per distinct frequency, by the
+        same expressions as per concept, so each value is the same
+        float; the concepts of one frequency share that float object."""
         _check_real(log_base, "log_base", 1, "> 1")
         if not isinstance(table, FrequencyTable):
             raise ModelError(f"table is a {type(table).__name__}, not a FrequencyTable")
@@ -219,13 +223,16 @@ class ProbabilityModel:
         self.log_base = log_base
         self.N = n_total
         # a p that underflowed to 0.0 (f > 0) takes its ic from the ints
-        self._ic = tuple(
-            math.inf if f == 0
+        distinct = set(freq)
+        ic = {
+            f: math.inf if f == 0
             else _neg_log(p, log_base) if (p := f / n_total) > 0.0
             else (math.log(n_total) - math.log(f)) / math.log(log_base)
-            for f in freq
-        )
-        self._one_minus_p = tuple(1.0 - f / n_total for f in freq)
+            for f in distinct
+        }
+        one_minus_p = {f: 1.0 - f / n_total for f in distinct}
+        self._ic = tuple(map(ic.__getitem__, freq))
+        self._one_minus_p = tuple(map(one_minus_p.__getitem__, freq))
 
     @property
     def taxonomy(self) -> Taxonomy:

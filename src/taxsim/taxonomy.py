@@ -210,8 +210,10 @@ class Taxonomy:
                     else:
                         depths[u] = 0
         # a parent is shallower than its child, and build() leaves one
-        # parentless node, the only one of depth 0
-        self._order = order = tuple(sorted(range(n), key=depths.__getitem__))
+        # parentless node, the only one of depth 0; the index's values are
+        # 0..n-1 in order, so sorting its own ints gives range(n)'s order
+        # without a second int object per concept
+        self._order = order = tuple(sorted(index.values(), key=depths.__getitem__))
         self._root = order[0]
         self._depths = depths
         # A valley is an ancestor-or-self of a node with two or more
@@ -625,20 +627,32 @@ def _index_columns(
 
     Ids are numbered in order of first appearance: each edge's child,
     then its parent, then the extra concepts.
+
+    The function consumes its four lists: each is emptied once it has
+    been read, so that its strings are freed before the next step
+    allocates.  The edge columns go once they are mapped to indices, the
+    raw words once normalized (in place), and the sense ids and the
+    normalized words once grouped and checked, since a bad row is named
+    from them.
     """
     ids = tuple(dict.fromkeys(chain(chain.from_iterable(zip(children, parents)), extra)))
     index = dict(zip(ids, range(len(ids))))
     lookup = index.__getitem__
+    child_ix, parent_ix = list(map(lookup, children)), list(map(lookup, parents))
+    children.clear()
+    parents.clear()
 
-    words = _normalized(words)
+    words[:] = _normalized(words)
     try:
         senses = _group(words, map(lookup, sense_ids))
     except (KeyError, TypeError):  # an unknown or unhashable id
         senses = None
     if senses is None or "" in senses:
         _raise_bad_sense_row(words, sense_ids, index)
+    sense_ids.clear()
+    words.clear()
 
-    parent_map = _group(map(lookup, children), map(lookup, parents))
+    parent_map = _group(child_ix, parent_ix)
     parent_lists = list(map(parent_map.get, range(len(ids)), repeat(())))
     parentless = [i for i, ps in enumerate(parent_lists) if not ps]
     if len(parentless) > 1:
@@ -665,6 +679,4 @@ def load_taxonomy(edges_path: str | os.PathLike,
         raise TaxonomyError(f"{edges_path}: empty input")
     with open(lexicon_path, encoding="utf-8-sig") as fh:
         lexicon = _parse_pair_columns(fh, str(lexicon_path))
-    parts = _index_columns(*edges, *lexicon)
-    del edges, lexicon  # free the columns before the taxonomy is built
-    return Taxonomy(*parts)
+    return Taxonomy(*_index_columns(*edges, *lexicon))

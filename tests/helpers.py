@@ -296,6 +296,8 @@ def oracle_freq(concepts, edges, senses, counts):
 def oracle_ic(freq: int, n_total: int, base: float) -> float:
     if freq == 0:
         return math.inf
+    if freq / n_total == 0.0:  # underflowed: take the logs of the ints
+        return (math.log(n_total) - math.log(freq)) / math.log(base)
     return 0.0 - math.log(freq / n_total) / math.log(base)
 
 

@@ -13,7 +13,7 @@ import helpers
 from helpers import _budget
 from taxsim import FrequencyTable, ModelError, Taxonomy, TaxonomyError, load_counts, load_taxonomy
 from taxsim.probability import _count_pattern, _count_problem
-from taxsim.taxonomy import _parse_pair_columns
+from taxsim.taxonomy import _index_columns, _parse_pair_columns
 
 # Ids and words that survive a trip through a file: no tab or line end,
 # not whitespace-only and not starting with "#", which would make the
@@ -150,6 +150,23 @@ def test_empty_word_named_before_a_later_dangling_id(tmp_path):
     lexicon.write_text("w\ta\nv\tnope\n \ta\n", encoding="utf-8")
     with pytest.raises(TaxonomyError, match="unknown concept 'nope'"):
         load_taxonomy(edges, lexicon)
+
+
+def test_index_columns_consumes_its_lists():
+    columns = [["a", "b", "c"], ["r", "a", "a"], ["Dog", " cat", "dog"], ["b", "c", "a"]]
+    ids, index, parents, senses = _index_columns(*columns)
+    assert columns == [[], [], [], []]
+    assert ids == ("a", "r", "b", "c") and parents == [(1,), (), (0,), (0,)]
+    assert senses == {"dog": (0, 2), "cat": (3,)}
+    # a bad row is still named from the words and ids, which are emptied
+    # only once they have been checked
+    for words, sense_ids, match in [
+        (["w", "v", " "], ["a", "nope", "a"], "word 'v' maps to unknown concept 'nope'"),
+        (["w", " ", "v"], ["a", "a", "nope"], "empty word in lexicon"),
+        (["w", "V", "u"], ["a", ["a"], "nope"], "invalid sense set for word 'v': unhashable"),
+    ]:
+        with pytest.raises(TaxonomyError, match=match):
+            _index_columns(["a"], ["r"], words, sense_ids)
 
 
 def test_comment_only_counts_file_is_empty(tmp_path):

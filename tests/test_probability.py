@@ -381,3 +381,32 @@ def test_log_base_equivariance(seed, base):
             assert other.ic(c) == pytest.approx(
                 base2.ic(c) / math.log2(base), rel=1e-12, abs=1e-12
             )
+
+
+@settings(max_examples=_budget(60), derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sparse=st.booleans(), underflow=st.booleans(),
+       base=st.sampled_from([2.0, math.e, 10.0]))
+def test_model_floats_are_exact_and_shared_per_frequency(seed, sparse, underflow, base):
+    # two zero-frequency concepts, so that some frequency is always shared;
+    # with underflow, p of every concept not above "huge" is 0.0
+    rng = random.Random(seed)
+    if sparse:
+        concepts, edges, senses = helpers.random_sparse_instance(rng)
+        counts = {w: rng.randint(0, 50) for w in senses}
+        counts["w0"] += 1
+    else:
+        concepts, edges, senses, counts = helpers.random_instance(rng)
+    edges = edges + [("z0", "c0"), ("z1", "c0")]  # c0 is the root
+    if underflow:
+        senses = {**senses, "huge": {rng.choice(concepts)}}
+        counts = {**counts, "huge": 10**400}
+    t = Taxonomy.build(edges, senses, concepts=concepts)
+    model = build_model(t, FrequencyTable.from_counts(counts), log_base=base)
+    freqs = [model.freq(c) for c in t.concepts()]
+    assert freqs[t.index_of("z0")] == 0
+    assert [v.hex() for v in model.ic_by_index] == [
+        helpers.oracle_ic(f, model.N, base).hex() for f in freqs]
+    assert [v.hex() for v in model.one_minus_p_by_index] == [
+        (1.0 - f / model.N).hex() for f in freqs]
+    for values in (model.ic_by_index, model.one_minus_p_by_index):
+        assert len({id(v) for v in values}) <= len(set(freqs))
