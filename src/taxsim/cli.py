@@ -209,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "eval" and args.fixture:
             return cmd_eval_fixture()
         _check_real(args.log_base, "--log-base", 1, "> 1", ModelError)
-        _check_real(args.lch_floor, "--lch-floor", 0, "positive", ModelError)
+        _check_real(args.lch_floor, "--lch-floor", 0, "in (0, 1]", ModelError, 1)
         chosen = args.measure or WORD_MEASURES
         return args.run(args, tuple(m for m in WORD_MEASURES if m in chosen))
     except tuple(EXIT_CODES) as exc:

@@ -11,6 +11,7 @@ information content is the negative log of that probability.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import sys
@@ -30,10 +31,12 @@ def _neg_log(x: float, base: float) -> float:
     return 0.0 - math.log(x) / math.log(base)
 
 
-def _check_real(value: object, name: str, low: float, rule: str, error=ValueError) -> None:
+def _check_real(value: object, name: str, low: float, rule: str, error=ValueError,
+                high: float = float_info.max) -> None:
     """Raise ``error``, naming ``name``, ``rule`` and ``value``, unless
-    ``value`` is a real number in (``low``, largest float]."""
-    if not isinstance(value, Real) or not low < value <= float_info.max:
+    ``value`` is a real number in (``low``, ``high``], by default up to
+    the largest float."""
+    if not isinstance(value, Real) or not low < value <= high:
         raise error(f"{name} must be finite and {rule}, got {_shown(value)}")
 
 
@@ -47,13 +50,18 @@ class FrequencyTable:
 
     def __post_init__(self):
         counts = dict(self.counts)
-        for word, count in counts.items():
-            if not isinstance(word, str):
-                raise ModelError(f"counts word is not a string: {_shown(word)}")
-            if isinstance(count, bool) or not isinstance(count, int):
-                raise ModelError(f"count for word {word!r} is not an integer: {_shown(count)}")
-            if count < 0:
-                raise ModelError(f"negative count for word {word!r}: {_shown(count)}")
+        # accepted at once when every word is a str and every count an int
+        # >= 0, as is usual; else each entry is checked, naming the first bad one
+        if not ({*map(type, counts)} <= {str} and {*map(type, counts.values())} <= {int}
+                and min(counts.values(), default=0) >= 0):
+            for word, count in counts.items():
+                if not isinstance(word, str):
+                    raise ModelError(f"counts word is not a string: {_shown(word)}")
+                if isinstance(count, bool) or not isinstance(count, int):
+                    raise ModelError(
+                        f"count for word {word!r} is not an integer: {_shown(count)}")
+                if count < 0:
+                    raise ModelError(f"negative count for word {word!r}: {_shown(count)}")
         total = sum(counts.values())
         try:
             str(total)
@@ -79,7 +87,8 @@ class FrequencyTable:
         pre-lemmatized.  A ``str`` ``plural_stems`` raises ``ModelError``.
         """
         counts = cls(counts).counts  # checked as given; merging keeps their total
-        return _table(list(counts), list(counts.values()), plural_stems)
+        # int subclasses as plain ints, as summing them would give
+        return _table(list(counts), list(map(int, counts.values())), plural_stems)
 
 
 def _table(words: list[str], counts: list[int],
@@ -89,8 +98,13 @@ def _table(words: list[str], counts: list[int],
     ``plural_stems`` is as for :meth:`FrequencyTable.from_counts`."""
     if isinstance(plural_stems, str):  # would match any substring as a stem
         raise ModelError(f"plural_stems is a string, not a collection: {plural_stems!r}")
-    merged: dict[str, int] = {}
-    for word, count in zip(_normalized(words), counts):
+    words = _normalized(words)
+    if plural_stems is None:  # one dict pass, unless a word repeats
+        merged = dict(zip(words, counts))
+        if len(merged) == len(words):
+            return FrequencyTable(merged)
+    merged = {}
+    for word, count in zip(words, counts):
         if (plural_stems is not None and word.endswith("s") and len(word) > 1
                 and word[:-1] in plural_stems):
             word = word[:-1]
@@ -173,7 +187,12 @@ class ProbabilityModel:
         with two or more parents, gathered from its own words and its
         children, is walked up once, crediting each ancestor-or-self
         once; so are the senses of each counted word with two or more
-        of them.
+        of them.  Each walk takes a fresh mark in one list of marks, one
+        slot per concept: it steps up each chain of one-parent concepts,
+        marking and crediting each, and stops at a concept it has already
+        marked; at a merge or the root it lists that concept's parents to
+        go on from.  The counted words are looked up in one pass,
+        :meth:`Taxonomy.sense_index_column`.
 
         ic and 1 - p are computed once per distinct frequency, by the
         same expressions as per concept, so each value is the same
@@ -184,19 +203,27 @@ class ProbabilityModel:
         parents = taxonomy.parents_by_index
         freq = [0] * taxonomy.concept_count
         mass = [0] * taxonomy.concept_count
+        # each concept's one parent, or -1 for the root and the merges
+        up = [ps[0] if len(ps) == 1 else -1 for ps in parents]
+        marks = [0] * taxonomy.concept_count  # the last walk that credited each concept
+        walks = itertools.count(1)
 
         def credit(starts, count):
             """Add ``count`` once to every ancestor-or-self of ``starts``."""
-            todo, seen = list(starts), set(starts)
+            walk = next(walks)
+            todo = list(starts)
             for u in todo:
-                freq[u] += count
-                for p in parents[u]:
-                    if p not in seen:
-                        seen.add(p)
-                        todo.append(p)
+                while marks[u] != walk:  # up a chain of one-parent concepts
+                    marks[u] = walk
+                    freq[u] += count
+                    p = up[u]
+                    if p < 0:  # the root, or a merge: its parents go on the list
+                        todo += parents[u]
+                        break
+                    u = p
 
         counts = table.counts
-        for senses, count in zip(map(taxonomy.sense_indices, counts), counts.values()):
+        for senses, count in zip(taxonomy.sense_index_column(counts), counts.values()):
             if len(senses) == 1:  # () for a word not in the lexicon
                 mass[senses[0]] += count
             elif senses:
@@ -205,13 +232,12 @@ class ProbabilityModel:
             m = mass[i]
             if not m:
                 continue
-            ps = parents[i]
-            if len(ps) > 1:
-                credit((i,), m)
-            else:
+            p = up[i]
+            if p >= 0:
                 freq[i] += m
-                for p in ps:  # the only one, if any
-                    mass[p] += m
+                mass[p] += m
+            else:  # a merge, or the root
+                credit((i,), m)
         n_total = freq[taxonomy.index_of(taxonomy.root)]
         if n_total <= 0:
             raise ModelError(

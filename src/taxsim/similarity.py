@@ -8,8 +8,8 @@ Five measures share one query surface:
   over sense pairs, where MAX is the taxonomy depth;
 * ``prob``    - max of 1 - p(c) over common subsumers and sense pairs;
 * ``lch``     - negative log of the shortest path length normalized by
-  twice the taxonomy depth, with a configurable floor replacing a zero
-  path so synonyms stay finite;
+  twice the taxonomy depth, with a configurable floor in (0, 1]
+  replacing a zero path so synonyms stay finite;
 * ``weighted`` - concept-level only: a caller-supplied convex combination
   of the information content of all common subsumers, instead of the
   single maximizing one.
@@ -153,9 +153,11 @@ def sim_lch(t: Taxonomy, w1: str, w2: str, *,
             log_base: float = 2.0, floor: float = 1.0) -> SimScore:
     """Normalized-path similarity: -log(len / (2 * MAX)).
 
-    A zero path length (exact synonyms) is replaced by ``floor`` to keep
-    the score finite while leaving synonyms strictly most similar.  The
-    floor is a local convention, not a published constant.
+    A zero path length (exact synonyms) is replaced by ``floor``, in
+    (0, 1], to keep the score finite.  Synonyms never score below another
+    pair: at the default 1.0 they tie with every pair one edge apart, such
+    as a parent and its child, and a floor below 1 ranks them strictly
+    first.  The floor is a local convention, not a published constant.
     """
     return word_similarity("lch", t, w1, w2, log_base=log_base, lch_floor=floor)
 
@@ -227,14 +229,14 @@ def _check_word_measure(measure: str, t: Taxonomy, model: ProbabilityModel | Non
                         log_base: float, lch_floor: float) -> None:
     """Raise unless ``measure`` is one of :data:`WORD_MEASURES` and can
     score words with these arguments: resnik and prob need a ``model``;
-    lch needs ``log_base`` > 1, a positive ``lch_floor`` and a taxonomy
+    lch needs ``log_base`` > 1, an ``lch_floor`` in (0, 1] and a taxonomy
     of depth 1 or more."""
     if measure in CORPUS_MEASURES:
         if model is None:
             raise ValueError(f"measure {_shown(measure)} requires a probability model")
     elif measure == "lch":
         _check_real(log_base, "log_base", 1, "> 1")
-        _check_real(lch_floor, "floor", 0, "positive")
+        _check_real(lch_floor, "floor", 0, "in (0, 1]", high=1)
         if t.max_depth < 1:
             raise SimilarityError(
                 "taxonomy depth is 0; path-normalized similarity is undefined"

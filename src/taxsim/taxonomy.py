@@ -310,6 +310,26 @@ class Taxonomy:
             senses = self._senses.get(_normalized((word,))[0])
         return senses or ()
 
+    def sense_index_column(self, words: Iterable[str]) -> list[tuple[int, ...]]:
+        """``[self.sense_indices(w) for w in words]``, from one lookup pass.
+
+        Every word is looked up as given in one pass; only a miss, or
+        every word if one is unhashable, goes through
+        :meth:`sense_indices`, so each entry is the one it returns.  A
+        ``str`` ``words`` raises TypeError: its letters are not the words
+        meant.
+        """
+        if isinstance(words, str):
+            raise TypeError(f"words is a string, not a collection of words: {words!r}")
+        words = list(words)
+        try:
+            column = list(map(self._senses.get, words))
+        except TypeError:  # an unhashable word
+            return list(map(self.sense_indices, words))
+        for k in compress(range(len(column)), map(operator.not_, column)):
+            column[k] = self.sense_indices(words[k])
+        return column
+
     def ancestor_indices(self, i: int) -> tuple[int, ...]:
         """The distinct indices of the ancestors of the concept of index
         ``i``, the root first, each after all of its own ancestors, and

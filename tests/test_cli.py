@@ -163,6 +163,18 @@ class TestSim:
         assert out == ""
         assert flag in err and "finite" in err
 
+    @pytest.mark.parametrize("floor", ["1.5", "3", "1e308"])
+    def test_lch_floor_above_one_exits_1(self, capsys, toy_files, floor):
+        # a floor above 1 would rank synonyms below a parent and its child
+        code, out, err = _run(
+            capsys,
+            ["sim", "x", "x"] + _base_args(toy_files)
+            + ["--measure", "lch", "--lch-floor", floor],
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --lch-floor must be finite and in (0, 1], got {float(floor)}\n"
+
     def test_lch_floor_flag(self, capsys, toy_files):
         code, out, _ = _run(
             capsys,

@@ -317,7 +317,9 @@ class TestEvaluate:
         ("prob", {}, "requires a probability model"),
         ("lch", {"log_base": 0.5}, "log_base"),
         ("lch", {"lch_floor": math.nan}, "floor"),
-    ], ids=["resnik-no-model", "prob-no-model", "lch-log-base", "lch-nan-floor"])
+        ("lch", {"lch_floor": 1.5}, r"^floor must be finite and in \(0, 1\], got 1\.5$"),
+    ], ids=["resnik-no-model", "prob-no-model", "lch-log-base", "lch-nan-floor",
+            "lch-floor-above-one"])
     def test_arguments_checked_when_no_row_is_usable(self, toy_taxonomy, measure,
                                                      kwargs, message):
         # every row is out of vocabulary, so no row is scored: the

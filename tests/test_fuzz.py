@@ -19,6 +19,7 @@ import sys
 import unicodedata
 from decimal import Decimal
 from fractions import Fraction
+from numbers import Real
 
 import pytest
 from hypothesis import example, given, settings
@@ -462,6 +463,8 @@ def test_lookup_surface(toy_taxonomy, toy_model, concept, word, index):
     key = _norm(word) if isinstance(word, str) else None
     assert t.senses_of(word) == senses.get(key, frozenset())
     assert t.sense_indices(word) == tuple(sorted(map(t.index_of, t.senses_of(word))))
+    assert t.sense_index_column([word, "x", word]) == [
+        t.sense_indices(word), t.sense_indices("x"), t.sense_indices(word)]
     lookups = [t.index_of, t.subsumers, t.parents_of, t.depth_of, m.freq, m.p, m.ic,
                lambda c: t.common_subsumers(c, "A"), lambda c: t.shortest_path_len("A", c),
                lambda c: sim_resnik_concepts(m, t, c, "A"),
@@ -479,12 +482,37 @@ def test_lookup_surface(toy_taxonomy, toy_model, concept, word, index):
         m.ic(c) for c in anc[concept] & anc["A"])
 
 
+@pytest.fixture(scope="module")
+def cafe_taxonomy():
+    """The toy taxonomy with a non-ASCII word, stored from its decomposed
+    spelling."""
+    return Taxonomy.build(TOY_EDGES, {**TOY_SENSES, CAFE[3]: {"B"}})
+
+
+@settings(max_examples=_budget(150), derandomize=True, database=None, deadline=None)
+@given(words=st.lists(st.one_of(WORD_VALUE, st.sampled_from(CAFE)), max_size=6),
+       form=st.sampled_from([list, tuple, iter]))
+@example(words=["x", ["x"], " Y", CAFE[1]], form=list)  # one unhashable word
+@example(words=[], form=iter)
+def test_sense_index_column_surface(cafe_taxonomy, words, form):
+    t = cafe_taxonomy
+    assert t.sense_index_column(form(words)) == [t.sense_indices(w) for w in words]
+    assert t.sense_index_column(form(words)) == [  # the documented rule, word by word
+        tuple(sorted(map(t.index_of, t.senses_of(w)))) for w in words]
+    for not_a_column in ("xy", "", 5, None):
+        with pytest.raises(TypeError):
+            t.sense_index_column(not_a_column)
+
+
 def _param_ok(v, low) -> bool:
     """Whether ``v`` is a real number in (low, largest float]."""
-    return isinstance(v, (int, float)) and low < v <= sys.float_info.max
+    return isinstance(v, Real) and low < v <= sys.float_info.max
 
 
-LCH_PARAM = st.one_of(st.sampled_from([2.0, math.e, 10, 0.5, 1, 1e308]), HOSTILE,
+# log bases above 1 and floors up to 1 are valid; a floor above 1, just
+# above included, would rank synonyms below the pairs one edge apart
+LCH_PARAM = st.one_of(st.sampled_from([2.0, math.e, 10, 0.5, 1, 1e308, 1.0 + 2**-52,
+                                       Fraction(1, 3), Fraction(3, 2)]), HOSTILE,
                       st.sampled_from([10**400, "1", "a\tb", ""]))
 DIRECT = {"resnik": lambda t, m, a, b, base, floor: sim_resnik_words(m, t, a, b),
           "edge": lambda t, m, a, b, base, floor: sim_edge(t, a, b),
@@ -499,6 +527,8 @@ DIRECT = {"resnik": lambda t, m, a, b, base, floor: sim_resnik_words(m, t, a, b)
 @example(w1="x", w2="y", measure="lch", log_base=2.0, floor=None)
 @example(w1="x", w2="y", measure="lch", log_base=10**400, floor=1.0)
 @example(w1="x", w2="y", measure="lch", log_base=2.0, floor="1")  # lch_floor in evaluate
+@example(w1="x", w2="x", measure="lch", log_base=2.0, floor=3.0)  # synonyms would rank last
+@example(w1="x", w2="x", measure="lch", log_base=Fraction(3, 2), floor=Fraction(1, 3))
 @example(w1=BIG, w2="w", measure="resnik", log_base=2.0, floor=1.0)
 @example(w1=BIG, w2="w", measure="edge", log_base=2.0, floor=1.0)
 def test_word_measure_surface(toy_taxonomy, toy_model, w1, w2, measure, log_base, floor):
@@ -510,7 +540,8 @@ def test_word_measure_surface(toy_taxonomy, toy_model, w1, w2, measure, log_base
         yield lambda: word_similarity(measure, t, w1, w2, m, log_base=log_base,
                                       lch_floor=floor)
 
-    if measure == "lch" and not (_param_ok(log_base, 1) and _param_ok(floor, 0)):
+    if measure == "lch" and not (_param_ok(log_base, 1) and _param_ok(floor, 0)
+                                 and floor <= 1):
         for call in calls():
             with pytest.raises(ValueError, match=r"^(log_base|floor) must be finite and "):
                 call()

@@ -63,14 +63,14 @@ def test_collector_paused_while_loading(toy_taxonomy, monkeypatch):
         seen.append(gc.isenabled())
         yield from TOY_EDGES
 
-    real = toy_taxonomy.sense_indices
+    real = toy_taxonomy.sense_index_column
 
-    def sense_indices(word):
+    def sense_index_column(words):
         seen.append(gc.isenabled())
-        return real(word)
+        return real(words)
 
-    monkeypatch.setattr(toy_taxonomy, "sense_indices", sense_indices)
-    table = FrequencyTable({"x": 3})  # one word: one lookup while propagating
+    monkeypatch.setattr(toy_taxonomy, "sense_index_column", sense_index_column)
+    table = FrequencyTable({"x": 3})  # one lookup pass while propagating
     Taxonomy.build(edges())
     build_model(toy_taxonomy, table)
     assert seen == [False, False]

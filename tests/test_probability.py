@@ -153,11 +153,34 @@ class TestConstructors:
         ({"x": 2.5}, r"^count for word 'x' is not an integer: 2\.5$"),
         ({"x": True}, r"^count for word 'x' is not an integer: True$"),
         ({5: 1}, r"^counts word is not a string: 5$"),
-    ], ids=["total", "negative", "float", "bool", "word"])
+        ({"a": 1, "b": 2, "x": -5}, r"^negative count for word 'x': -5$"),
+        ({"a": 1, "b": 2, "x": True}, r"^count for word 'x' is not an integer: True$"),
+        ({"a": 1, "x": -1, "y": 2.5}, r"^negative count for word 'x': -1$"),
+        ({"a": 1, "x": 2.5, 5: -1}, r"^count for word 'x' is not an integer: 2\.5$"),
+    ], ids=["total", "negative", "float", "bool", "word", "bad-after-valid",
+            "bool-after-ints", "first-of-two", "count-before-word"])
     def test_table_checks_its_counts(self, counts, message):
-        # the constructor used to accept all of these unchecked
+        # the constructor used to accept all of these unchecked; a table
+        # with a bad entry is checked entry by entry, so the first is named
         with pytest.raises(ModelError, match=message):
             FrequencyTable(counts)
+
+    def test_table_accepts_str_and_int_subclasses(self, toy_taxonomy):
+        class Word(str):
+            pass
+
+        class Count(int):
+            pass
+
+        counts = {Word("x"): Count(2), "y": 1, Word(" Z"): 0, "z": Count(1)}
+        table = FrequencyTable(counts)
+        assert table.counts == counts and table.total_raw == 4
+        folded = FrequencyTable.from_counts(counts)
+        assert folded.counts == {"x": 2, "y": 1, "z": 1}
+        assert all(type(w) is str and type(c) is int for w, c in folded.counts.items())
+        assert build_model(toy_taxonomy, folded).N == 4
+        unique = FrequencyTable.from_counts({Word("x"): Count(2)})  # no word repeats
+        assert [(type(w), type(c)) for w, c in unique.counts.items()] == [(str, int)]
 
     def test_table_total_is_derived(self):
         table = FrequencyTable({"x": 2, "Y ": 3})  # kept as given: no merging
@@ -292,22 +315,32 @@ def test_propagation_under_nested_diamonds_and_trees_below_valleys():
     # m1, m2, under d.  Trees hang below m1, a valley with one parent, and
     # below x and the root.  Both rules carry mass: each concept with one
     # parent, m1 included, hands its mass up to that parent, and d and x,
-    # with two parents each, walk theirs up once.
+    # with two parents each, walk theirs up once.  e, a third merge, joins
+    # the tree under s1 to b, so that the chains from f and from x reach b
+    # through two different merges.
     edges = [("a", "r"), ("b", "r"), ("d", "a"), ("d", "b"),
              ("m1", "d"), ("m2", "d"), ("x", "m1"), ("x", "m2"),
              ("t1", "m1"), ("t2", "t1"), ("t3", "t1"),
              ("u1", "x"), ("u2", "u1"),
-             ("s1", "r"), ("s2", "s1")]
+             ("s1", "r"), ("s2", "s1"), ("e", "s1"), ("e", "b"), ("f", "e")]
+    # Words whose senses a walk must not credit twice: "ancestor" and
+    # "chain" have a sense that is an ancestor of another of theirs;
+    # "merges" meets at b through the merges e and d; "sides" and "tops"
+    # have senses on both branches of the diamonds m1, m2 (merge x) and a,
+    # b (merge d), whose merges carry mass of their own.
     senses = {"t2": {"t2"}, "t3": {"t3"}, "u1": {"u1"}, "u2": {"u2"}, "x": {"x"},
-              "d": {"d"}, "m1": {"m1"}, "s2": {"s2"}, "t1": {"t1"},
-              "two": {"t2", "u2"}, "far": {"s2", "x"}, "nested": {"x", "m2", "t3"}}
+              "d": {"d"}, "m1": {"m1"}, "s2": {"s2"}, "t1": {"t1"}, "f": {"f"},
+              "two": {"t2", "u2"}, "far": {"s2", "x"}, "nested": {"x", "m2", "t3"},
+              "ancestor": {"t2", "m1"}, "chain": {"u2", "x", "d"}, "merges": {"f", "u2"},
+              "sides": {"m1", "m2"}, "tops": {"a", "b", "u1"}}
     counts = {"t2": 1, "t3": 2, "u1": 4, "u2": 8, "x": 16, "d": 32, "m1": 64,
-              "s2": 128, "t1": 0, "two": 256, "far": 512, "nested": 1024, "none": 2048}
+              "s2": 128, "t1": 0, "two": 256, "far": 512, "nested": 1024, "none": 2048,
+              "f": 3, "ancestor": 5, "chain": 7, "merges": 11, "sides": 13, "tops": 17}
     concepts = sorted({c for e in edges for c in e})
     t = Taxonomy.build(edges, senses)
     ids = t.concepts()
     assert {ids[i] for i, flag in enumerate(t.valleys_by_index) if flag} == {
-        "r", "a", "b", "d", "m1", "m2", "x"}
+        "r", "a", "b", "d", "m1", "m2", "x", "e", "s1"}
     model = build_model(t, FrequencyTable.from_counts(counts))
     expected = helpers.oracle_freq(concepts, edges, senses, counts)
     assert {c: model.freq(c) for c in concepts} == expected
@@ -323,6 +356,14 @@ def test_propagation_on_sparse_dags(seed):
     # with two parents
     rng = random.Random(seed)
     concepts, edges, senses = helpers.random_sparse_instance(rng)
+    # a word with a sense and one of its ancestors, and one with two
+    # senses at or below concepts with two or more parents, if any
+    anc = helpers.oracle_ancestors(concepts, edges)
+    leaf = rng.choice(concepts)
+    senses["nested"] = {leaf, rng.choice(sorted(anc[leaf]))}
+    merges = [m for m in concepts if sum(child == m for child, _ in edges) > 1]
+    below = [c for c in concepts if any(m in anc[c] for m in merges)]
+    senses["merges"] = set(rng.sample(below, 2) if len(below) > 1 else concepts[-1:])
     counts = {w: rng.randint(0, 50) for w in senses}
     counts["w0"] += 1
     counts["unlisted"] = rng.randint(0, 50)

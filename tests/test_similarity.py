@@ -331,8 +331,19 @@ class TestLch:
     def test_parameter_validation(self, toy_taxonomy):
         with pytest.raises(ValueError, match="log_base"):
             sim_lch(toy_taxonomy, "x", "y", log_base=1.0)
-        with pytest.raises(ValueError, match="floor"):
-            sim_lch(toy_taxonomy, "x", "y", floor=0.0)
+        for floor in (0.0, 1.0 + 2**-52, 3.0):
+            with pytest.raises(ValueError, match=r"^floor must be finite and in \(0, 1\], got "):
+                sim_lch(toy_taxonomy, "x", "y", floor=floor)
+        assert sim_lch(toy_taxonomy, "x", "x", floor=1).value == 2.0
+
+    def test_synonyms_never_rank_below_a_parent_and_child(self):
+        # x and z share the sense a; y's sense b is a's child.  A floor of
+        # 3.0, now rejected, scored the synonyms 1.0 against 2.585
+        t = Taxonomy.build([("a", "r"), ("b", "a"), ("c", "b")],
+                           {"x": {"a"}, "y": {"b"}, "z": {"a"}})
+        synonyms, parent_child = sim_lch(t, "x", "z"), sim_lch(t, "x", "y")
+        assert synonyms.value == parent_child.value == math.log2(6)  # a tie at 1.0
+        assert sim_lch(t, "x", "z", floor=0.5).value > parent_child.value
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_log_base_rejected(self, toy_taxonomy, bad):
