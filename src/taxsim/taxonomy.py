@@ -216,24 +216,18 @@ class Taxonomy:
         self._order = order = tuple(sorted(index.values(), key=depths.__getitem__))
         self._root = order[0]
         self._depths = depths
-        # A valley is an ancestor-or-self of a node with two or more
-        # parents: one walk up from those nodes flags each valley once.
-        valleys = bytearray(n)
-        todo = merges  # each listed once, when the walk set its depth
-        for u in todo:
-            valleys[u] = 1
-        for u in todo:
-            for p in parents[u]:
-                if not valleys[p]:
-                    valleys[p] = 1
-                    todo.append(p)
-        self._valleys = bytes(valleys)
         # path_len steps down only into the far end's ancestors and into
-        # valleys, listed here under each of their parents.
+        # valleys, the ancestors-or-self of the nodes with two or more
+        # parents.  One walk up from those nodes lists each valley under
+        # each of its parents, and goes on from a parent when first met.
         down: list[tuple[int, ...]] = [()] * n
-        for v in compress(range(n), valleys):
+        todo, seen = merges, set(merges)  # each merge listed once, when its depth was set
+        for v in todo:
             for p in parents[v]:
                 down[p] += (v,)
+                if p not in seen:
+                    seen.add(p)
+                    todo.append(p)
         self._down = down
         self.max_depth = max(depths)
         # Each concept's ancestor indices as a tuple, root first and the
@@ -344,10 +338,12 @@ class Taxonomy:
         by walking up, then builds them in order of depth, so that each
         parent's tuple is there before its children's.  An int index
         outside ``range(concept_count)`` raises UnknownConceptError, any
-        other index TypeError.
+        other index TypeError; an int subclass, such as ``bool``, is taken
+        as its plain int, so every returned index is an ``int``.
         """
-        if not 0 <= operator.index(i) < len(self._ids):
+        if not 0 <= (k := operator.index(i)) < len(self._ids):
             raise UnknownConceptError(f"unknown concept index: {_shown(i)}")
+        i = k  # a plain int, not a bool or IntEnum member: the memo keeps it
         memo = self._ancestors
         built = memo[i]
         if built is not None:
@@ -383,13 +379,6 @@ class Taxonomy:
         root), ties in index order: the root first, and each concept
         after all of its parents."""
         return self._order
-
-    @property
-    def valleys_by_index(self) -> bytes:
-        """1 for every concept that is an ancestor-or-self of a concept
-        with two or more parents (a valley), else 0, indexed by
-        :meth:`index_of`; below any other concept the taxonomy is a tree."""
-        return self._valleys
 
     @property
     def root(self) -> str:

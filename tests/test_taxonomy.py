@@ -502,11 +502,12 @@ def test_random_dags_depth_bounded_by_root_path(seed):
 
 @settings(max_examples=_budget(60), derandomize=True, database=None, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), sparse=st.booleans())
-def test_valley_flags_match_the_closure(seed, sparse):
-    # the flags come from one walk up from the concepts with two or more
-    # parents, and the depths from one memoised walk up the parent lists;
-    # the oracles take every ancestor-or-self of a concept with two or
-    # more parents from the fixpoint closure, and the depths by recursion
+def test_down_lists_match_the_closure(seed, sparse):
+    # path_len's down lists come from one walk up from the concepts with
+    # two or more parents, and the depths from one memoised walk up the
+    # parent lists; the oracles take the valleys, every ancestor-or-self
+    # of a concept with two or more parents, from the fixpoint closure,
+    # and the depths by recursion
     rng = random.Random(seed)
     if sparse:
         concepts, edges, _ = helpers.random_sparse_instance(rng)
@@ -514,10 +515,11 @@ def test_valley_flags_match_the_closure(seed, sparse):
         concepts, edges, _, _ = helpers.random_instance(rng)
     t = Taxonomy.build(edges, concepts=concepts)
     ids = t.concepts()
-    assert {ids[i] for i, flag in enumerate(t.valleys_by_index) if flag} == (
-        helpers.oracle_valleys(concepts, edges))
-    assert set(t.valleys_by_index) <= {0, 1}
+    valleys = helpers.oracle_valleys(concepts, edges)
     parents = helpers.oracle_parents(concepts, edges)
+    # each concept lists every valley among its children once, and nothing else
+    assert [sorted(ids[v] for v in t._down[p]) for p in range(t.concept_count)] == [
+        sorted(v for v in valleys if c in parents[v]) for c in ids]
     assert [{ids[p] for p in ps} for ps in t.parents_by_index] == [parents[c] for c in ids]
     depths = helpers.oracle_depths(concepts, edges)
     assert [t.depth_of(c) for c in ids] == [depths[c] for c in ids]
