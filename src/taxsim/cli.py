@@ -28,7 +28,7 @@ from .errors import (
 from .evaluation import (
     REFERENCE_TARGETS,
     REFERENCE_TOLERANCE,
-    evaluate,
+    _evaluate_each,
     load_benchmark,
     reference_correlations,
 )
@@ -120,11 +120,10 @@ def cmd_eval(args: argparse.Namespace, measures) -> int:
     t, model = _load(args, measures)
     benchmark = load_benchmark(Path(args.benchmark))
     json_lines: list[str] = []
-    for measure in measures:
-        report = evaluate(
-            measure, benchmark, t, model,
-            log_base=args.log_base, lch_floor=args.lch_floor,
-        )
+    # every measure scored in one pass over the rows; a measure's report,
+    # or its error, comes after the reports of the measures before it
+    for report in _evaluate_each(measures, benchmark, t, model, args.log_base, args.lch_floor):
+        measure = report.measure
         print(
             f"{measure}\tr={report.r:.4f}\tn={report.n_included}\t"
             f"excluded={len(report.excluded)}"

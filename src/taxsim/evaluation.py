@@ -23,9 +23,9 @@ from importlib import resources
 from numbers import Real
 from typing import Iterable, Iterator
 
-from .errors import EvaluationError
+from .errors import EvaluationError, SimilarityError
 from .probability import ProbabilityModel
-from .similarity import _check_word_measure, word_similarity
+from .similarity import CORPUS_MEASURES, _check_model, _check_word_measure, _row_kernel
 from .taxonomy import Taxonomy, _normalized, _shown
 
 _REFERENCE_RESOURCE = "miller_charles.tsv"
@@ -253,34 +253,68 @@ def evaluate(
     and listed with a reason; included plus excluded always partitions
     the benchmark.  The measure and its arguments are checked once, as by
     :func:`~taxsim.similarity.word_similarity`, before any row is
-    scored.  Fails if fewer than 2 rows are usable.
+    scored.  Each column of words is then looked up in one pass
+    (:meth:`~taxsim.taxonomy.Taxonomy.sense_index_column`), and each
+    included row's two sense tuples are scored by the row kernel that
+    ``word_similarity`` runs, so every score is the value it reports.
+    Fails if fewer than 2 rows are usable.
     """
-    _check_word_measure(measure, taxonomy, model, log_base, lch_floor)
-    items: list[EvalItem] = []
-    known = taxonomy.sense_indices
-    for w1, w2, human in benchmark.rows:
-        if known(w1) and known(w2):
-            score = word_similarity(  # the module attribute, which tracing may wrap
-                measure, taxonomy, w1, w2, model, log_base=log_base, lch_floor=lch_floor
-            )
-            items.append(EvalItem(w1, w2, human, score.value, True, None))
-            continue
-        missing = sorted({_shown(w, str) for w in (w1, w2) if not known(w)})
-        reason = "word not in taxonomy: " + ", ".join(missing)
-        items.append(EvalItem(w1, w2, human, None, False, reason))
+    return next(_evaluate_each((measure,), benchmark, taxonomy, model, log_base, lch_floor))
 
-    humans = [it.human for it in items if it.included]
-    scores = [it.score for it in items if it.included]
-    if len(humans) < 2:
-        raise EvaluationError(
-            f"benchmark {_shown(benchmark.name)} has {len(humans)} usable rows; need >= 2"
+
+def _evaluate_each(measures: tuple[str, ...], benchmark: Benchmark, taxonomy: Taxonomy,
+                   model: ProbabilityModel | None, log_base: float = 2.0,
+                   lch_floor: float = 1.0) -> Iterator[EvalReport]:
+    """The reports of ``evaluate`` for each of ``measures``, in order,
+    from one scoring pass over the rows.
+
+    Each report, and each error, comes where the per-measure ``evaluate``
+    calls would give it: the first measure that fails its check ends the
+    reports, after those of the measures before it; the usable-row count
+    and the correlation of a measure are checked when its report is due.
+    """
+    rows = benchmark.rows
+    column = taxonomy.sense_index_column
+    senses1, senses2 = column([w1 for w1, _, _ in rows]), column([w2 for _, w2, _ in rows])
+    reasons = [
+        None if s1 and s2 else "word not in taxonomy: " + ", ".join(
+            sorted({_shown(w, str) for w, s in ((w1, s1), (w2, s2)) if not s}))
+        for (w1, w2, _), s1, s2 in zip(rows, senses1, senses2)
+    ]
+    humans = [human for (_, _, human), why in zip(rows, reasons) if not why]
+    checked, failure = [], None
+    for measure in measures:
+        try:
+            _check_word_measure(measure, taxonomy, model, log_base, lch_floor)
+            if humans and measure in CORPUS_MEASURES:  # as at the first scored row
+                _check_model(model, taxonomy)
+        except (ValueError, SimilarityError) as exc:  # raised after the reports before it
+            failure = exc
+            break
+        checked.append(measure)
+    # one float column per measure: no per-row container outlives its row
+    columns = {measure: [] for measure in checked}
+    if checked:
+        score = _row_kernel(taxonomy, model, tuple(checked), log_base, lch_floor)
+        for s1, s2 in zip(senses1, senses2):
+            if s1 and s2:
+                for measure, (value, _, _, _) in score(s1, s2).items():
+                    columns[measure].append(value)
+    del senses1, senses2  # the reports need only the reasons and the scores
+    excluded = tuple((w1, w2, why) for (w1, w2, _), why in zip(rows, reasons) if why)
+    for measure in checked:
+        scores = columns.pop(measure)  # each column is let go once its report is out
+        if len(humans) < 2:
+            raise EvaluationError(
+                f"benchmark {_shown(benchmark.name)} has {len(humans)} usable rows; need >= 2"
+            )
+        next_score = iter(scores).__next__
+        items = tuple(
+            EvalItem(w1, w2, human, None, False, why) if why
+            else EvalItem(w1, w2, human, next_score(), True, None)
+            for (w1, w2, human), why in zip(rows, reasons)
         )
-    return EvalReport(
-        measure=measure,
-        r=pearson(humans, scores),
-        n_included=len(humans),
-        excluded=tuple(
-            (it.word1, it.word2, it.reason) for it in items if not it.included
-        ),
-        items=tuple(items),
-    )
+        yield EvalReport(measure=measure, r=pearson(humans, scores),
+                         n_included=len(humans), excluded=excluded, items=items)
+    if failure is not None:
+        raise failure

@@ -45,9 +45,6 @@ CORPUS_MEASURES = ("resnik", "prob")
 #: Tolerance on the sum of alpha weights.
 WEIGHT_SUM_TOLERANCE = 1e-9
 
-# A model's per-index arrays mean nothing over another taxonomy's indices.
-_OTHER_TAXONOMY = "the model was built on another taxonomy than the one queried"
-
 
 @dataclass(frozen=True, slots=True)
 class SimScore:
@@ -70,49 +67,17 @@ def _sense_indices(t: Taxonomy, word: str) -> tuple[int, ...]:
     return senses
 
 
-def _best_subsumer(model: ProbabilityModel, t: Taxonomy, measure: str,
-                   s1: tuple[int, ...], s2: tuple[int, ...]) -> SimScore:
-    """The one rule behind resnik and prob: the SimScore maximizing
-    ``ic[c]`` (resnik) or ``1 - p[c]`` (prob) over sense pairs ``s1`` x
-    ``s2`` x sorted common subsumers ``c``; only a strictly greater value
-    replaces the best, so ties keep the first pair, then the smallest c.
-    Zero-frequency c (``ic = +inf``) are skipped; the root, with p = 1
-    and ic = 0 as N > 0, subsumes every pair, so one c always remains.
-    prob scores ``1 - p``, not the least ``p``: once N > 2**53, distinct
-    p can round to one ``1 - p``, and the tie-break must see that tie."""
+def _check_model(model: ProbabilityModel, t: Taxonomy) -> None:
+    """Raise unless ``model`` was built on ``t``: a model's per-index
+    arrays mean nothing over another taxonomy's indices."""
     if model.taxonomy is not t:
-        raise ValueError(_OTHER_TAXONOMY)
-    anc = t.ancestor_indices
-    values = model.one_minus_p_by_index if measure == "prob" else model.ic_by_index
-    best, found, inf = -math.inf, None, math.inf
-    for i1 in s1:
-        a1 = set(anc(i1))
-        for i2 in s2:
-            for c in sorted(a1.intersection(anc(i2))):
-                if best < (v := values[c]) < inf:
-                    best, found = v, (c, i1, i2)
-    ids, (c, i1, i2) = t.concepts(), found
-    return SimScore(best, ids[c], (ids[i1], ids[i2]))  # positional: cheaper per row
-
-
-def sim_resnik_concepts(model: ProbabilityModel, t: Taxonomy,
-                        c1: str, c2: str) -> SimScore:
-    """Information content of the most informative concept subsuming both;
-    zero-frequency subsumers carry no evidence and are skipped."""
-    score = _best_subsumer(model, t, "resnik", (t.index_of(c1),), (t.index_of(c2),))
-    return SimScore(value=score.value, witness=score.witness)
-
-
-def sim_resnik_words(model: ProbabilityModel, t: Taxonomy,
-                     w1: str, w2: str) -> SimScore:
-    """Word similarity: the concept measure maximized over all sense pairs."""
-    return word_similarity("resnik", t, w1, w2, model)
+        raise ValueError("the model was built on another taxonomy than the one queried")
 
 
 def _min_sense_path(t: Taxonomy, s1: tuple[int, ...],
-                    s2: tuple[int, ...]) -> tuple[int, tuple[str, str]]:
-    """The one rule behind edge and lch: the shortest undirected IS-A
-    path over sense pairs ``s1`` x ``s2``, and the pair that has it.
+                    s2: tuple[int, ...]) -> tuple[int, int, int]:
+    """The shortest undirected IS-A path over sense pairs ``s1`` x
+    ``s2``: its length and the pair that has it.
 
     After the first pair, each search is limited to ``best - 1`` edges:
     only a strictly shorter path can replace the best pair, so ties keep
@@ -125,8 +90,80 @@ def _min_sense_path(t: Taxonomy, s1: tuple[int, ...],
             length = t.path_len(i1, i2, None if best is None else best - 1)
             if length is not None:
                 best, best_pair = length, (i1, i2)
-    ids = t.concepts()
-    return best, (ids[best_pair[0]], ids[best_pair[1]])
+    return best, *best_pair
+
+
+def _row_kernel(t: Taxonomy, model: ProbabilityModel | None, measures: tuple[str, ...],
+                log_base: float = 2.0, lch_floor: float = 1.0):
+    """The one row kernel behind every word measure: a function of two
+    words' sense index tuples ``s1``, ``s2`` (sorted, non-empty) that
+    maps each of ``measures`` to ``(value, witness, i1, i2)``, where
+    ``(i1, i2)`` is the deciding sense pair and ``witness`` the deciding
+    subsumer's index, or -1 for edge and lch.
+
+    resnik and prob come from one sweep of sense pairs x sorted common
+    subsumers ``c``, which keeps one maximum of ``ic[c]`` and one of
+    ``1 - p[c]``.  Only a strictly greater value replaces a maximum, so
+    ties keep the first pair, then the smallest ``c``.  resnik skips the
+    zero-frequency ``c`` (``ic = +inf``); the root, with p = 1 and ic = 0
+    as N > 0, subsumes every pair, so one ``c`` always remains.  prob
+    scores ``1 - p``, not the least ``p``: once N > 2**53, distinct p can
+    round to one ``1 - p``, and the tie-break must see that tie.  edge
+    and lch come from one search for the shortest path over the sense
+    pairs.
+
+    Nothing is checked here, once or per row: the callers check each
+    measure and its arguments, and that ``model`` was built on ``t``.
+    """
+    resnik, prob, edge, lch = (m in measures for m in ("resnik", "prob", "edge", "lch"))
+    anc, inf, span = t.ancestor_indices, math.inf, 2.0 * t.max_depth
+    if resnik or prob:
+        ic, one_minus_p = model.ic_by_index, model.one_minus_p_by_index
+
+    def score(s1: tuple[int, ...], s2: tuple[int, ...]) -> dict[str, tuple[float, int, int, int]]:
+        found = {}
+        if resnik or prob:
+            best_r = best_p = -inf
+            for i1 in s1:
+                a1 = set(anc(i1))
+                for i2 in s2:
+                    common = sorted(a1.intersection(anc(i2)))
+                    if resnik:
+                        for c in common:
+                            if best_r < (v := ic[c]) < inf:
+                                best_r = v
+                                found["resnik"] = (v, c, i1, i2)
+                    if prob:
+                        for c in common:
+                            if best_p < (v := one_minus_p[c]):
+                                best_p = v
+                                found["prob"] = (v, c, i1, i2)
+        if edge or lch:
+            length, i1, i2 = _min_sense_path(t, s1, s2)
+            if edge:
+                found["edge"] = (span - length, -1, i1, i2)
+            if lch:
+                effective = lch_floor if length == 0 else float(length)
+                found["lch"] = (_neg_log(effective / span, log_base), -1, i1, i2)
+        return found
+
+    return score
+
+
+def sim_resnik_concepts(model: ProbabilityModel, t: Taxonomy,
+                        c1: str, c2: str) -> SimScore:
+    """Information content of the most informative concept subsuming both;
+    zero-frequency subsumers carry no evidence and are skipped."""
+    s1, s2 = (t.index_of(c1),), (t.index_of(c2),)
+    _check_model(model, t)
+    value, witness, _, _ = _row_kernel(t, model, ("resnik",))(s1, s2)["resnik"]
+    return SimScore(value, t.concepts()[witness])
+
+
+def sim_resnik_words(model: ProbabilityModel, t: Taxonomy,
+                     w1: str, w2: str) -> SimScore:
+    """Word similarity: the concept measure maximized over all sense pairs."""
+    return word_similarity("resnik", t, w1, w2, model)
 
 
 def sim_edge(t: Taxonomy, w1: str, w2: str) -> SimScore:
@@ -166,8 +203,7 @@ def _finite_ic_subsumers(model: ProbabilityModel, t: Taxonomy,
                          c1: str, c2: str) -> dict[str, float]:
     """{concept id: ic} of the finite-ic common subsumers of two concepts,
     in concept index order."""
-    if model.taxonomy is not t:
-        raise ValueError(_OTHER_TAXONOMY)
+    _check_model(model, t)
     ic, inf, ids, anc = model.ic_by_index, math.inf, t.concepts(), t.ancestor_indices
     common = set(anc(t.index_of(c1))).intersection(anc(t.index_of(c2)))
     return {ids[c]: ic[c] for c in sorted(common) if ic[c] != inf}
@@ -253,7 +289,9 @@ def word_similarity(measure: str, t: Taxonomy, w1: str, w2: str,
 
     The measure and its arguments are checked before the words are
     looked up; each word's senses are then looked up once and handed to
-    the measure's kernel.  ``model`` is required for the corpus-based
+    the row kernel that :func:`~taxsim.evaluation.evaluate` also runs,
+    whose indices become the witness and sense pair ids.  ``model`` is
+    required for the corpus-based
     measures (resnik, prob) and ignored by the purely structural ones
     (edge, lch).  ``log_base`` only affects lch; the corpus measures
     inherit the base the model was built with.
@@ -261,9 +299,8 @@ def word_similarity(measure: str, t: Taxonomy, w1: str, w2: str,
     _check_word_measure(measure, t, model, log_base, lch_floor)
     s1, s2 = _sense_indices(t, w1), _sense_indices(t, w2)
     if measure in CORPUS_MEASURES:
-        return _best_subsumer(model, t, measure, s1, s2)
-    length, pair = _min_sense_path(t, s1, s2)
-    if measure == "edge":
-        return SimScore(float(2 * t.max_depth - length), None, pair)
-    effective = lch_floor if length == 0 else float(length)
-    return SimScore(_neg_log(effective / (2.0 * t.max_depth), log_base), None, pair)
+        _check_model(model, t)
+    score = _row_kernel(t, model, (measure,), log_base, lch_floor)
+    value, witness, i1, i2 = score(s1, s2)[measure]
+    ids = t.concepts()
+    return SimScore(value, ids[witness] if witness >= 0 else None, (ids[i1], ids[i2]))

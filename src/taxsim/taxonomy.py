@@ -15,7 +15,9 @@ slot is equal to any other built for it, order included, since each is
 a function of the fixed graph alone; storing an item in a list is
 atomic; and a build reads only slots that are already filled, which
 never go back to None.  Two threads that miss together at worst build
-the same tuple twice.
+the same tuple twice.  The path search also keeps the goal sets it last
+built, in a small dict that it empties when full; each set is only read,
+and one built again is equal to the one it replaces.
 
 Input formats (UTF-8 text, ``#`` lines ignored, duplicate lines
 idempotent):
@@ -58,6 +60,9 @@ from .errors import TaxonomyError, UnknownConceptError
 SYNTHETIC_ROOT = "*root*"
 
 _F = TypeVar("_F", bound=Callable)
+
+#: How many path-search goal sets a taxonomy keeps (see Taxonomy._goal_set).
+_GOAL_SETS_KEPT = 64
 
 
 def _gc_paused(func: _F) -> _F:
@@ -236,6 +241,7 @@ class Taxonomy:
         # frozenset, and the collector stops tracking it once it survives
         # one collection.
         self._ancestors: list[tuple[int, ...] | None] = [None] * n
+        self._goals: dict[int, frozenset[int]] = {}  # see _goal_set
 
     # ------------------------------------------------------------------
     # construction
@@ -341,13 +347,15 @@ class Taxonomy:
         other index TypeError; an int subclass, such as ``bool``, is taken
         as its plain int, so every returned index is an ``int``.
         """
+        memo = self._ancestors
+        try:  # most calls: an index in range whose tuple is built
+            if i >= 0 and (built := memo[i]) is not None:
+                return built
+        except (TypeError, IndexError):  # not an int, or too large: checked below
+            pass
         if not 0 <= (k := operator.index(i)) < len(self._ids):
             raise UnknownConceptError(f"unknown concept index: {_shown(i)}")
         i = k  # a plain int, not a bool or IntEnum member: the memo keeps it
-        memo = self._ancestors
-        built = memo[i]
-        if built is not None:
-            return built
         parents = self._parents
         ps = parents[i]
         if len(ps) == 1 and (up := memo[ps[0]]) is not None:
@@ -471,8 +479,7 @@ class Taxonomy:
         ``range(concept_count)`` raises UnknownConceptError, any other
         index, or a ``limit`` other than an int or None, TypeError.
         """
-        # the far ends' ancestors
-        goal_b, goal_a = set(self.ancestor_indices(i)), set(self.ancestor_indices(j))
+        goal_b, goal_a = self._goal_set(i), self._goal_set(j)  # the far ends' ancestors
         if limit is not None:
             limit = operator.index(limit)
         if i == j:
@@ -505,6 +512,21 @@ class Taxonomy:
         raise TaxonomyError(
             f"no path between {self._ids[i]!r} and {self._ids[j]!r}"
         )  # unreachable after validation: the root connects everything
+
+    def _goal_set(self, i: int) -> frozenset[int]:
+        """The ancestor indices of ``i`` as a set: the goal of a path
+        search toward ``i``.  The sets last asked for are kept, up to
+        ``_GOAL_SETS_KEPT``, and then all dropped at once, so that a word
+        query, which searches from every sense of one word to every sense
+        of the other, builds each sense's set once, not once per pair."""
+        goals = self._goals
+        i = operator.index(i)  # a float key would find its int's set
+        found = goals.get(i)
+        if found is None:
+            if len(goals) >= _GOAL_SETS_KEPT:
+                goals.clear()
+            found = goals[i] = frozenset(self.ancestor_indices(i))
+        return found
 
     def depth_of(self, concept: str) -> int:
         return self._depths[self.index_of(concept)]

@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import pytest
 
+import taxsim.cli
+from taxsim import Taxonomy
 from taxsim.cli import main
 
 
@@ -328,6 +330,56 @@ class TestEvalLive:
         _, out2, _ = _run(capsys, args)
         _, oute, _ = _run(capsys, args + ["--log-base", str(math.e)])
         assert out2 == oute
+
+
+class TestEvalReportOrder:
+    """``eval`` with several measures: the reports of the measures before
+    a failing one print first, then the error and exit code the failing
+    measure gives on its own."""
+
+    @pytest.fixture
+    def twin_files(self, tmp_path):
+        # p1/p2 meet at P and q1/q2 at Q, both two edges apart: the corpus
+        # measures vary with the counts below P and Q, the path measures not
+        files = {name: tmp_path / name for name in ("t.tsv", "l.tsv", "c.tsv", "b.csv")}
+        files["t.tsv"].write_text("P\troot\nQ\troot\np1\tP\np2\tP\nq1\tQ\nq2\tQ\n",
+                                  encoding="utf-8")
+        files["l.tsv"].write_text("a\tp1\nb\tp2\nc\tq1\nd\tq2\n", encoding="utf-8")
+        files["c.tsv"].write_text("a\t1\nb\t1\nc\t3\nd\t3\n", encoding="utf-8")
+        files["b.csv"].write_text("word1,word2,rating\na,b,4.0\nc,d,1.0\na,ghost,2.0\n",
+                                  encoding="utf-8")
+        return files
+
+    @pytest.mark.parametrize("measures, first", [
+        ([], "resnik"),  # all four: edge, the second, has zero variance
+        (["--measure", "lch", "--measure", "prob"], "prob"),
+    ], ids=["all", "prob-lch"])
+    def test_zero_variance_after_earlier_reports(self, capsys, twin_files, measures, first):
+        json_out = twin_files["b.csv"].with_name("rows.jsonl")
+        code, out, err = _run(capsys, [
+            "eval", "--benchmark", str(twin_files["b.csv"]), "--json-out", str(json_out),
+            "--taxonomy", str(twin_files["t.tsv"]), "--lexicon", str(twin_files["l.tsv"]),
+            "--counts", str(twin_files["c.tsv"])] + measures)
+        assert (code, err) == (4, "error: zero variance: correlation undefined\n")
+        assert out == (f"{first}\tr=1.0000\tn=2\texcluded=1\n"
+                       "# excluded: a,ghost\tword not in taxonomy: ghost\n")
+        assert not json_out.exists()  # written only once every report is out
+
+    @pytest.mark.parametrize("measures, code, err", [
+        ([], 4, "zero variance: correlation undefined"),  # resnik, before lch's depth
+        (["--measure", "lch"], 3, "taxonomy depth is 0; path-normalized similarity is undefined"),
+    ], ids=["all", "lch"])
+    def test_depth_zero_taxonomy(self, capsys, tmp_path, toy_files, monkeypatch,
+                                 measures, code, err):
+        # an edge file makes a depth of 1 or more, so the flat taxonomy
+        # stands in for the loaded one
+        flat = Taxonomy.build([], {"x": {"solo"}, "y": {"solo"}}, concepts=["solo"])
+        monkeypatch.setattr(taxsim.cli, "load_taxonomy", lambda *paths: flat)
+        bench, counts = tmp_path / "flat.csv", tmp_path / "flat_counts.tsv"
+        bench.write_text("word1,word2,rating\nx,y,1.0\ny,x,2.0\nx,x,3.0\n", encoding="utf-8")
+        counts.write_text("x\t2\ny\t1\n", encoding="utf-8")
+        assert _run(capsys, ["eval", "--benchmark", str(bench)] + _base_args(toy_files)
+                    + ["--counts", str(counts)] + measures) == (code, "", f"error: {err}\n")
 
 
 class TestStats:

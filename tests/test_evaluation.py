@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import math
 import pickle
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -12,11 +13,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import flip_check
+import helpers
+from helpers import _budget, flip_check
 from taxsim import (
     Benchmark,
     EvalItem,
     EvaluationError,
+    FrequencyTable,
     REFERENCE_TARGETS,
     REFERENCE_TOLERANCE,
     evaluate,
@@ -27,8 +30,11 @@ from taxsim import (
     SimilarityError,
     SimScore,
     Taxonomy,
+    WORD_MEASURES,
+    build_model,
+    word_similarity,
 )
-from taxsim.evaluation import reference_data_bytes
+from taxsim.evaluation import _evaluate_each, reference_data_bytes
 
 # byte-pin of the bundled reference table
 REFERENCE_SHA256 = "c611c8f97082effd17115b3eb28e6e2c9a404091ab6ce4d28e9f24af7f2e4958"
@@ -355,6 +361,113 @@ class TestEvaluate:
         report = evaluate("prob", bench, toy_taxonomy, toy_model)
         assert [item.score for item in report.items] == [0.25, 0.0]
         assert all(item.included for item in report.items)
+
+
+def _oracle_scores(order, edges, senses, model, w1, w2):
+    """measure -> (value, witness, sense pair) of ``w1``, ``w2`` by full
+    enumeration and deque BFS; lch only on a taxonomy of depth 1 or more."""
+    pair = (senses[w1], senses[w2])
+    out = {
+        "resnik": helpers.oracle_best_subsumer(
+            order, edges, pair, lambda c: None if math.isinf(v := model.ic(c)) else v),
+        "prob": helpers.oracle_best_subsumer(order, edges, pair, lambda c: 1.0 - model.p(c)),
+    }
+    path_pair = helpers.oracle_min_sense_pair(order, edges, senses, w1, w2)
+    out["edge"] = (helpers.oracle_edge_words(order, edges, senses, w1, w2), None, path_pair)
+    if helpers.oracle_max_depth(order, edges) >= 1:
+        out["lch"] = (helpers.oracle_lch_words(order, edges, senses, w1, w2), None, path_pair)
+    return out
+
+
+def _hex(score):
+    return None if score is None else score.hex()
+
+
+def _outcome(call):
+    """``call()``, or the (type, message) of the evaluation error it raises."""
+    try:
+        return call()
+    except (EvaluationError, SimilarityError) as exc:
+        return type(exc), str(exc)
+
+
+def _bits(report):
+    """Everything an EvalReport holds, each float as its hex string, so
+    that two reports compare equal only bit for bit."""
+    return (report.measure, report.r.hex(), report.n_included, report.excluded,
+            [(it.word1, it.word2, it.human.hex(), _hex(it.score), it.included, it.reason)
+             for it in report.items])
+
+
+def _until_error(reports):
+    """The bits of each report that ``reports`` yields, then the outcome
+    of the error that ends them, if any."""
+    out = []
+    try:
+        for report in reports:
+            out.append(_bits(report))
+    except (EvaluationError, SimilarityError) as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+def _oracle_report(measure, rows, oracle, depth):
+    """(r, [(score, included, reason)]) that ``evaluate`` must give from the
+    oracle's scores, floats as hex, or the error it must raise."""
+    if measure == "lch" and depth < 1:
+        return SimilarityError, "taxonomy depth is 0; path-normalized similarity is undefined"
+    humans = [h for (_, _, h), o in zip(rows, oracle) if o is not None]
+    scores = [o[measure][0] for o in oracle if o is not None]
+    if len(scores) < 2:
+        return EvaluationError, f"benchmark 'random' has {len(scores)} usable rows; need >= 2"
+    items = [(None, False, "word not in taxonomy: ghost") if o is None
+             else (o[measure][0].hex(), True, None) for o in oracle]
+    return _outcome(lambda: (pearson(humans, scores).hex(), items))
+
+
+def test_evaluate_matches_the_oracles_on_random_dags():
+    """evaluate, row by row, against the brute-force oracles on random DAGs
+    with diamonds and polysemy, for every measure; the one-pass reports of
+    several measures against one evaluate call each, bit for bit; and
+    word_similarity's witness and sense pair against the oracles'."""
+    ties = rows_scored = 0
+    for k, (concepts, edges, senses, counts) in enumerate(
+            helpers.random_instances(count=_budget(helpers.N_RANDOM_INSTANCES))):
+        t = Taxonomy.build(edges, senses, concepts=concepts)
+        model = build_model(t, FrequencyTable.from_counts(counts))
+        order = t.concepts()
+        rng = random.Random(k)
+        words = sorted(senses) * 4 + ["ghost"]
+        rows = tuple((rng.choice(words), rng.choice(words), float(rng.randint(0, 9)))
+                     for _ in range(rng.randint(1, 8)))
+        bench = Benchmark("random", rows)
+        oracle = [None if "ghost" in (w1, w2) else
+                  _oracle_scores(order, edges, senses, model, w1, w2) for w1, w2, _ in rows]
+        for measure in WORD_MEASURES:
+            got = _outcome(lambda: evaluate(measure, bench, t, model))
+            if isinstance(got, tuple):  # an error
+                assert got == _oracle_report(measure, rows, oracle, t.max_depth)
+                continue
+            assert (got.r.hex(), [(_hex(it.score), it.included, it.reason)
+                                  for it in got.items]) == _oracle_report(
+                measure, rows, oracle, t.max_depth)
+            assert got.excluded == tuple((w1, w2, "word not in taxonomy: ghost")
+                                         for (w1, w2, _), o in zip(rows, oracle) if o is None)
+        measures = tuple(rng.sample(WORD_MEASURES, rng.randint(1, len(WORD_MEASURES))))
+        assert _until_error(_evaluate_each(measures, bench, t, model)) == _until_error(
+            evaluate(m, bench, t, model) for m in measures)
+        for (w1, w2, _), scores in zip(rows, oracle):
+            for measure, (value, witness, pair) in (scores or {}).items():
+                score = word_similarity(measure, t, w1, w2, model)
+                assert (score.value.hex(), score.witness, score.sense_pair) == (
+                    value.hex(), witness, pair)
+            if scores:
+                rows_scored += 1
+                best = scores["resnik"][0]
+                ties += sum(model.ic(c) == best for a in senses[w1] for b in senses[w2]
+                            for c in t.common_subsumers(a, b)) > 1
+    # the tie-breaks must be exercised, not only unique maxima
+    assert ties > rows_scored // 10
 
 
 @pytest.mark.parametrize("record", [

@@ -154,7 +154,13 @@ COUNTS = st.one_of(st.dictionaries(TOY_WORDS, st.integers(0, 9), max_size=4),
                    st.dictionaries(WORDS, st.one_of(st.integers(0, 9), HOSTILE),
                                    max_size=4))
 FINITE = st.one_of(st.integers(-9, 9), st.floats(-4.0, 4.0))
-ROW = st.one_of(st.tuples(TOY_WORDS, TOY_WORDS, FINITE), st.tuples(WORDS, WORDS, HOSTILE))
+# words that take the batch lookup's slower roads: a spelling that misses
+# as given but normalizes to a stored word (surrounding whitespace, a
+# decomposed accent), and an unhashable word, which sends its whole column
+# through the word-by-word lookup
+LOOKUP_WORD = st.one_of(TOY_WORDS, st.sampled_from([" x ", "\tY", ["x"]]))
+ROW = st.one_of(st.tuples(TOY_WORDS, TOY_WORDS, FINITE), st.tuples(WORDS, WORDS, HOSTILE),
+                st.tuples(LOOKUP_WORD, LOOKUP_WORD, FINITE))
 PAIR = st.one_of(st.tuples(FINITE, FINITE), st.tuples(HOSTILE, HOSTILE))
 
 
@@ -279,25 +285,28 @@ def test_pearson_surface(pairs):
 @example(rows=[("x", "y", 1.0), ("x", "z", 2.0), (5, "x", 3.0)], measure="edge")
 @example(rows=[("x", "y", 1.0), ("x", "z", "2")], measure="resnik")  # a str rating
 @example(rows=[("x", "y", 1.0), ("x", "z", 2.0), (BIG, "x", 3.0)], measure="edge")
-def test_evaluate_surface(toy_taxonomy, toy_model, rows, measure):
-    known = toy_taxonomy.sense_indices
+@example(rows=[(" X", CAFE[1], 1.0), (["x"], "y", 2.0), ("\tY", "Z ", 3.0), (CAFE[2], "x", 4.0)],
+         measure="resnik")  # every spelling a fallback, one word unhashable
+def test_evaluate_surface(cafe_taxonomy, cafe_model, rows, measure):
+    t, m = cafe_taxonomy, cafe_model
+    known = t.sense_indices
     included = [(w1, w2, h) for w1, w2, h in rows if known(w1) and known(w2)]
     humans = [h for _, _, h in included]
-    scores = [word_similarity(measure, toy_taxonomy, w1, w2, toy_model).value
-              for w1, w2, _ in included]
+    scores = [word_similarity(measure, t, w1, w2, m).value for w1, w2, _ in included]
     benchmark = Benchmark("fuzz", tuple(rows))
     if len(included) < 2:
         with pytest.raises(EvaluationError, match="usable rows"):
-            evaluate(measure, benchmark, toy_taxonomy, toy_model)
+            evaluate(measure, benchmark, t, m)
         return
     try:
         r = pearson(humans, scores)  # checked against the exact r above
     except EvaluationError as exc:
         with pytest.raises(EvaluationError, match=re.escape(str(exc))):
-            evaluate(measure, benchmark, toy_taxonomy, toy_model)
+            evaluate(measure, benchmark, t, m)
         return
-    report = evaluate(measure, benchmark, toy_taxonomy, toy_model)
+    report = evaluate(measure, benchmark, t, m)
     assert report.r == r and report.n_included == len(included)
+    assert [it.score for it in report.items if it.included] == scores
     assert [(w1, w2) for w1, w2, _ in report.excluded] == [
         (w1, w2) for w1, w2, _ in rows if not (known(w1) and known(w2))]
     for w1, w2, reason in report.excluded:
@@ -508,6 +517,11 @@ def cafe_taxonomy():
     """The toy taxonomy with a non-ASCII word, stored from its decomposed
     spelling."""
     return Taxonomy.build(TOY_EDGES, {**TOY_SENSES, CAFE[3]: {"B"}})
+
+
+@pytest.fixture(scope="module")
+def cafe_model(cafe_taxonomy):
+    return build_model(cafe_taxonomy, FrequencyTable.from_counts(TOY_COUNTS))
 
 
 @settings(max_examples=_budget(150), derandomize=True, database=None, deadline=None)

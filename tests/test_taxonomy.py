@@ -616,8 +616,9 @@ class TestAncestorMemo:
             "thing", "medium_of_exchange", "money", "cash", "coin", "nickel"]
 
     def test_threads_racing_on_a_fresh_taxonomy_agree_with_one_thread(self):
-        # a lost or torn update of the memo would show as a wrong set or
-        # path length in some thread
+        # a lost or torn update of the memo, or of the path search's
+        # goal-set dict (which 200 path ends fill and empty several times
+        # over), would show as a wrong set or path length in some thread
         rng = random.Random(5)
         edges = []
         for i in range(1, 2000):
