@@ -17,7 +17,9 @@ Five measures share one query surface:
 Ties in any argmax are broken toward the first sense pair, then the
 smallest internal concept index (the order of first appearance in the
 input), so results are deterministic.  All functions are pure over
-immutable inputs and safe to call from multiple threads.  A model must
+immutable inputs and safe to call from multiple threads.  The one state
+kept here, the last weighted domain, is one tuple read and replaced
+whole, so it needs no lock.  A model must
 be queried with the taxonomy object it was built on; any other raises
 ``ValueError``.
 """
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 from numbers import Real
 from typing import Mapping
@@ -199,14 +202,34 @@ def sim_lch(t: Taxonomy, w1: str, w2: str, *,
     return word_similarity("lch", t, w1, w2, log_base=log_base, lch_floor=floor)
 
 
+#: The last weighted domain: (weak reference to its model, c1, c2,
+#: {concept id: ic}).  One tuple, read and replaced whole; it starts with
+#: ids that no caller holds.
+_last_domain: tuple = (lambda: None, object(), object(), {})
+
+
 def _finite_ic_subsumers(model: ProbabilityModel, t: Taxonomy,
                          c1: str, c2: str) -> dict[str, float]:
     """{concept id: ic} of the finite-ic common subsumers of two concepts,
-    in concept index order."""
+    in concept index order.
+
+    The last answer is kept in one slot, keyed by the model and the two
+    id objects themselves, so asking for a pair's domain and then scoring
+    it, as ``sim_weighted(m, t, a, b, uniform_weights(m, t, a, b))``
+    does, intersects the pair's ancestors once.  The slot holds the model
+    by a weak reference, so it keeps no model alive.  The dict it returns
+    may be returned again: callers only read it, and none hands it on.
+    """
+    global _last_domain
     _check_model(model, t)
+    ref, last1, last2, domain = _last_domain
+    if last1 is c1 and last2 is c2 and ref() is model:
+        return domain
     ic, inf, ids, anc = model.ic_by_index, math.inf, t.concepts(), t.ancestor_indices
     common = set(anc(t.index_of(c1))).intersection(anc(t.index_of(c2)))
-    return {ids[c]: ic[c] for c in sorted(common) if ic[c] != inf}
+    domain = {ids[c]: ic[c] for c in sorted(common) if ic[c] != inf}
+    _last_domain = (weakref.ref(model), c1, c2, domain)
+    return domain
 
 
 def finite_common_subsumers(model: ProbabilityModel, t: Taxonomy,
@@ -240,18 +263,22 @@ def sim_weighted(model: ProbabilityModel, t: Taxonomy, c1: str, c2: str,
             domain.keys() - weights.keys(), weights.keys() - domain.keys()))
         raise ValueError(f"weight domain mismatch: missing [{missing}], unexpected [{extra}]")
     values = weights.values()
-    try:
-        if not all(issubclass(kind, Real) for kind in set(map(type, values))):
-            cid, w = next((c, w) for c, w in weights.items() if not isinstance(w, Real))
-            raise TypeError
-        for cid, w in weights.items():
-            if not math.isfinite(w):  # NaN would pass both checks below
-                raise ValueError(f"non-finite weight for {cid!r}: {w}")
-            if w < 0:
-                raise ValueError(f"negative weight for {cid!r}: {w}")
-    except (TypeError, OverflowError):  # not a real number, or an int beyond float range
-        raise ValueError(
-            f"weight for {_shown(cid)} is not a finite real: {type(w).__name__}") from None
+    # accepted at once when every weight is a float, finite and >= 0, as is
+    # usual; else each weight is checked, naming the first bad one
+    if not ({*map(type, values)} <= {float} and all(map(math.isfinite, values))
+            and min(values, default=0.0) >= 0):
+        try:
+            if not all(issubclass(kind, Real) for kind in set(map(type, values))):
+                cid, w = next((c, w) for c, w in weights.items() if not isinstance(w, Real))
+                raise TypeError
+            for cid, w in weights.items():
+                if not math.isfinite(w):  # NaN would pass both checks below
+                    raise ValueError(f"non-finite weight for {cid!r}: {w}")
+                if w < 0:
+                    raise ValueError(f"negative weight for {cid!r}: {w}")
+        except (TypeError, OverflowError):  # not a real number, or an int beyond float range
+            raise ValueError(
+                f"weight for {_shown(cid)} is not a finite real: {type(w).__name__}") from None
     try:
         total = math.fsum(values)
     except OverflowError:  # finite weights whose sum is beyond float range

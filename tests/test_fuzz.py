@@ -604,9 +604,20 @@ def test_word_measure_surface(toy_taxonomy, toy_model, w1, w2, measure, log_base
         for row in rows]
 
 
+class _Float(float):
+    """A float subclass: a real weight that takes the weight-by-weight check."""
+
+
+# weights that a set of plain floats checked in one pass and the
+# weight-by-weight check must agree on: -0.0 passes both, and True, an
+# int and a float subclass are real numbers that only the second sees
+ODD_WEIGHTS = [-0.0, True, 1, _Float(0.5), _Float(1.0)]
+
+
 @settings(max_examples=_budget(150), derandomize=True, database=None, deadline=None)
 @given(c1=CONCEPT, c2=CONCEPT, position=st.integers(-1, 2),
-       weight=st.one_of(HOSTILE, st.sampled_from([10**400, "0.5", "", "a\tb", [0.5]])),
+       weight=st.one_of(HOSTILE, st.sampled_from([10**400, "0.5", "", "a\tb", [0.5]]),
+                        st.sampled_from(ODD_WEIGHTS)),
        extra_key=st.one_of(st.sampled_from([None, None, "nope", 5]), BIG_INT))
 @example(c1="A1", c2="A2", position=0, weight="0.5", extra_key=None)
 @example(c1="A1", c2="A2", position=0, weight=None, extra_key=None)
@@ -615,6 +626,11 @@ def test_word_measure_surface(toy_taxonomy, toy_model, w1, w2, measure, log_base
 @example(c1="A1", c2="A2", position=0, weight=0.5, extra_key=BIG)
 @example(c1=["x"], c2="A", position=-1, weight=0.5, extra_key=None)
 @example(c1={}, c2="A", position=-1, weight=0.5, extra_key=None)
+@example(c1="A1", c2="A2", position=1, weight=-0.0, extra_key=None)
+@example(c1="root", c2="A1", position=0, weight=True, extra_key=None)
+@example(c1="root", c2="root", position=0, weight=1, extra_key=None)
+@example(c1="A1", c2="A2", position=0, weight=_Float(0.5), extra_key=None)
+@example(c1="B", c2="root", position=0, weight=_Float(1.0), extra_key=None)
 def test_weights_surface(toy_taxonomy, toy_model, c1, c2, position, weight, extra_key):
     t, m = toy_taxonomy, toy_model
     known = set(t.concepts())

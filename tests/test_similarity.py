@@ -1,7 +1,11 @@
 """The five similarity measures, their witnesses, and their invariants."""
 
+import gc
 import math
 import random
+import sys
+import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +33,7 @@ from taxsim import (
     uniform_weights,
     word_similarity,
 )
+from taxsim.similarity import _finite_ic_subsumers
 
 TOY_IC_A = 0.4150374992788438  # -log2(3/4)
 
@@ -363,6 +368,13 @@ class TestWeighted:
         value = sim_weighted(toy_model, toy_taxonomy, "A1", "A2", weights)
         assert value == resnik.value
 
+    def test_negative_zero_weight_is_zero(self, toy_model, toy_taxonomy):
+        # -0.0 is a float >= 0: the one-pass check of all-float weights and
+        # the per-weight loop that an int weight takes both accept it
+        for point in (1.0, 1):
+            weights = {"A": point, "root": -0.0}
+            assert sim_weighted(toy_model, toy_taxonomy, "A1", "A2", weights) == TOY_IC_A
+
     def test_uniform_mean(self, toy_model, toy_taxonomy):
         weights = uniform_weights(toy_model, toy_taxonomy, "A1", "A2")
         assert weights == {"A": 0.5, "root": 0.5}
@@ -624,6 +636,122 @@ def test_weighted_bounds_and_point_mass(seed):
         assert mean_value == pytest.approx(
             math.fsum(model.ic(c) for c in domain) / len(domain), rel=1e-12, abs=1e-12
         )
+
+
+def _check_weighted(model, t, c1, c2, concepts, edges):
+    """The three weighted functions on one concept pair, against the
+    oracles; returns the domain."""
+    want = helpers.oracle_finite_common_subsumers(concepts, edges, model, c1, c2)
+    assert finite_common_subsumers(model, t, c1, c2) == want
+    weights = uniform_weights(model, t, c1, c2)
+    assert weights == dict.fromkeys(sorted(want, key=t.index_of), 1.0 / len(want))
+    assert sim_weighted(model, t, c1, c2, weights) == math.fsum(
+        w * model.ic(c) for c, w in weights.items())
+    return want
+
+
+def test_weighted_domain_memo_matches_the_oracles():
+    # the weighted domain of the last (model, c1, c2) is kept, keyed by the
+    # objects themselves; every answer must be the oracle's whether a call
+    # hits that slot or misses it
+    hits = misses = models_differ = 0
+    for k, (concepts, edges, senses, counts) in enumerate(
+            helpers.random_instances(count=helpers._budget(200))):
+        rng = random.Random(k)
+        t = Taxonomy.build(edges, senses, concepts=concepts)
+        model = build_model(t, FrequencyTable.from_counts(counts))
+        # the same taxonomy with only w0 counted, so more concepts have
+        # zero frequency and some domains shrink
+        model2 = build_model(t, FrequencyTable.from_counts({"w0": 1}))
+        a, b = [(rng.choice(concepts), rng.choice(concepts)) for _ in range(2)]
+        # pairs in the order A, B, A
+        for c1, c2 in (a, b, a):
+            _check_weighted(model, t, c1, c2, concepts, edges)
+        # a second call with the same objects hits; equal ids that are other
+        # objects miss, and get the same answer
+        first = _finite_ic_subsumers(model, t, *a)
+        hits += _finite_ic_subsumers(model, t, *a) is first
+        copy = "".join(list(a[0]))
+        assert copy == a[0] and copy is not a[0]
+        misses += _finite_ic_subsumers(model, t, copy, a[1]) is not first
+        _check_weighted(model, t, copy, a[1], concepts, edges)
+        # two models on one taxonomy, queried in turn with the same objects
+        domains = [_check_weighted(m, t, *a, concepts, edges) for m in (model, model2, model)]
+        models_differ += domains[0] != domains[1]
+        # weights edited after uniform_weights returned them: the edit is
+        # scored, and the next domain and weights are the unedited ones
+        weights = uniform_weights(model, t, *a)
+        top = list(weights)[-1]
+        weights.update(dict.fromkeys(weights, 0.0), **{top: 1.0})
+        assert sim_weighted(model, t, *a, weights) == model.ic(top)
+        del weights[top]
+        with pytest.raises(ValueError, match="^weight domain mismatch: "):
+            sim_weighted(model, t, *a, weights)
+        _check_weighted(model, t, *a, concepts, edges)
+    assert hits == misses == helpers._budget(200)
+    assert models_differ > helpers._budget(200) // 10
+
+
+def test_the_weighted_domain_slot_keeps_no_model_alive(toy_taxonomy):
+    t = toy_taxonomy
+    model = build_model(t, FrequencyTable.from_counts(TOY_COUNTS))
+    assert sim_weighted(model, t, "A1", "A2", uniform_weights(model, t, "A1", "A2")) > 0
+    ref = weakref.ref(model)
+    del model
+    gc.collect()
+    assert ref() is None
+    # a model built in its place, at the same address or not, where A
+    # has no frequency, with the same id objects: the root alone
+    model = build_model(t, FrequencyTable.from_counts({"z": 1}))
+    assert uniform_weights(model, t, "A1", "A2") == {"root": 1.0}
+
+
+def test_threads_racing_on_weighted_queries_agree_with_one_thread():
+    # four threads thrash the one weighted-domain slot with two models and
+    # their own pair orders; a torn or stale slot would show as a wrong
+    # domain, weight or value in some thread
+    rng = random.Random(9)
+    edges = []
+    for i in range(1, 1000):
+        k = 2 if i > 1 and rng.random() < 0.1 else 1
+        edges += [(f"c{i}", f"c{p}") for p in rng.sample(range(i), k)]
+    senses = {f"w{i}": {f"c{i}"} for i in range(1000)}
+    t = Taxonomy.build(edges, senses)
+    models = [build_model(t, FrequencyTable.from_counts(
+        {w: rng.randrange(3) for w in senses} | {"w0": 1})) for _ in range(2)]
+    pairs = [(m, f"c{rng.randrange(1000)}", f"c{rng.randrange(1000)}")
+             for _ in range(200) for m in range(2)]
+
+    def query(m, c1, c2):
+        model = models[m]
+        return (finite_common_subsumers(model, t, c1, c2),
+                sim_weighted(model, t, c1, c2, uniform_weights(model, t, c1, c2)))
+
+    want = [query(*pair) for pair in pairs]
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def work(k):
+        order = list(range(len(pairs)))
+        random.Random(k).shuffle(order)
+        start.wait()
+        got = [None] * len(pairs)
+        for i in order:
+            got[i] = query(*pairs[i])
+        results[k] = got
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == [want] * 4
 
 
 @settings(max_examples=40, deadline=None)
