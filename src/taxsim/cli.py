@@ -156,11 +156,11 @@ def _add_common_options(parser: argparse.ArgumentParser, *, require_files: bool)
                         help="lexicon file: word<TAB>concept_id per line")
     parser.add_argument("--counts", help="counts file: word<TAB>count per line")
     parser.add_argument("--log-base", type=float, default=2.0,
-                        help="logarithm base for information content (default 2)")
+                        help="logarithm base for information content and lch (default 2)")
     parser.add_argument("--plural-fold", action="store_true",
                         help="fold trailing-s words into lexicon stems")
     parser.add_argument("--lch-floor", type=float, default=1.0,
-                        help="path length substituted for 0 in the lch measure")
+                        help="path length that stands in for 0 in lch, in (0, 1] (default 1)")
     parser.add_argument("--measure", action="append", choices=WORD_MEASURES,
                         help="measure to compute (repeatable; default: all)")
 

@@ -157,6 +157,8 @@ def load_benchmark(path: str | os.PathLike) -> Benchmark:
                 raise EvaluationError(f"{label}:{lineno}: expected 3 columns")
             w1, w2, rating = fields
             try:
+                if "_" in rating or not rating.isascii():  # float() reads 1_0, ٣ and １
+                    raise ValueError
                 value = float(rating)
             except ValueError:
                 raise EvaluationError(f"{label}:{lineno}: malformed rating {rating!r}") from None

@@ -15,9 +15,7 @@ slot is equal to any other built for it, order included, since each is
 a function of the fixed graph alone; storing an item in a list is
 atomic; and a build reads only slots that are already filled, which
 never go back to None.  Two threads that miss together at worst build
-the same tuple twice.  The path search also keeps the goal sets it last
-built, in a small dict that it empties when full; each set is only read,
-and one built again is equal to the one it replaces.
+the same tuple twice.  The path search keeps nothing between calls.
 
 Input formats (UTF-8 text, ``#`` lines ignored, duplicate lines
 idempotent):
@@ -60,9 +58,6 @@ from .errors import TaxonomyError, UnknownConceptError
 SYNTHETIC_ROOT = "*root*"
 
 _F = TypeVar("_F", bound=Callable)
-
-#: How many path-search goal sets a taxonomy keeps (see Taxonomy._goal_set).
-_GOAL_SETS_KEPT = 64
 
 
 def _gc_paused(func: _F) -> _F:
@@ -221,8 +216,8 @@ class Taxonomy:
         self._order = order = tuple(sorted(index.values(), key=depths.__getitem__))
         self._root = order[0]
         self._depths = depths
-        # path_len steps down only into the far end's ancestors and into
-        # valleys, the ancestors-or-self of the nodes with two or more
+        # path_len steps down only along the far end's one-parent chain and
+        # into valleys, the ancestors-or-self of the nodes with two or more
         # parents.  One walk up from those nodes lists each valley under
         # each of its parents, and goes on from a parent when first met.
         down: list[tuple[int, ...]] = [()] * n
@@ -241,7 +236,6 @@ class Taxonomy:
         # frozenset, and the collector stops tracking it once it survives
         # one collection.
         self._ancestors: list[tuple[int, ...] | None] = [None] * n
-        self._goals: dict[int, frozenset[int]] = {}  # see _goal_set
 
     # ------------------------------------------------------------------
     # construction
@@ -353,9 +347,7 @@ class Taxonomy:
                 return built
         except (TypeError, IndexError):  # not an int, or too large: checked below
             pass
-        if not 0 <= (k := operator.index(i)) < len(self._ids):
-            raise UnknownConceptError(f"unknown concept index: {_shown(i)}")
-        i = k  # a plain int, not a bool or IntEnum member: the memo keeps it
+        i = self._checked(i)  # a plain int, not a bool or IntEnum member: the memo keeps it
         parents = self._parents
         ps = parents[i]
         if len(ps) == 1 and (up := memo[ps[0]]) is not None:
@@ -375,6 +367,14 @@ class Taxonomy:
             else:  # the root, or a merge of two or more parents
                 memo[u] = (*dict.fromkeys(chain.from_iterable(map(memo.__getitem__, ps))), u)
         return memo[i]
+
+    def _checked(self, i: int) -> int:
+        """``i`` as a plain int, if it is a concept index; an int outside
+        ``range(concept_count)`` raises UnknownConceptError naming ``i``,
+        any other value TypeError."""
+        if not 0 <= (k := operator.index(i)) < len(self._ids):
+            raise UnknownConceptError(f"unknown concept index: {_shown(i)}")
+        return k
 
     @property
     def parents_by_index(self) -> tuple[tuple[int, ...], ...]:
@@ -444,9 +444,7 @@ class Taxonomy:
         bidirectional breadth-first search from both concepts, run
         without a length limit, so the result is always the exact
         length.  The search skips every step down that no shortest path
-        can take: it steps down only into a concept that is an
-        ancestor-or-self of the far end or of a concept with two or more
-        parents; :meth:`path_len` gives the reason this is exact."""
+        can take; :meth:`path_len` gives its rule and why it is exact."""
         return self.path_len(self.index_of(c1), self.index_of(c2))
 
     def path_len(self, i: int, j: int, limit: int | None = None) -> int | None:
@@ -456,22 +454,30 @@ class Taxonomy:
         frontiers by one whole level, up to every parent and down to
         some children.  A side steps down from ``u`` to its child ``v``
         only if ``v`` is an ancestor-or-self of a concept with two or
-        more parents (a valley), or of the far end of the search (``j``
-        for the side that started at ``i``, and ``i`` for the other).
+        more parents (a valley), or ``v`` is on the one-parent chain of
+        the far end of the search (``j`` for the side that started at
+        ``i``, and ``i`` for the other): the far end and the concepts
+        reached from it by going up while the concept has exactly one
+        parent.  The chain is one path, so each ``u`` has at most one
+        child on it.
 
         This skips no step of any shortest path.  After a shortest path
         goes down into ``v``, it either keeps going down to the far end,
-        so ``v`` is an ancestor of that end, or it turns upward at some
-        ``w`` at or below ``v``.  It leaves ``w`` by a different parent
-        than the one it came in by, else it would not be shortest, so
-        ``w`` has two or more parents.  Hence each side reaches every
-        node of every shortest path at that node's distance from its
-        start.  While the searched balls (radii ``d_a`` from ``i`` and
-        ``d_b`` from ``j``) are disjoint, the distance therefore
-        exceeds ``d_a + d_b``; and every meeting is a real path.  So
-        the first node one side reaches inside the other's ball closes a
-        path of exactly ``d_a + d_b + 1``, the minimum over every
-        meeting node of that level.
+        so ``v`` is an ancestor-or-self of that end, or it turns upward at
+        some ``w`` at or below ``v``.  It leaves ``w`` by a different
+        parent than the one it came in by, else it would not be shortest,
+        so ``w`` has two or more parents and ``v`` is a valley.  The far
+        end's ancestors-or-self are its chain and the ancestors-or-self
+        of the chain's top ``t``; ``t`` is either the root, which is no
+        concept's child, or has two or more parents, so that it and its
+        ancestors are valleys.  Hence each side reaches every node of
+        every shortest path at that node's distance from its start.
+        While the searched balls (radii ``d_a`` from ``i`` and ``d_b``
+        from ``j``) are disjoint, the distance therefore exceeds
+        ``d_a + d_b``; and every meeting is a real path.  So the first
+        node one side reaches inside the other's ball closes a path of
+        exactly ``d_a + d_b + 1``, the minimum over every meeting node of
+        that level.
 
         With ``limit`` set, returns None as soon as the distance is
         known to exceed ``limit`` (once ``d_a + d_b >= limit`` without a
@@ -479,12 +485,18 @@ class Taxonomy:
         ``range(concept_count)`` raises UnknownConceptError, any other
         index, or a ``limit`` other than an int or None, TypeError.
         """
-        goal_b, goal_a = self._goal_set(i), self._goal_set(j)  # the far ends' ancestors
+        # each index converted first, so that an error names it as a plain int
+        i, j = self._checked(operator.index(i)), self._checked(operator.index(j))
         if limit is not None:
             limit = operator.index(limit)
         if i == j:
             return 0 if limit is None or limit >= 0 else None
         parents, down = self._parents, self._down
+        chain_a, chain_b = {}, {}  # each far end's one-parent chain, as {parent: child}
+        for steps, end in ((chain_a, j), (chain_b, i)):
+            while len(ps := parents[end]) == 1:
+                steps[ps[0]] = end
+                end = ps[0]
         seen_a, seen_b = {i}, {j}
         front_a, front_b = [i], [j]
         reach = 0  # d_a + d_b
@@ -494,12 +506,12 @@ class Taxonomy:
             if len(front_a) > len(front_b):
                 front_a, front_b = front_b, front_a
                 seen_a, seen_b = seen_b, seen_a
-                goal_a, goal_b = goal_b, goal_a
+                chain_a, chain_b = chain_b, chain_a
             nxt = []
             for u in front_a:
                 below = down[u]
-                if u in goal_a:  # a child of u may be an ancestor of the far end too
-                    below += tuple([g for g in goal_a if u in parents[g]])
+                if u in chain_a:  # u's child on the far end's chain
+                    below += (chain_a[u],)
                 for adjacent in (parents[u], below):
                     for v in adjacent:
                         if v in seen_b:
@@ -512,21 +524,6 @@ class Taxonomy:
         raise TaxonomyError(
             f"no path between {self._ids[i]!r} and {self._ids[j]!r}"
         )  # unreachable after validation: the root connects everything
-
-    def _goal_set(self, i: int) -> frozenset[int]:
-        """The ancestor indices of ``i`` as a set: the goal of a path
-        search toward ``i``.  The sets last asked for are kept, up to
-        ``_GOAL_SETS_KEPT``, and then all dropped at once, so that a word
-        query, which searches from every sense of one word to every sense
-        of the other, builds each sense's set once, not once per pair."""
-        goals = self._goals
-        i = operator.index(i)  # a float key would find its int's set
-        found = goals.get(i)
-        if found is None:
-            if len(goals) >= _GOAL_SETS_KEPT:
-                goals.clear()
-            found = goals[i] = frozenset(self.ancestor_indices(i))
-        return found
 
     def depth_of(self, concept: str) -> int:
         return self._depths[self.index_of(concept)]

@@ -244,10 +244,13 @@ class TestLoadBenchmark:
         with pytest.raises(EvaluationError, match="header"):
             load_benchmark(path)
 
-    def test_malformed_rating(self, tmp_path):
+    # float() reads the last three as 10.0, 3.0 and 1.0: an underscore, an
+    # Arabic-Indic digit and a fullwidth digit
+    @pytest.mark.parametrize("rating", ["high", "1_0", "\u0663", "\uff11"])
+    def test_malformed_rating(self, tmp_path, rating):
         path = tmp_path / "b.csv"
-        path.write_text("word1,word2,rating\nx,y,high\n", encoding="utf-8")
-        with pytest.raises(EvaluationError, match="malformed rating"):
+        path.write_text(f"word1,word2,rating\nx,y,1\nx,z,{rating}\n", encoding="utf-8")
+        with pytest.raises(EvaluationError, match=rf"b\.csv:3: malformed rating {rating!r}$"):
             load_benchmark(path)
 
     @pytest.mark.parametrize("rating", ["nan", "NaN", "inf", "-Infinity"])

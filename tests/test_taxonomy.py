@@ -18,6 +18,8 @@ from taxsim import (
     TaxonomyError,
     UnknownConceptError,
     load_taxonomy,
+    sim_edge,
+    sim_lch,
 )
 from taxsim.taxonomy import _parse_pair_columns
 
@@ -450,7 +452,7 @@ def test_random_dags_validate_and_subsume(seed):
         assert t.subsumers(parent) <= t.subsumers(child)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=_budget(30), derandomize=True, database=None, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_random_dags_path_lengths_match_bfs_oracle(seed):
     rng = random.Random(seed)
@@ -467,7 +469,7 @@ def test_random_dags_path_lengths_match_bfs_oracle(seed):
         assert table[a][c] <= table[a][b] + table[b][c]
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=_budget(30), derandomize=True, database=None, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_random_dags_path_limit_matches_bfs_oracle(seed):
     # the limited kernel returns None exactly when the true distance
@@ -615,10 +617,28 @@ class TestAncestorMemo:
         assert [t.concepts()[a] for a in nickel] == [
             "thing", "medium_of_exchange", "money", "cash", "coin", "nickel"]
 
+    def test_structural_queries_build_no_ancestor_tuple(self):
+        # the path search steps down along the far end's one-parent chain,
+        # not through its ancestor set, so edge and lch build no tuple;
+        # cow_s's second parent makes drug and its ancestors valleys
+        t = Taxonomy.build(helpers.DRUG_EDGES + [("cow_s", "drug")], helpers.DRUG_SENSES)
+        n = t.concept_count
+        for i in range(n):
+            for j in range(n):
+                d = t.path_len(i, j)
+                assert t.path_len(i, j, d) == d and t.path_len(i, j, d - 1) is None
+        ids = t.concepts()
+        assert t.shortest_path_len(ids[0], ids[-1]) == t.path_len(0, n - 1)
+        for w1 in helpers.DRUG_SENSES:
+            for w2 in helpers.DRUG_SENSES:
+                sim_edge(t, w1, w2)
+                sim_lch(t, w1, w2)
+        assert t._ancestors == [None] * n
+
     def test_threads_racing_on_a_fresh_taxonomy_agree_with_one_thread(self):
-        # a lost or torn update of the memo, or of the path search's
-        # goal-set dict (which 200 path ends fill and empty several times
-        # over), would show as a wrong set or path length in some thread
+        # a lost or torn update of the ancestor memo would show as a wrong
+        # set in some thread; the path searches, which keep nothing between
+        # calls, run while the memo fills
         rng = random.Random(5)
         edges = []
         for i in range(1, 2000):
