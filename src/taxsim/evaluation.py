@@ -298,10 +298,11 @@ def _evaluate_each(measures: tuple[str, ...], benchmark: Benchmark, taxonomy: Ta
     columns = {measure: [] for measure in checked}
     if checked:
         score = _row_kernel(taxonomy, model, tuple(checked), log_base, lch_floor)
+        appends = [columns[measure].append for measure in checked]
         for s1, s2 in zip(senses1, senses2):
             if s1 and s2:
-                for measure, (value, _, _, _) in score(s1, s2).items():
-                    columns[measure].append(value)
+                for append, (value, _, _, _) in zip(appends, score(s1, s2)):
+                    append(value)
     del senses1, senses2  # the reports need only the reasons and the scores
     excluded = tuple((w1, w2, why) for (w1, w2, _), why in zip(rows, reasons) if why)
     for measure in checked:

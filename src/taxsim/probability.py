@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 from numbers import Real
 from sys import float_info
 from types import MappingProxyType
-from typing import Collection, Iterator, Mapping
+from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ModelError
-from .taxonomy import (Taxonomy, _decimal_digits, _gc_paused, _normalized,
-                       _parse_pair_columns, _shown)
+from .taxonomy import (Taxonomy, _ancestor_tuple, _checked_index, _decimal_digits,
+                       _gc_paused, _normalized, _parse_pair_columns, _shown)
 
 
 def _neg_log(x: float, base: float) -> float:
@@ -162,12 +162,64 @@ def load_counts(
         raise ModelError(f"{label}: {exc}") from None
 
 
+class _RankSpace(NamedTuple):
+    """A model's concepts in rank order, and its ancestor memo in ranks.
+
+    The concepts of non-zero frequency take ranks ``0 .. nonzero - 1`` by
+    ascending exact frequency, ties in index order, and the zero-frequency
+    concepts the ranks after them by descending index.  ``order[r]`` is
+    the concept of rank ``r`` and ``rank[c]`` the rank of concept ``c``;
+    both hold the taxonomy's own index ints, so no int is made per
+    concept.  ``memo`` holds each concept's ancestors-or-self as ranks,
+    in the order of :meth:`Taxonomy.ancestor_indices`, or None until
+    ``ancestors(i)`` builds them, checking ``i`` as that method does.
+    ``tied_ic`` and ``tied_one_minus_p`` are the ranks of the frequencies
+    whose value a greater frequency ties or beats (see
+    :func:`_tied_frequencies`); they are empty unless N > 2**53 or some
+    p underflows.
+    """
+
+    order: list[int]
+    rank: list[int]
+    memo: list[tuple[int, ...] | None]
+    ancestors: Callable[[int], tuple[int, ...]]
+    nonzero: int
+    tied_ic: frozenset[int]
+    tied_one_minus_p: frozenset[int]
+
+
+def _tied_frequencies(values: Mapping[int, float]) -> frozenset[int]:
+    """The frequencies of ``values`` (frequency -> value) whose value is
+    not strictly greater than that of every greater frequency: where
+    "least frequency" and "greatest value" can pick different concepts."""
+    tied, top = set(), -math.inf
+    for f in sorted(values, reverse=True):
+        if values[f] <= top:
+            tied.add(f)
+        top = max(top, values[f])
+    return frozenset(tied)
+
+
+def _first_best(concepts: list[int], values: Sequence[float]) -> tuple[float, int]:
+    """The greatest of ``values`` over ``concepts``, and the smallest
+    concept index that has it."""
+    top = max(map(values.__getitem__, concepts))
+    return top, min(c for c in concepts if values[c] == top)
+
+
 class ProbabilityModel:
     """Per-concept frequency, probability, and information content.
 
-    Immutable once built; safe for concurrent reads.  Information content
-    of a zero-frequency concept is ``+inf`` (no smoothing is applied);
-    similarity queries treat such concepts as carrying no evidence.
+    Its values never change once built, and it is safe for concurrent
+    queries.  Information content of a zero-frequency concept is ``+inf``
+    (no smoothing is applied); similarity queries treat such concepts as
+    carrying no evidence.
+
+    Queries read each concept's ancestors from the model's rank space
+    (:class:`_RankSpace`), built on the first query that needs it, and
+    fill its memo without a lock, as the taxonomy fills its own: each
+    tuple is a function of the fixed graph and ranks alone, storing it in
+    a list slot is atomic, and a build reads only filled slots.
     """
 
     @_gc_paused
@@ -259,6 +311,128 @@ class ProbabilityModel:
         one_minus_p = {f: 1.0 - f / n_total for f in distinct}
         self._ic = tuple(map(ic.__getitem__, freq))
         self._one_minus_p = tuple(map(one_minus_p.__getitem__, freq))
+        # resnik prefers the least non-zero frequency, prob the least of all
+        self._tied_ic = _tied_frequencies({f: v for f, v in ic.items() if f})
+        self._tied_one_minus_p = _tied_frequencies(one_minus_p)
+
+    #: The rank space, built by :meth:`_rank` on the first query that needs it.
+    _ranked: _RankSpace | None = None
+
+    def __getstate__(self) -> dict:
+        # the rank space is a cache whose memo a closure fills, so a pickled
+        # or copied model leaves it out and builds its own on first use
+        return {k: v for k, v in vars(self).items() if k != "_ranked"}
+
+    def _rank(self) -> _RankSpace:
+        """The rank space, built once and kept; two threads that miss
+        together may both build it, and the first one stored, by
+        ``dict.setdefault``, is the one every call reads."""
+        freq, parents = self._freq, self._taxonomy.parents_by_index
+        every = self._taxonomy.topological_order  # the index's own int objects
+        # sorted twice, as a sort is stable: ties in frequency stay in index order
+        order = sorted(sorted(every), key=freq.__getitem__)
+        zeros = freq.count(0)
+        order += reversed(order[:zeros])
+        del order[:zeros]
+        rank = sorted(every, key=order.__getitem__)  # the position of each index in order
+        memo, label = [None] * len(order), rank.__getitem__
+
+        def ancestors(i: int) -> tuple[int, ...]:
+            try:  # most calls: an index in range whose tuple is built
+                if i >= 0 and (built := memo[i]) is not None:
+                    return built
+            except (TypeError, IndexError):  # not an int, or too large: checked below
+                pass
+            return _ancestor_tuple(parents, memo, label, _checked_index(i, len(memo)))
+
+        tied = (frozenset(rank[c] for c in order if freq[c] in tied_freqs)
+                if tied_freqs else frozenset()
+                for tied_freqs in (self._tied_ic, self._tied_one_minus_p))
+        space = _RankSpace(order, rank, memo, ancestors, len(order) - zeros, *tied)
+        return vars(self).setdefault("_ranked", space)
+
+    def subsumer_argmax(self, ic: bool = True, one_minus_p: bool = True):
+        """A function ``best(s1, s2)`` that gives, over the sense pairs
+        ``s1`` x ``s2``, the common subsumer of greatest ic if ``ic`` and
+        then the one of greatest 1 - p if ``one_minus_p``, as a tuple of
+        one ``(value, witness, i1, i2)`` each: the value, the subsumer's
+        index and the sense pair.
+
+        Zero-frequency subsumers (ic = ``+inf``) are skipped for ic; the
+        root, with ic = 0 as N > 0, subsumes every pair, so one always
+        remains.  Ties keep the first sense pair, in the order of ``s1``
+        then ``s2``, then the smallest subsumer index.  ``s1`` and ``s2``
+        are non-empty sequences of concept indices, each checked as
+        :meth:`Taxonomy.ancestor_indices` checks an index; an empty one
+        raises ValueError.  ``i1`` and ``i2`` are their items as given.
+
+        Each sense pair's common subsumers are one set of ranks.  Ranks
+        go by ascending frequency, and a greater frequency has a lower ic
+        and 1 - p, so the best finite ic is at the least rank,
+        ``min(common)``, which is below every zero-frequency rank as the
+        root's is; the best 1 - p is there too, unless the set holds a
+        zero-frequency rank (1 - p = 1), whose greatest is the smallest
+        such index.  A zero-frequency subsumer needs both senses of zero
+        frequency, so only then is ``max(common)`` looked at.  Where one
+        frequency's value ties or beats a smaller one's, the rank found
+        is one of the model's tied ranks, and that pair's best is found
+        over its whole set instead.  Only a strictly greater value
+        replaces the best of an earlier pair.
+        """
+        order, _, memo, ancestors, nonzero, tied_ic, tied_p = self._ranked or self._rank()
+        ic_of, one_minus_p_of = self._ic, self._one_minus_p
+        asked = slice(0 if ic else 1, 2 if one_minus_p else 1)
+
+        def best(s1: Sequence[int], s2: Sequence[int]) -> tuple[tuple, ...]:
+            if not (s1 and s2):
+                raise ValueError("a sense sequence is empty")
+            best_ic = best_p = None
+            top_ic = top_p = -math.inf
+            try:  # a built tuple is read from the memo; any other goes through ancestors
+                for i1 in s1:
+                    if i1 < 0 or (anc1 := memo[i1]) is None:
+                        anc1 = ancestors(i1)
+                    a1, zero1 = set(anc1), one_minus_p and anc1[-1] >= nonzero
+                    for i2 in s2:
+                        if i2 < 0 or (anc2 := memo[i2]) is None:
+                            anc2 = ancestors(i2)
+                        common = a1.intersection(anc2)
+                        least = min(common)
+                        if ic:
+                            if least in tied_ic:
+                                v, c = _first_best([order[r] for r in common if r < nonzero],
+                                                   ic_of)
+                            else:
+                                v = ic_of[c := order[least]]
+                            if v > top_ic:
+                                top_ic, best_ic = v, (v, c, i1, i2)
+                        if one_minus_p:
+                            r = least
+                            if zero1 and anc2[-1] >= nonzero and (most := max(common)) >= nonzero:
+                                r = most  # a zero-frequency subsumer: 1 - p = 1
+                            if r in tied_p:
+                                v, c = _first_best(list(map(order.__getitem__, common)),
+                                                   one_minus_p_of)
+                            else:
+                                v = one_minus_p_of[c := order[r]]
+                            if v > top_p:
+                                top_p, best_p = v, (v, c, i1, i2)
+            except (TypeError, IndexError):  # an index that is no int, or beyond the memo
+                for i in (*s1, *s2):
+                    ancestors(i)  # raises as ancestor_indices does
+                raise
+            return (best_ic, best_p)[asked]
+
+        return best
+
+    def finite_ic_subsumer_indices(self, i: int, j: int) -> list[int]:
+        """The indices of the common subsumers of the concepts of indices
+        ``i`` and ``j`` whose ic is finite, in index order: their ranks
+        below every zero-frequency rank.  ``i`` and ``j`` are checked as
+        :meth:`Taxonomy.ancestor_indices` checks an index."""
+        order, _, _, ancestors, nonzero, _, _ = self._ranked or self._rank()
+        common = set(ancestors(i)).intersection(ancestors(j))
+        return sorted([order[r] for r in common if r < nonzero])
 
     @property
     def taxonomy(self) -> Taxonomy:

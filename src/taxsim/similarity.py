@@ -16,12 +16,15 @@ Five measures share one query surface:
 
 Ties in any argmax are broken toward the first sense pair, then the
 smallest internal concept index (the order of first appearance in the
-input), so results are deterministic.  All functions are pure over
-immutable inputs and safe to call from multiple threads.  The one state
-kept here, the last weighted domain, is one tuple read and replaced
-whole, so it needs no lock.  A model must
-be queried with the taxonomy object it was built on; any other raises
-``ValueError``.
+input), so results are deterministic.  All functions are safe to call
+from multiple threads.  ``resnik``, ``prob`` and the weighted functions
+read each concept's ancestors from the model's rank-space memo, which
+the model fills without a lock (see
+:meth:`~taxsim.probability.ProbabilityModel.subsumer_argmax`); they
+never fill the taxonomy's.  The one state kept here, the last weighted
+domain, is one tuple read and replaced whole, so it needs no lock.  A
+model must be queried with the taxonomy object it was built on; any
+other raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -100,47 +103,34 @@ def _row_kernel(t: Taxonomy, model: ProbabilityModel | None, measures: tuple[str
                 log_base: float = 2.0, lch_floor: float = 1.0):
     """The one row kernel behind every word measure: a function of two
     words' sense index tuples ``s1``, ``s2`` (sorted, non-empty) that
-    maps each of ``measures`` to ``(value, witness, i1, i2)``, where
-    ``(i1, i2)`` is the deciding sense pair and ``witness`` the deciding
-    subsumer's index, or -1 for edge and lch.
+    gives, for each of ``measures`` in order, ``(value, witness, i1,
+    i2)``, where ``(i1, i2)`` is the deciding sense pair and ``witness``
+    the deciding subsumer's index, or -1 for edge and lch.
 
-    resnik and prob come from one sweep of sense pairs x sorted common
-    subsumers ``c``, which keeps one maximum of ``ic[c]`` and one of
-    ``1 - p[c]``.  Only a strictly greater value replaces a maximum, so
-    ties keep the first pair, then the smallest ``c``.  resnik skips the
-    zero-frequency ``c`` (``ic = +inf``); the root, with p = 1 and ic = 0
-    as N > 0, subsumes every pair, so one ``c`` always remains.  prob
-    scores ``1 - p``, not the least ``p``: once N > 2**53, distinct p can
-    round to one ``1 - p``, and the tie-break must see that tie.  edge
-    and lch come from one search for the shortest path over the sense
-    pairs.
+    resnik and prob come from the model's one sweep of the sense pairs,
+    :meth:`~taxsim.probability.ProbabilityModel.subsumer_argmax`, which
+    keeps one maximum of ic (zero-frequency subsumers skipped) and one of
+    ``1 - p``.  Only a strictly greater value replaces a maximum, so ties
+    keep the first pair, then the smallest subsumer index.  prob scores
+    ``1 - p``, not the least ``p``: once N > 2**53, distinct p can round
+    to one ``1 - p``, and the tie-break must see that tie.  When
+    ``measures`` holds only those two, in that order, the model's sweep
+    is the kernel itself.  edge and lch come from one search for the
+    shortest path over the sense pairs.
 
     Nothing is checked here, once or per row: the callers check each
     measure and its arguments, and that ``model`` was built on ``t``.
     """
-    resnik, prob, edge, lch = (m in measures for m in ("resnik", "prob", "edge", "lch"))
-    anc, inf, span = t.ancestor_indices, math.inf, 2.0 * t.max_depth
-    if resnik or prob:
-        ic, one_minus_p = model.ic_by_index, model.one_minus_p_by_index
+    corpus = tuple(m for m in CORPUS_MEASURES if m in measures)
+    if corpus:
+        best = model.subsumer_argmax("resnik" in corpus, "prob" in corpus)
+        if corpus == measures:
+            return best
+    edge, lch = "edge" in measures, "lch" in measures
+    span = 2.0 * t.max_depth
 
-    def score(s1: tuple[int, ...], s2: tuple[int, ...]) -> dict[str, tuple[float, int, int, int]]:
-        found = {}
-        if resnik or prob:
-            best_r = best_p = -inf
-            for i1 in s1:
-                a1 = set(anc(i1))
-                for i2 in s2:
-                    common = sorted(a1.intersection(anc(i2)))
-                    if resnik:
-                        for c in common:
-                            if best_r < (v := ic[c]) < inf:
-                                best_r = v
-                                found["resnik"] = (v, c, i1, i2)
-                    if prob:
-                        for c in common:
-                            if best_p < (v := one_minus_p[c]):
-                                best_p = v
-                                found["prob"] = (v, c, i1, i2)
+    def score(s1: tuple[int, ...], s2: tuple[int, ...]) -> tuple[tuple, ...]:
+        found = dict(zip(corpus, best(s1, s2))) if corpus else {}
         if edge or lch:
             length, i1, i2 = _min_sense_path(t, s1, s2)
             if edge:
@@ -148,7 +138,7 @@ def _row_kernel(t: Taxonomy, model: ProbabilityModel | None, measures: tuple[str
             if lch:
                 effective = lch_floor if length == 0 else float(length)
                 found["lch"] = (_neg_log(effective / span, log_base), -1, i1, i2)
-        return found
+        return tuple(map(found.__getitem__, measures))
 
     return score
 
@@ -159,7 +149,7 @@ def sim_resnik_concepts(model: ProbabilityModel, t: Taxonomy,
     zero-frequency subsumers carry no evidence and are skipped."""
     s1, s2 = (t.index_of(c1),), (t.index_of(c2),)
     _check_model(model, t)
-    value, witness, _, _ = _row_kernel(t, model, ("resnik",))(s1, s2)["resnik"]
+    (value, witness, _, _), = _row_kernel(t, model, ("resnik",))(s1, s2)
     return SimScore(value, t.concepts()[witness])
 
 
@@ -225,9 +215,9 @@ def _finite_ic_subsumers(model: ProbabilityModel, t: Taxonomy,
     ref, last1, last2, domain = _last_domain
     if last1 is c1 and last2 is c2 and ref() is model:
         return domain
-    ic, inf, ids, anc = model.ic_by_index, math.inf, t.concepts(), t.ancestor_indices
-    common = set(anc(t.index_of(c1))).intersection(anc(t.index_of(c2)))
-    domain = {ids[c]: ic[c] for c in sorted(common) if ic[c] != inf}
+    ic, ids = model.ic_by_index, t.concepts()
+    finite = model.finite_ic_subsumer_indices(t.index_of(c1), t.index_of(c2))
+    domain = {ids[c]: ic[c] for c in finite}
     _last_domain = (weakref.ref(model), c1, c2, domain)
     return domain
 
@@ -328,6 +318,6 @@ def word_similarity(measure: str, t: Taxonomy, w1: str, w2: str,
     if measure in CORPUS_MEASURES:
         _check_model(model, t)
     score = _row_kernel(t, model, (measure,), log_base, lch_floor)
-    value, witness, i1, i2 = score(s1, s2)[measure]
+    (value, witness, i1, i2), = score(s1, s2)
     ids = t.concepts()
     return SimScore(value, ids[witness] if witness >= 0 else None, (ids[i1], ids[i2]))

@@ -8,14 +8,21 @@ each concept's depth is the only cycle check.  Afterwards the object is
 immutable and every query is safe for unsynchronized use from multiple
 threads.
 
-The one thing a query changes is a memo: each concept's ancestors are
-built the first time a query asks for them, as a tuple, and kept in a
-list slot that held None.  That needs no lock.  Every tuple built for a
+The one thing a query here changes is a memo: each concept's ancestors
+are built the first time :meth:`Taxonomy.ancestor_indices`,
+:meth:`Taxonomy.subsumers` or :meth:`Taxonomy.common_subsumers` asks for
+them, as a tuple, and kept in a list slot that held None; the list is
+made on the first miss.  That needs no lock.  Every tuple built for a
 slot is equal to any other built for it, order included, since each is
 a function of the fixed graph alone; storing an item in a list is
-atomic; and a build reads only slots that are already filled, which
-never go back to None.  Two threads that miss together at worst build
-the same tuple twice.  The path search keeps nothing between calls.
+atomic; a build reads only slots that are already filled, which never
+go back to None; and the list is stored with ``dict.setdefault``, so
+every thread writes into the one list stored first.  Two threads that
+miss together at worst build the same tuple twice.  The similarity
+measures do not fill this memo: the probability model keeps the same
+tuples in its rank space (see :mod:`taxsim.probability`), built by the
+same walk, :func:`_ancestor_tuple`.  The path search keeps nothing
+between calls.
 
 Input formats (UTF-8 text, ``#`` lines ignored, duplicate lines
 idempotent):
@@ -230,12 +237,13 @@ class Taxonomy:
                     todo.append(p)
         self._down = down
         self.max_depth = max(depths)
-        # Each concept's ancestor indices as a tuple, root first and the
-        # concept last, built by ancestor_indices on first request; None
-        # until then.  A tuple of ints takes a fifth of the memory of a
-        # frozenset, and the collector stops tracking it once it survives
-        # one collection.
-        self._ancestors: list[tuple[int, ...] | None] = [None] * n
+
+    #: Each concept's ancestor indices as a tuple, root first and the
+    #: concept last, built by ancestor_indices on first request; None until
+    #: then, and the list itself is made on the first miss.  A tuple of
+    #: ints takes a fifth of the memory of a frozenset, and the collector
+    #: stops tracking it once it survives one collection.
+    _ancestors: list[tuple[int, ...] | None] | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -329,14 +337,10 @@ class Taxonomy:
         ``i``, the root first, each after all of its own ancestors, and
         ``i`` itself last.
 
-        The tuple is built from its parents' tuples the first time it is
-        asked for, and kept, so every call returns the same object.  With
-        one parent, it is the parent's tuple plus ``i``; otherwise the
-        parents' tuples are merged in order, each index kept where it
-        first appears.  A miss whose one parent is built is one
-        concatenation; any other collects the unbuilt ancestors of ``i``
-        by walking up, then builds them in order of depth, so that each
-        parent's tuple is there before its children's.  An int index
+        The tuple is built by :func:`_ancestor_tuple` the first time it is
+        asked for, and kept, so every call returns the same object.  The
+        similarity queries do not read it: the probability model keeps
+        its own memo of the same tuples, mapped to its ranks.  An int index
         outside ``range(concept_count)`` raises UnknownConceptError, any
         other index TypeError; an int subclass, such as ``bool``, is taken
         as its plain int, so every returned index is an ``int``.
@@ -345,36 +349,13 @@ class Taxonomy:
         try:  # most calls: an index in range whose tuple is built
             if i >= 0 and (built := memo[i]) is not None:
                 return built
-        except (TypeError, IndexError):  # not an int, or too large: checked below
+        except (TypeError, IndexError):  # not an int, too large, or no memo yet
             pass
-        i = self._checked(i)  # a plain int, not a bool or IntEnum member: the memo keeps it
-        parents = self._parents
-        ps = parents[i]
-        if len(ps) == 1 and (up := memo[ps[0]]) is not None:
-            memo[i] = built = up + (i,)
-            return built
-        todo, seen = [i], {i}
-        for u in todo:
-            for p in parents[u]:
-                if memo[p] is None and p not in seen:
-                    seen.add(p)
-                    todo.append(p)
-        todo.sort(key=self._depths.__getitem__)  # a parent is shallower than its child
-        for u in todo:
-            ps = parents[u]
-            if len(ps) == 1:  # most nodes
-                memo[u] = memo[ps[0]] + (u,)
-            else:  # the root, or a merge of two or more parents
-                memo[u] = (*dict.fromkeys(chain.from_iterable(map(memo.__getitem__, ps))), u)
-        return memo[i]
-
-    def _checked(self, i: int) -> int:
-        """``i`` as a plain int, if it is a concept index; an int outside
-        ``range(concept_count)`` raises UnknownConceptError naming ``i``,
-        any other value TypeError."""
-        if not 0 <= (k := operator.index(i)) < len(self._ids):
-            raise UnknownConceptError(f"unknown concept index: {_shown(i)}")
-        return k
+        # a plain int, not a bool or IntEnum member: the memo keeps it
+        i = _checked_index(i, len(self._ids))
+        if memo is None:  # the first miss: every thread gets the one list stored
+            memo = vars(self).setdefault("_ancestors", [None] * len(self._ids))
+        return _ancestor_tuple(self._parents, memo, operator.index, i)
 
     @property
     def parents_by_index(self) -> tuple[tuple[int, ...], ...]:
@@ -486,7 +467,8 @@ class Taxonomy:
         index, or a ``limit`` other than an int or None, TypeError.
         """
         # each index converted first, so that an error names it as a plain int
-        i, j = self._checked(operator.index(i)), self._checked(operator.index(j))
+        n = len(self._ids)
+        i, j = _checked_index(operator.index(i), n), _checked_index(operator.index(j), n)
         if limit is not None:
             limit = operator.index(limit)
         if i == j:
@@ -539,6 +521,59 @@ class Taxonomy:
             f"Taxonomy({self.concept_count} concepts, {self.edge_count} edges, "
             f"{self.word_count} words, root={self.root!r})"
         )
+
+
+def _checked_index(i: int, count: int) -> int:
+    """``i`` as a plain int, if it is a concept index below ``count``; an
+    int outside ``range(count)`` raises UnknownConceptError naming ``i``,
+    any other value TypeError."""
+    if not 0 <= (k := operator.index(i)) < count:
+        raise UnknownConceptError(f"unknown concept index: {_shown(i)}")
+    return k
+
+
+def _ancestor_tuple(parents: tuple[tuple[int, ...], ...], memo: list,
+                    label: Callable[[int], int], i: int) -> tuple[int, ...]:
+    """``label(u)`` of every ancestor-or-self ``u`` of the concept of
+    index ``i``, once each: the root's first, each after those of all of
+    ``u``'s own ancestors, and ``i``'s last; built into ``memo[i]``, with
+    the tuple of every unbuilt ancestor on the way.
+
+    ``memo`` holds one slot per concept, None until built.  A tuple is
+    built from its parents' tuples: with one parent, the parent's tuple
+    plus the concept's label; otherwise the parents' tuples merged in
+    parent order, each label kept where it first appears.  So each is a
+    function of the graph and ``label`` alone.  A miss whose one parent
+    is built is one concatenation; any other walks up with its own
+    stack, building each concept once all of its parents are built.
+    This is the one ancestor walk: :meth:`Taxonomy.ancestor_indices`
+    labels each concept by its index, the probability model by its rank.
+    """
+    ps = parents[i]
+    if len(ps) == 1 and (up := memo[ps[0]]) is not None:  # most misses
+        memo[i] = built = up + (label(i),)
+        return built
+    todo = [i]
+    while todo:
+        u = todo[-1]
+        ps = parents[u]
+        if len(ps) == 1:  # most nodes
+            up = memo[ps[0]]
+            if up is None:
+                todo.append(ps[0])
+                continue
+            if memo[u] is None:  # else reached twice, through a diamond
+                memo[u] = up + (label(u),)
+        else:  # the root, or a merge of two or more parents
+            unbuilt = [p for p in ps if memo[p] is None]
+            if unbuilt:
+                todo += unbuilt
+                continue
+            if memo[u] is None:
+                memo[u] = (*dict.fromkeys(chain.from_iterable(map(memo.__getitem__, ps))),
+                           label(u))
+        todo.pop()
+    return memo[i]
 
 
 def _check_id(cid: object) -> None:

@@ -183,6 +183,52 @@ def random_edges_with_cycles(rng: random.Random, max_concepts: int = 16):
     return edges
 
 
+def random_tied_instance(rng: random.Random, max_concepts: int = 40, max_words: int = 20):
+    """A random DAG taxonomy whose frequencies, ic and 1 - p tie often.
+
+    Returns (concepts, edges, senses, counts), shaped as
+    :func:`random_instance`'s.  Half of the concepts after c0 hang under
+    the concept just before them alone, so chains of one-child concepts
+    without words of their own pass all their mass up unchanged (equal
+    frequencies); the rest pick 1-2 earlier parents.  Senses sit on the
+    second half of the concepts, and about 40% of the words are counted
+    0, so subtrees of zero frequency hold the senses of several words,
+    which then share a zero-frequency subsumer.  One instance in three
+    adds two words of counts near 2**60: N then exceeds 2**61, every
+    small frequency has ``1 - p`` = 1.0, as the zero-frequency concepts
+    do, and frequencies that differ by a few share one p, so one ic and
+    one ``1 - p``.  w0 always carries a positive count, so N > 0.
+    """
+    n = rng.randint(2, max_concepts)
+    concepts = [f"c{i}" for i in range(n)]
+    edges = []
+    for i in range(1, n):
+        if rng.random() < 0.5:
+            parents = [i - 1]
+        else:
+            parents = rng.sample(range(i), rng.randint(1, min(2, i)))
+        edges += [(concepts[i], concepts[p]) for p in parents]
+    deep = concepts[n // 2:]
+    senses, counts = {}, {}
+    for w in range(rng.randint(1, max_words)):
+        word = f"w{w}"
+        senses[word] = set(rng.sample(deep, rng.randint(1, min(2, len(deep)))))
+        counts[word] = 0 if rng.random() < 0.4 else rng.randint(1, 3)
+    counts["w0"] = max(1, counts["w0"])
+    if rng.random() < 1 / 3:
+        for word in ("huge0", "huge1"):
+            senses[word] = {rng.choice(concepts)}
+            counts[word] = 2**60 + rng.randint(0, 3)
+    return concepts, edges, senses, counts
+
+
+def random_tied_instances(seed: int = 20261020, count: int = 200):
+    """The fixed, seeded sequence of :func:`random_tied_instance` DAGs."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield random_tied_instance(rng)
+
+
 #: Size of the fixed random-DAG suite the oracle tests share.
 N_RANDOM_INSTANCES = 200
 

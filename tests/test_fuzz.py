@@ -486,9 +486,35 @@ def test_lookup_surface(toy_taxonomy, toy_model, concept, word, index):
         for u in (fresh, t):
             assert all(type(a) is int
                        for k in range(u.concept_count) for a in u.ancestor_indices(k))
+        # the model's index-level queries, on a fresh model asked first with
+        # this index too: the oracle's witness and domain, and plain ints
+        # in the rank-space memo
+        ids = t.concepts()
+        ic = lambda c: None if math.isinf(m.ic(c)) else m.ic(c)  # noqa: E731
+        for model in (build_model(t, FrequencyTable.from_counts(TOY_COUNTS)), m):
+            best = model.subsumer_argmax()
+            for i, j in ((index, 0), (0, index)):
+                by_ic, by_one_minus_p = best((i,), (j,))
+                pair = {ids[i]}, {ids[j]}
+                for found, value in ((by_ic, ic), (by_one_minus_p, lambda c: 1.0 - m.p(c))):
+                    v, c, i1, i2 = found
+                    assert (i1, i2) == (i, j)
+                    assert (v, ids[c], (ids[i1], ids[i2])) == helpers.oracle_best_subsumer(
+                        ids, TOY_EDGES, pair, value)
+                assert [ids[c] for c in model.finite_ic_subsumer_indices(i, j)] == sorted(
+                    helpers.oracle_finite_common_subsumers(ids, TOY_EDGES, m, ids[i], ids[j]),
+                    key=t.index_of)
+            assert all(type(r) is int for ranks in model._ranked.memo if ranks for r in ranks)
     else:
         with pytest.raises(UnknownConceptError if isinstance(index, int) else TypeError):
             t.ancestor_indices(index)
+        best = m.subsumer_argmax()
+        for query in (lambda: best((index,), (0,)), lambda: best((0,), (index,)),
+                      lambda: best((0, index), (0,)),
+                      lambda: m.finite_ic_subsumer_indices(index, 0),
+                      lambda: m.finite_ic_subsumer_indices(0, index)):
+            with pytest.raises(UnknownConceptError if isinstance(index, int) else TypeError):
+                query()
     senses = {w: frozenset(cs) for w, cs in TOY_SENSES.items()}
     key = _norm(word) if isinstance(word, str) else None
     assert t.senses_of(word) == senses.get(key, frozenset())

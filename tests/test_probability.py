@@ -292,6 +292,69 @@ class TestBuildModel:
             assert m2.freq(c) == toy_model.freq(c)
 
 
+class TestRankSpace:
+    def test_ranks_built_on_first_query_by_frequency_then_index(self):
+        # G has no counted word below it, and neither has Z; the ranks go
+        # by ascending frequency, ties in index order, and the zero
+        # frequencies come last by descending index
+        t = Taxonomy.build(TOY_EDGES + [("G", "A"), ("Z", "B")],
+                           {**TOY_SENSES, "g": {"G"}, "q": {"Z"}})
+        model = build_model(t, FrequencyTable.from_counts(TOY_COUNTS))
+        assert model._ranked is None
+        ids = t.concepts()
+        assert model.finite_ic_subsumer_indices(t.index_of("G"), t.index_of("A2")) == sorted(
+            map(t.index_of, ("A", "root")))
+        space = model._ranked
+        assert [ids[c] for c in space.order] == ["B", "A2", "A1", "A", "root", "Z", "G"]
+        assert [model.freq(ids[c]) for c in space.order] == [1, 1, 2, 3, 4, 0, 0]
+        assert all(space.order[space.rank[c]] == c for c in range(t.concept_count))
+        assert space.nonzero == 5
+        assert space.tied_ic == space.tied_one_minus_p == frozenset()
+        assert model.subsumer_argmax() and model._ranked is space  # built once
+
+    def test_pickled_and_copied_models_build_their_own_rank_space(self, toy_taxonomy):
+        # the rank space holds a closure, which cannot be pickled, and whose
+        # memo a deep copy would not share; a copy builds its own instead
+        model = build_model(toy_taxonomy, FrequencyTable.from_counts(TOY_COUNTS))
+        a1, a2 = toy_taxonomy.index_of("A1"), toy_taxonomy.index_of("A2")
+        want = model.subsumer_argmax()((a1,), (a2,))
+        for copied in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+            assert copied._ranked is None
+            assert copied.subsumer_argmax()((a1,), (a2,)) == want
+            assert copied._ranked.memo[a1] is not None and model._ranked.memo[a1] is not None
+            assert copied._ranked.memo is not model._ranked.memo
+
+    def test_subsumer_argmax_on_the_toy(self, toy_model, toy_taxonomy):
+        t, m = toy_taxonomy, toy_model
+        a1, a2, a = map(t.index_of, ("A1", "A2", "A"))
+        by_ic, by_one_minus_p = m.subsumer_argmax()((a1,), (a2,))
+        assert by_ic == (m.ic("A"), a, a1, a2)
+        assert by_one_minus_p == (1.0 - m.p("A"), a, a1, a2)
+        assert m.subsumer_argmax(ic=False)((a1,), (a2,)) == (by_one_minus_p,)
+        assert m.subsumer_argmax(one_minus_p=False)((a1,), (a2,)) == (by_ic,)
+        assert m.subsumer_argmax(False, False)((a1,), (a2,)) == ()
+
+    def test_empty_sense_sequence_rejected(self, toy_model):
+        best = toy_model.subsumer_argmax()
+        for s1, s2 in (((), (0,)), ((0,), ()), ([], [])):
+            with pytest.raises(ValueError, match="empty"):
+                best(s1, s2)
+
+    def test_tied_frequencies_found_once_per_distinct_frequency(self):
+        # N = 2**62: frequencies 2**60 and 2**60 + 1 share p = 0.25, so the
+        # smaller one is tied in ic and in 1 - p; 1 and 2 are not, and the
+        # root's N ties nothing above it
+        edges = [("a", "top"), ("b", "a"), ("x1", "b"), ("o", "top"), ("s", "o")]
+        t = Taxonomy.build(edges, {"x": {"x1"}, "v": {"a"}, "big": {"o"}, "w": {"s"}})
+        model = build_model(t, FrequencyTable.from_counts(
+            {"x": 2**60, "v": 1, "w": 2, "big": 3 * 2**60 - 3}))
+        assert model.N == 2**62 and model.ic("a") == model.ic("b") == 2.0
+        model.subsumer_argmax()
+        space, ids = model._ranked, t.concepts()
+        assert {ids[space.order[r]] for r in space.tied_ic} == {"b", "x1"}
+        assert space.tied_one_minus_p == space.tied_ic
+
+
 def test_propagation_oracle_with_every_kind_of_word():
     """One-sense words take the per-concept direct-count path, the rest
     the deduplicating union; both must match the oracle, with zero counts

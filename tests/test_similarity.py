@@ -310,6 +310,88 @@ class TestBestSubsumerOracle:
         # the tie-break must actually be exercised, not only unique maxima
         assert ties > checked // 10
 
+    def test_resnik_ties_on_distinct_frequencies_with_equal_ic(self):
+        # N = 2**62: p(b) = 2**60 / N is 0.25 exactly, and p(a) = (2**60 + 1)
+        # / N rounds to 0.25, so a and b share ic 2 and 1 - p 0.75 although
+        # freq(b) < freq(a); the tie keeps a, the smaller index, where the
+        # least frequency would pick b
+        edges = [("a", "top"), ("b", "a"), ("x1", "b"), ("x2", "b"), ("o", "top")]
+        senses = {"x": {"x1"}, "y": {"x2"}, "v": {"a"}, "big": {"o"}}
+        t = Taxonomy.build(edges, senses)
+        model = build_model(t, FrequencyTable.from_counts(
+            {"x": 2**60, "y": 0, "v": 1, "big": 3 * 2**60 - 1}))
+        assert model.N == 2**62 and model.freq("b") < model.freq("a")
+        assert model.ic("a") == model.ic("b") == 2.0
+        assert t.index_of("a") < t.index_of("b")
+        for query, value in ((sim_resnik_words, _finite_ic(model)),
+                             (sim_prob, _one_minus_p(model))):
+            score = query(model, t, "x", "y")
+            assert (score.witness, score.sense_pair) == ("a", ("x1", "x2"))
+            assert helpers.oracle_best_subsumer(
+                t.concepts(), edges, (senses["x"], senses["y"]), value
+            ) == (score.value, "a", ("x1", "x2"))
+        assert sim_resnik_concepts(model, t, "x1", "x2").witness == "a"
+        assert list(uniform_weights(model, t, "x1", "x2")) == ["a", "top", "b"]
+
+    def test_prob_ties_a_zero_frequency_subsumer_above_2_pow_53(self):
+        # N = 2**60 + 1: 1 - p(k) = 1 - 1/N rounds to 1.0, the 1 - p of the
+        # zero-frequency z, so the tie keeps k, the smaller index; resnik
+        # skips z and finds k too
+        edges = [("k", "top"), ("z", "k"), ("x1", "z"), ("x2", "z"), ("o", "top")]
+        senses = {"x": {"x1"}, "y": {"x2"}, "v": {"k"}, "big": {"o"}}
+        t = Taxonomy.build(edges, senses)
+        model = build_model(t, FrequencyTable.from_counts(
+            {"x": 0, "y": 0, "v": 1, "big": 2**60}))
+        assert model.freq("z") == 0 and model.freq("k") == 1
+        assert 1.0 - model.p("k") == 1.0 - model.p("z") == 1.0
+        for query, value in ((sim_prob, _one_minus_p(model)),
+                             (sim_resnik_words, _finite_ic(model))):
+            score = query(model, t, "x", "y")
+            assert (score.witness, score.sense_pair) == ("k", ("x1", "x2"))
+            assert helpers.oracle_best_subsumer(
+                t.concepts(), edges, (senses["x"], senses["y"]), value
+            ) == (score.value, "k", ("x1", "x2"))
+        # and where no counted concept ties it, a zero-frequency subsumer wins
+        model = build_model(t, FrequencyTable.from_counts({"x": 0, "y": 0, "v": 1, "big": 2}))
+        score = sim_prob(model, t, "x", "y")
+        assert (score.value, score.witness) == (1.0, "z")
+
+
+def test_tied_frequencies_match_the_oracles():
+    # DAGs whose frequencies tie: one-child chains, zero-frequency subtrees
+    # and, in a third of them, N > 2**61, where distinct frequencies share
+    # one ic or one 1 - p.  Every witness, sense pair and weighted domain
+    # must be the oracle's, and the model's tied ranks must be reached, on
+    # pairs where the least frequency is not the answer
+    tied = detours = 0
+    for k, (concepts, edges, senses, counts) in enumerate(
+            helpers.random_tied_instances(count=helpers._budget(200))):
+        t = Taxonomy.build(edges, senses, concepts=concepts)
+        model = build_model(t, FrequencyTable.from_counts(counts))
+        order = t.concepts()
+        rng = random.Random(k)
+        words = sorted(senses)
+        for w1, w2 in [(rng.choice(words), rng.choice(words)) for _ in range(8)]:
+            sense_sets = (senses[w1], senses[w2])
+            for score, value in ((sim_resnik_words(model, t, w1, w2), _finite_ic(model)),
+                                 (sim_prob(model, t, w1, w2), _one_minus_p(model))):
+                assert (score.value, score.witness, score.sense_pair) == (
+                    helpers.oracle_best_subsumer(order, edges, sense_sets, value))
+            # the concept of least frequency among the deciding pair's finite-ic
+            # common subsumers, as the rank order alone would pick it
+            resnik = sim_resnik_words(model, t, w1, w2)
+            finite = t.common_subsumers(*resnik.sense_pair) - {
+                c for c in order if math.isinf(model.ic(c))}
+            detours += resnik.witness != min(finite, key=lambda c: (model.freq(c), t.index_of(c)))
+        for c1, c2 in [(rng.choice(concepts), rng.choice(concepts)) for _ in range(4)]:
+            score = sim_resnik_concepts(model, t, c1, c2)
+            assert (score.value, score.witness, (c1, c2)) == helpers.oracle_best_subsumer(
+                order, edges, ({c1}, {c2}), _finite_ic(model))
+            _check_weighted(model, t, c1, c2, concepts, edges)
+        tied += bool(model._ranked.tied_ic or model._ranked.tied_one_minus_p)
+    assert tied > helpers._budget(200) // 5
+    assert detours > 0
+
 
 class TestLch:
     def test_toy(self, toy_taxonomy):
@@ -802,16 +884,88 @@ def test_log_base_change_preserves_witnesses(seed):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_a_query_builds_only_the_ancestors_of_its_senses(seed):
+    # every measure and the weighted functions read the model's rank-space
+    # memo, never the taxonomy's; it holds exactly the ancestors of the
+    # concepts queried, each the oracle closure mapped to ranks, in the
+    # order of the taxonomy's own ancestor tuple
     rng = random.Random(seed)
     concepts, edges, senses = helpers.random_sparse_instance(rng)
     t = Taxonomy.build(edges, senses, concepts=concepts)
     model = build_model(t, FrequencyTable.from_counts(dict.fromkeys(senses, 1)))
     ids = t.concepts()
-    assert all(anc is None for anc in t._ancestors)  # the load built none
+    assert model._ranked is None  # the load built no rank space
     w1, w2 = rng.choice(sorted(senses)), rng.choice(sorted(senses))
     for measure in WORD_MEASURES:
         word_similarity(measure, t, w1, w2, model)
+    c1, c2 = rng.choice(concepts), rng.choice(concepts)
+    sim_weighted(model, t, c1, c2, uniform_weights(model, t, c1, c2))
+    sim_resnik_concepts(model, t, c1, c2)
+    assert t._ancestors is None
     anc = helpers.oracle_ancestors(concepts, edges)
-    built = {ids[i]: {ids[a] for a in s} for i, s in enumerate(t._ancestors) if s is not None}
-    assert set(built) == set().union(*(anc[c] for c in senses[w1] | senses[w2]))
-    assert all(s == anc[c] for c, s in built.items())
+    space = model._ranked
+    built = {ids[i]: s for i, s in enumerate(space.memo) if s is not None}
+    assert set(built) == set().union(*(anc[c] for c in senses[w1] | senses[w2] | {c1, c2}))
+    for c, ranks in built.items():
+        assert sorted(ranks) == sorted(space.rank[t.index_of(a)] for a in anc[c])
+        assert ranks == tuple(space.rank[i] for i in t.ancestor_indices(t.index_of(c)))
+        assert [space.order[r] for r in ranks] == list(t.ancestor_indices(t.index_of(c)))
+
+
+def test_threads_racing_on_a_fresh_model_agree_with_one_thread():
+    # four threads score word pairs and weighted domains on one fresh
+    # model in their own orders, so they race on building the rank space
+    # and on filling its memo; a lost or torn update would show as a wrong
+    # score, witness, sense pair or domain in some thread
+    rng = random.Random(11)
+    edges = []
+    for i in range(1, 1500):
+        k = 2 if i > 1 and rng.random() < 0.1 else 1
+        edges += [(f"c{i}", f"c{p}") for p in rng.sample(range(i), k)]
+    senses = {f"w{i}": {f"c{j}" for j in rng.sample(range(1500), rng.randint(1, 3))}
+              for i in range(600)}
+    counts = {w: rng.randrange(4) for w in senses} | {"w0": 1}
+    t = Taxonomy.build(edges, senses)
+    words = sorted(senses)
+    pairs = [(rng.choice(words), rng.choice(words)) for _ in range(300)]
+    concept_pairs = [(f"c{rng.randrange(1500)}", f"c{rng.randrange(1500)}") for _ in range(100)]
+
+    def query(model, order):
+        scores, domains = [None] * len(pairs), [None] * len(concept_pairs)
+        for k in order:
+            if k < len(pairs):
+                w1, w2 = pairs[k]
+                scores[k] = [word_similarity(m, t, w1, w2, model) for m in ("resnik", "prob")]
+            else:
+                k -= len(pairs)
+                domains[k] = finite_common_subsumers(model, t, *concept_pairs[k])
+        return scores, domains
+
+    every = range(len(pairs) + len(concept_pairs))
+    want = query(build_model(t, FrequencyTable.from_counts(counts)), every)
+    model = build_model(t, FrequencyTable.from_counts(counts))
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def work(k):
+        order = list(every)
+        random.Random(k).shuffle(order)  # each thread misses in its own order
+        start.wait()
+        results[k] = query(model, order)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == [want] * 4
+    assert t._ancestors is None
+    space = model._ranked
+    for i, ranks in enumerate(space.memo):
+        if ranks is not None:
+            assert ranks == tuple(space.rank[a] for a in t.ancestor_indices(i))

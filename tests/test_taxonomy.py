@@ -584,8 +584,9 @@ def test_ancestor_tuples_match_the_closure_in_order(seed, sparse):
 
 
 def _built(t):
-    """The concepts whose ancestor sets ``t`` has built."""
-    return {c for c, anc in zip(t.concepts(), t._ancestors) if anc is not None}
+    """The concepts whose ancestor sets ``t`` has built; the memo list
+    itself is made on the first miss."""
+    return {c for c, anc in zip(t.concepts(), t._ancestors or ()) if anc is not None}
 
 
 class TestAncestorMemo:
@@ -633,7 +634,7 @@ class TestAncestorMemo:
             for w2 in helpers.DRUG_SENSES:
                 sim_edge(t, w1, w2)
                 sim_lch(t, w1, w2)
-        assert t._ancestors == [None] * n
+        assert t._ancestors is None
 
     def test_threads_racing_on_a_fresh_taxonomy_agree_with_one_thread(self):
         # a lost or torn update of the ancestor memo would show as a wrong
