@@ -16,10 +16,13 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import os
 import re
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, fields
 from importlib import resources
+from itertools import compress, repeat
 from numbers import Real
 from typing import Iterable, Iterator
 
@@ -42,6 +45,13 @@ REFERENCE_TOLERANCE = 0.005
 # ----------------------------------------------------------------------
 
 
+def _magnitude(vs: list[float]) -> float:
+    """The largest magnitude in ``vs``, as two C-level passes: the value
+    of ``max(map(abs, vs))``, since the largest magnitude is the largest
+    value or the negated smallest."""
+    return max(max(vs), -min(vs))
+
+
 def _rescaled(vs: list[float]) -> list[float]:
     """``vs`` scaled by a power of two into (-1, 1) when its largest
     magnitude is near either end of the float range: near the top a sum
@@ -49,11 +59,10 @@ def _rescaled(vs: list[float]) -> list[float]:
     of subnormal values is rounded to a few bits.  The correlation is
     scale-invariant, and the scaling is exact for every value within
     2**1000 of the largest."""
-    big = max(map(abs, vs))
+    big = _magnitude(vs)
     if big == 0.0 or 2.0 ** -960 <= big < 2.0 ** 960:
         return vs
-    exp = math.frexp(big)[1]
-    return [math.ldexp(v, -exp) for v in vs]
+    return list(map(math.ldexp, vs, repeat(-math.frexp(big)[1])))
 
 
 def _deviations(vs: list[float]) -> list[float]:
@@ -64,10 +73,10 @@ def _deviations(vs: list[float]) -> list[float]:
     own mean.  Other inputs skip the pass and keep their bits."""
     n = len(vs)
     m = math.fsum(vs) / n
-    ds = [v - m for v in vs]
-    if max(map(abs, ds)) <= abs(m) * 2.0 ** -16:
+    ds = list(map(operator.sub, vs, repeat(m)))
+    if _magnitude(ds) <= abs(m) * 2.0 ** -16:
         c = math.fsum(ds) / n
-        ds = [d - c for d in ds]
+        ds = list(map(operator.sub, ds, repeat(c)))
     return ds
 
 
@@ -80,7 +89,8 @@ def pearson(xs: list[float], ys: list[float]) -> float:
     magnitude first; the correlation is scale-invariant and this keeps
     every intermediate within [0, n], immune to under- and overflow;
     inputs near either end of the float range are rescaled the same way
-    beforehand.
+    beforehand.  Every pass over the values is one C-level ``map``, and
+    each gives the floats of the per-value expression it stands for.
     Any input that is not a real number, or is NaN or infinite (an int
     beyond the float range included), is rejected, since no correlation
     of it is meaningful.
@@ -100,15 +110,15 @@ def pearson(xs: list[float], ys: list[float]) -> float:
         raise EvaluationError(f"need at least 2 points, got {n}")
     dxs = _deviations(_rescaled(xs))
     dys = _deviations(_rescaled(ys))
-    scale_x = max(abs(d) for d in dxs)
-    scale_y = max(abs(d) for d in dys)
+    scale_x = _magnitude(dxs)
+    scale_y = _magnitude(dys)
     if scale_x == 0.0 or scale_y == 0.0:
         raise EvaluationError("zero variance: correlation undefined")
-    dxs = [d / scale_x for d in dxs]
-    dys = [d / scale_y for d in dys]
-    sxx = math.fsum(d * d for d in dxs)
-    syy = math.fsum(d * d for d in dys)
-    sxy = math.fsum(a * b for a, b in zip(dxs, dys))
+    dxs = list(map(operator.truediv, dxs, repeat(scale_x)))
+    dys = list(map(operator.truediv, dys, repeat(scale_y)))
+    sxx = math.fsum(map(operator.mul, dxs, dxs))
+    syy = math.fsum(map(operator.mul, dys, dys))
+    sxy = math.fsum(map(operator.mul, dxs, dys))
     r = sxy / (math.sqrt(sxx) * math.sqrt(syy))
     return max(-1.0, min(1.0, r))
 
@@ -217,7 +227,14 @@ def reference_correlations() -> dict[str, float]:
 
 @dataclass(frozen=True, slots=True)
 class EvalItem:
-    """Per-row outcome of an evaluation run."""
+    """Per-row outcome of an evaluation run.
+
+    ``evaluate`` does not call ``__init__``: it fills the slots of all of
+    a report's items directly, one field at a time through the slot's
+    descriptor (:func:`_items`), which is what ``__init__`` does per
+    field.  So its items are ordinary frozen instances, equal to the ones
+    ``__init__`` makes from the same values.
+    """
 
     word1: str
     word2: str
@@ -274,16 +291,29 @@ def _evaluate_each(measures: tuple[str, ...], benchmark: Benchmark, taxonomy: Ta
     calls would give it: the first measure that fails its check ends the
     reports, after those of the measures before it; the usable-row count
     and the correlation of a measure are checked when its report is due.
+
+    The pass works by columns, each made by one C-level pass over the
+    rows or over another column: the two sense columns, the included
+    mask, and for each report its word, rating, score (``None`` where a
+    row is excluded), included and reason columns, from which
+    :func:`_items` fills the report's items slot by slot.  The row
+    kernel runs in one ``map`` over the included rows' sense tuples
+    (:func:`_scored`).  Between reports the pass keeps the mask, the
+    excluded rows, the included rows' ratings and the score columns
+    still to report.
     """
     rows = benchmark.rows
+    field = [operator.itemgetter(k) for k in range(3)]  # word1, word2, human
     column = taxonomy.sense_index_column
-    senses1, senses2 = column([w1 for w1, _, _ in rows]), column([w2 for _, w2, _ in rows])
-    reasons = [
-        None if s1 and s2 else "word not in taxonomy: " + ", ".join(
-            sorted({_shown(w, str) for w, s in ((w1, s1), (w2, s2)) if not s}))
-        for (w1, w2, _), s1, s2 in zip(rows, senses1, senses2)
-    ]
-    humans = [human for (_, _, human), why in zip(rows, reasons) if not why]
+    senses1, senses2 = column(map(field[0], rows)), column(map(field[1], rows))
+    included = list(map(all, zip(senses1, senses2)))
+    excluded = tuple(
+        (w1, w2, "word not in taxonomy: " + ", ".join(
+            sorted({_shown(w, str) for w, s in ((w1, s1), (w2, s2)) if not s})))
+        for (w1, w2, _), s1, s2 in compress(zip(rows, senses1, senses2),
+                                            map(operator.not_, included))
+    )
+    humans = list(compress(map(field[2], rows), included))
     checked, failure = [], None
     for measure in measures:
         try:
@@ -294,30 +324,57 @@ def _evaluate_each(measures: tuple[str, ...], benchmark: Benchmark, taxonomy: Ta
             failure = exc
             break
         checked.append(measure)
-    # one float column per measure: no per-row container outlives its row
-    columns = {measure: [] for measure in checked}
-    if checked:
-        score = _row_kernel(taxonomy, model, tuple(checked), log_base, lch_floor)
-        appends = [columns[measure].append for measure in checked]
-        for s1, s2 in zip(senses1, senses2):
-            if s1 and s2:
-                for append, (value, _, _, _) in zip(appends, score(s1, s2)):
-                    append(value)
-    del senses1, senses2  # the reports need only the reasons and the scores
-    excluded = tuple((w1, w2, why) for (w1, w2, _), why in zip(rows, reasons) if why)
+    columns = _scored(_row_kernel(taxonomy, model, tuple(checked), log_base, lch_floor),
+                      checked, compress(senses1, included),
+                      compress(senses2, included)) if checked else {}
+    del senses1, senses2  # the reports need only the rows, the mask and the scores
     for measure in checked:
         scores = columns.pop(measure)  # each column is let go once its report is out
         if len(humans) < 2:
             raise EvaluationError(
                 f"benchmark {_shown(benchmark.name)} has {len(humans)} usable rows; need >= 2"
             )
-        next_score = iter(scores).__next__
-        items = tuple(
-            EvalItem(w1, w2, human, None, False, why) if why
-            else EvalItem(w1, w2, human, next_score(), True, None)
-            for (w1, w2, human), why in zip(rows, reasons)
-        )
+        reasons = _spread(map(operator.not_, included), map(field[2], excluded))
+        items = _items(len(rows), *(map(f, rows) for f in field),
+                       _spread(included, scores), included, reasons)
         yield EvalReport(measure=measure, r=pearson(humans, scores),
                          n_included=len(humans), excluded=excluded, items=items)
     if failure is not None:
         raise failure
+
+
+def _scored(score, measures: list[str], senses1: Iterable[tuple[int, ...]],
+            senses2: Iterable[tuple[int, ...]]) -> dict[str, list[float]]:
+    """{measure: its float column} of the row kernel ``score`` of
+    ``measures``, mapped once over the sense tuple pairs.  The kernel's
+    results stream: each row's result tuple is let go once its values
+    are stored, so no per-row container outlives its row."""
+    results = map(score, senses1, senses2)
+    if len(measures) == 1:
+        return {measures[0]: [r[0] for (r,) in results]}
+    columns = {measure: [] for measure in measures}
+    appends = [columns[measure].append for measure in measures]
+    for result in results:
+        for append, (value, _, _, _) in zip(appends, result):
+            append(value)
+    return columns
+
+
+def _spread(mask: Iterable[bool], values: Iterable) -> Iterator:
+    """``values`` in order at the true places of ``mask``, None at the
+    others: each flag picks the iterator that the next entry comes from."""
+    sources = (repeat(None), iter(values))
+    return map(next, map(sources.__getitem__, mask))
+
+
+def _items(n: int, *columns: Iterable) -> tuple[EvalItem, ...]:
+    """The ``n`` EvalItems whose fields, in order, are the entries of
+    ``columns``, one column per field.  Each slot is filled by one
+    C-level pass of its member descriptor's ``__set__``, which is what
+    the frozen dataclass's ``__init__`` reaches per field through
+    ``object.__setattr__``, so each item equals the one ``__init__``
+    makes."""
+    items = tuple(map(object.__new__, repeat(EvalItem, n)))
+    for field, values in zip(fields(EvalItem), columns, strict=True):
+        deque(map(getattr(EvalItem, field.name).__set__, items, values), maxlen=0)
+    return items

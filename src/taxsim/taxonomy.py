@@ -433,23 +433,25 @@ class Taxonomy:
 
         Bidirectional BFS: each step expands the smaller of the two
         frontiers by one whole level, up to every parent and down to
-        some children.  A side steps down from ``u`` to its child ``v``
-        only if ``v`` is an ancestor-or-self of a concept with two or
-        more parents (a valley), or ``v`` is on the one-parent chain of
-        the far end of the search (``j`` for the side that started at
-        ``i``, and ``i`` for the other): the far end and the concepts
+        some children; on a tie the side that expanded last goes on, and
+        the side from ``i`` expands first.  A side steps down from ``u``
+        to its child ``v`` if ``v`` is an ancestor-or-self of a concept
+        with two or more parents (a valley).  The side from ``i`` also
+        steps down onto ``j``'s one-parent chain: ``j`` and the concepts
         reached from it by going up while the concept has exactly one
         parent.  The chain is one path, so each ``u`` has at most one
         child on it.
 
-        This skips no step of any shortest path.  After a shortest path
-        goes down into ``v``, it either keeps going down to the far end,
-        so ``v`` is an ancestor-or-self of that end, or it turns upward at
-        some ``w`` at or below ``v``.  It leaves ``w`` by a different
-        parent than the one it came in by, else it would not be shortest,
-        so ``w`` has two or more parents and ``v`` is a valley.  The far
-        end's ancestors-or-self are its chain and the ancestors-or-self
-        of the chain's top ``t``; ``t`` is either the root, which is no
+        This skips no step of any shortest path.  Take first the
+        symmetric rule, under which the side from ``j`` steps down onto
+        ``i``'s chain too.  After a shortest path goes down into ``v``,
+        it either keeps going down to the far end, so ``v`` is an
+        ancestor-or-self of that end, or it turns upward at some ``w`` at
+        or below ``v``.  It leaves ``w`` by a different parent than the
+        one it came in by, else it would not be shortest, so ``w`` has
+        two or more parents and ``v`` is a valley.  The far end's
+        ancestors-or-self are its chain and the ancestors-or-self of the
+        chain's top ``t``; ``t`` is either the root, which is no
         concept's child, or has two or more parents, so that it and its
         ancestors are valleys.  Hence each side reaches every node of
         every shortest path at that node's distance from its start.
@@ -459,6 +461,25 @@ class Taxonomy:
         node one side reaches inside the other's ball closes a path of
         exactly ``d_a + d_b + 1``, the minimum over every meeting node of
         that level.
+
+        The side from ``j`` needs no chain: under the symmetric rule it
+        never steps along ``i``'s chain into a node that is not a valley,
+        so both rules run alike.  Such a step would enter ``C``: the
+        nodes of ``i``'s chain that have one parent and are not valleys,
+        ``i`` up to ``C``'s top.  A node that is not a valley has only
+        such nodes below it, so ``C`` and the nodes below it form a tree
+        joined to the rest by the one edge above ``C``'s top.  In ``C``
+        the side from ``i`` steps only up, except at ``L``, the lowest
+        node of ``C`` at or above ``j``, if there is one, where it also
+        steps down toward ``j``.  So its frontier is one node, and it goes
+        on expanding, until it has seen ``C`` up to ``L`` and the node
+        above ``L``, or all of ``C`` and the node above its top, before
+        the side from ``j`` first expands.  The two sides never see one
+        node, so the side from ``j`` can later hold the parent ``u`` of a
+        node of ``C`` only if there is an ``L`` and ``u`` is at least two
+        above it.  Then ``d_b >= d(j, u) >= d(j, L) + 2`` and ``d_a >=
+        d(i, L) + 1``, so ``d_a + d_b`` exceeds the distance ``d(i, L) +
+        d(L, j)``, and the search has already ended.
 
         With ``limit`` set, returns None as soon as the distance is
         known to exceed ``limit`` (once ``d_a + d_b >= limit`` without a
@@ -474,11 +495,11 @@ class Taxonomy:
         if i == j:
             return 0 if limit is None or limit >= 0 else None
         parents, down = self._parents, self._down
-        chain_a, chain_b = {}, {}  # each far end's one-parent chain, as {parent: child}
-        for steps, end in ((chain_a, j), (chain_b, i)):
-            while len(ps := parents[end]) == 1:
-                steps[ps[0]] = end
-                end = ps[0]
+        chain_a, chain_b = {}, {}  # j's one-parent chain as {parent: child}, and none
+        end = j
+        while len(ps := parents[end]) == 1:
+            chain_a[ps[0]] = end
+            end = ps[0]
         seen_a, seen_b = {i}, {j}
         front_a, front_b = [i], [j]
         reach = 0  # d_a + d_b

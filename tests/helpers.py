@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from numbers import Real
 
 from hypothesis import settings
 
-from taxsim import pearson
+from taxsim import EvaluationError, pearson
 
 
 def _budget(examples: int) -> int:
@@ -515,6 +516,55 @@ def oracle_finite_common_subsumers(concepts, edges, model, c1, c2):
 # ----------------------------------------------------------------------
 # correlation helpers
 # ----------------------------------------------------------------------
+
+
+def reference_pearson(xs, ys):
+    """``pearson`` as it was written before its passes became C-level
+    ``map`` calls: generator expressions, ``abs`` per value and one
+    product per value, in the same order of operations.  ``pearson``
+    must give the same float, or raise the same error, bit for bit."""
+    def rescaled(vs):
+        big = max(map(abs, vs))
+        if big == 0.0 or 2.0 ** -960 <= big < 2.0 ** 960:
+            return vs
+        exp = math.frexp(big)[1]
+        return [math.ldexp(v, -exp) for v in vs]
+
+    def deviations(vs):
+        n = len(vs)
+        m = math.fsum(vs) / n
+        ds = [v - m for v in vs]
+        if max(map(abs, ds)) <= abs(m) * 2.0 ** -16:
+            c = math.fsum(ds) / n
+            ds = [d - c for d in ds]
+        return ds
+
+    if len(xs) != len(ys):
+        raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
+    if not all(issubclass(kind, Real) for kind in {*map(type, xs), *map(type, ys)}):
+        raise EvaluationError("non-real input: correlation undefined")
+    try:
+        finite = all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise EvaluationError("non-finite input: correlation undefined")
+    n = len(xs)
+    if n < 2:
+        raise EvaluationError(f"need at least 2 points, got {n}")
+    dxs = deviations(rescaled(xs))
+    dys = deviations(rescaled(ys))
+    scale_x = max(abs(d) for d in dxs)
+    scale_y = max(abs(d) for d in dys)
+    if scale_x == 0.0 or scale_y == 0.0:
+        raise EvaluationError("zero variance: correlation undefined")
+    dxs = [d / scale_x for d in dxs]
+    dys = [d / scale_y for d in dys]
+    sxx = math.fsum(d * d for d in dxs)
+    syy = math.fsum(d * d for d in dys)
+    sxy = math.fsum(a * b for a, b in zip(dxs, dys))
+    r = sxy / (math.sqrt(sxx) * math.sqrt(syy))
+    return max(-1.0, min(1.0, r))
 
 
 def flip_check(xs, ys, a):

@@ -18,6 +18,7 @@ from helpers import _budget, flip_check
 from taxsim import (
     Benchmark,
     EvalItem,
+    EvalReport,
     EvaluationError,
     FrequencyTable,
     REFERENCE_TARGETS,
@@ -40,6 +41,41 @@ from taxsim.evaluation import _evaluate_each, reference_data_bytes
 REFERENCE_SHA256 = "c611c8f97082effd17115b3eb28e6e2c9a404091ab6ce4d28e9f24af7f2e4958"
 
 _floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+_PEARSON_VALUE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=2.0 ** 999, max_value=2.0 ** 1001),  # near 2**1000
+    st.floats(min_value=-2.0 ** 1001, max_value=-2.0 ** 999),
+    st.floats(min_value=-2.0 ** -1022, max_value=2.0 ** -1022),  # subnormal or zero
+    st.integers(-10 ** 6, 10 ** 6),
+    st.integers(2 ** 999, 2 ** 1001),
+    st.booleans(),
+)
+
+
+@st.composite
+def _pearson_columns(draw):
+    """Two columns of one length from ``_PEARSON_VALUE``, some entries
+    replaced by the negation of the one before, so that values of equal
+    magnitude and opposite sign meet."""
+    n = draw(st.integers(0, 10))
+    columns = []
+    for _ in range(2):
+        vs = draw(st.lists(_PEARSON_VALUE, min_size=n, max_size=n))
+        for k in draw(st.lists(st.integers(1, n - 1), max_size=n)) if n > 1 else ():
+            vs[k] = -vs[k - 1]
+        columns.append(vs)
+    return columns
+
+
+def _pearson_outcome(correlation, xs, ys):
+    """The hex string of ``correlation(xs, ys)``, or the type and message
+    of the error it raises."""
+    try:
+        return correlation(xs, ys).hex()
+    except (ValueError, EvaluationError) as exc:
+        return type(exc), str(exc)
 
 
 class TestPearson:
@@ -157,6 +193,20 @@ class TestPearson:
         xs = [1.0, 4.0, 2.5, 7.0]
         ys = [2.0, 0.5, 9.0, 1.0]
         assert pearson(xs, ys) == pearson(ys, xs)
+
+    @settings(max_examples=_budget(300), derandomize=True, database=None, deadline=None)
+    @given(columns=_pearson_columns())
+    @example(columns=([1, 2, 3, 5], [True, False, True, True]))
+    @example(columns=([2.0 ** 1000, -2.0 ** 1000, 2.0 ** 999, 1.0], [1, 2, 3, 4]))
+    @example(columns=([5e-324, -5e-324, 1e-323, 0.0], [2.0 ** -1022, 0.0, -5e-324, 1.0]))
+    @example(columns=([3.0, -3.0, 3.0, -3.0], [1.5, -1.5, -1.5, 1.5]))
+    @example(columns=([1e308, -1e308, 1e308], [7, 7, 7]))
+    def test_matches_the_generator_reference_bit_for_bit(self, columns):
+        # the C-level passes must give every float of the generator-based
+        # passes they replaced, and raise the same error where it raised
+        xs, ys = columns
+        assert _pearson_outcome(pearson, xs, ys) == _pearson_outcome(
+            helpers.reference_pearson, xs, ys)
 
 
 class TestFlipCheck:
@@ -366,6 +416,59 @@ class TestEvaluate:
         assert all(item.included for item in report.items)
 
 
+def _row_by_row_report(measure, benchmark, t, model):
+    """The report ``evaluate`` must give, built one row at a time: each
+    item by the dataclass's own ``__init__``, each score by
+    ``word_similarity`` and r by the generator-based reference."""
+    items, excluded, humans, scores = [], [], [], []
+    for w1, w2, human in benchmark.rows:
+        absent = sorted({str(w) for w in (w1, w2) if not t.sense_indices(w)})
+        if absent:
+            why = "word not in taxonomy: " + ", ".join(absent)
+            items.append(EvalItem(w1, w2, human, None, False, why))
+            excluded.append((w1, w2, why))
+        else:
+            value = word_similarity(measure, t, w1, w2, model).value
+            items.append(EvalItem(w1, w2, human, value, True, None))
+            humans.append(human)
+            scores.append(value)
+    return EvalReport(measure, helpers.reference_pearson(humans, scores), len(humans),
+                      tuple(excluded), tuple(items))
+
+
+_GHOST = ("x", "ghost", 9.0)
+_SCORED = (("x", "y", 3.0), ("x", "z", 1.0), ("y", "z", 2.0), ("Y", "x", 4.0))
+_ROW_WORD = st.sampled_from(["x", "y", "z", "Y", " z", "ghost", "phantom", 7, None, ("x",), 2.5])
+
+
+@settings(max_examples=_budget(100), derandomize=True, database=None, deadline=None)
+@given(rows=st.lists(st.tuples(_ROW_WORD, _ROW_WORD, st.sampled_from([0.0, 1.0, 2.5, 4.0])),
+                     max_size=12))
+@example(rows=_SCORED)
+@example(rows=(_GHOST,) + _SCORED)  # excluded first
+@example(rows=_SCORED[:2] + (_GHOST, ("ghost", "phantom", 0.5)) + _SCORED[2:])  # in the middle
+@example(rows=_SCORED + (_GHOST,))  # excluded last
+@example(rows=((7, "x", 1.0),) + _SCORED[:2] + ((None, ("x",), 2.0),) + _SCORED[2:]
+         + (("x", 2.5, 0.0),))  # words that are not str
+@example(rows=(_GHOST, ("x", "y", 3.0), _GHOST, ("z", "x", 1.0), _GHOST))
+def test_column_built_report_matches_a_row_by_row_build(toy_taxonomy, toy_model, rows):
+    # evaluate fills its items slot by slot from columns; a build that
+    # makes each row's item by __init__ must give the same report
+    t, bench = toy_taxonomy, Benchmark("cols", tuple(rows))
+    usable = sum(bool(t.sense_indices(w1) and t.sense_indices(w2)) for w1, w2, _ in rows)
+    for measure in WORD_MEASURES:
+        got = _outcome(lambda: evaluate(measure, bench, t, toy_model))
+        if usable < 2:
+            assert got == (EvaluationError,
+                           f"benchmark 'cols' has {usable} usable rows; need >= 2")
+            continue
+        want = _outcome(lambda: _row_by_row_report(measure, bench, t, toy_model))
+        assert got == want  # a report, or the same zero-variance error
+        if isinstance(want, EvalReport):
+            assert _bits(got) == _bits(want)
+            assert all(type(it.included) is bool for it in got.items)
+
+
 def _oracle_scores(order, edges, senses, model, w1, w2):
     """measure -> (value, witness, sense pair) of ``w1``, ``w2`` by full
     enumeration and deque BFS; lch only on a taxonomy of depth 1 or more."""
@@ -473,12 +576,24 @@ def test_evaluate_matches_the_oracles_on_random_dags():
     assert ties > rows_scored // 10
 
 
+def _evaluated_items():
+    """An included and an excluded item of a real ``evaluate`` report,
+    whose slots ``evaluate`` fills directly rather than by ``__init__``."""
+    t = Taxonomy.build(helpers.TOY_EDGES, helpers.TOY_SENSES)
+    model = build_model(t, FrequencyTable.from_counts(helpers.TOY_COUNTS))
+    bench = Benchmark("toy", (("x", "y", 3.5), ("x", "ghost", 1.0), ("x", "z", 0.5)))
+    items = evaluate("resnik", bench, t, model).items
+    return items[0], items[1]
+
+
 @pytest.mark.parametrize("record", [
     SimScore(0.5, "coin", ("nickel", "dime")),
     SimScore(1.0),
     EvalItem("x", "y", 3.5, 0.25, True, None),
     EvalItem("x", "ghost", 1.0, None, False, "word not in taxonomy: 'ghost'"),
-], ids=["simscore", "simscore-bare", "evalitem", "evalitem-excluded"])
+    *_evaluated_items(),
+], ids=["simscore", "simscore-bare", "evalitem", "evalitem-excluded",
+        "evalitem-from-evaluate", "evalitem-excluded-from-evaluate"])
 class TestSlottedRecords:
     """The per-pair and per-row records have slots and no ``__dict__``,
     and stay frozen, picklable and copyable."""
@@ -497,3 +612,7 @@ class TestSlottedRecords:
         name = dataclasses.fields(record)[0].name
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, name, 0)
+
+    def test_equals_its_init_built_twin(self, record):
+        twin = type(record)(*(getattr(record, f.name) for f in dataclasses.fields(record)))
+        assert twin == record and hash(twin) == hash(record)

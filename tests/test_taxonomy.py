@@ -378,7 +378,11 @@ class TestShortestPath:
           ("x", "r"), ("x", "b")], "b1", "a2", 5),
         # no valley at all: the only route runs over the root
         ([("a", "r"), ("b", "r")], "a", "b", 2),
-    ], ids=["turn-at-valley", "far-end-under-no-valley", "root-only"])
+        # no valley, and only the side from the first end may step down
+        # onto the other's chain: on a tie of one-node frontiers that side
+        # must go on, or the side from b reaches r with nowhere to go
+        ([("c", "r"), ("a", "c"), ("b", "r")], "a", "b", 3),
+    ], ids=["turn-at-valley", "far-end-under-no-valley", "root-only", "tie-keeps-first-side"])
     def test_pruned_down_moves_keep_every_shortest_path(self, edges, c1, c2, length):
         t = Taxonomy.build(edges)
         for x, y in ((c1, c2), (c2, c1)):
