@@ -9,7 +9,11 @@ The package bundles the 28-pair Miller-Charles subset together with
 published reference scores for three measures, so the whole correlation
 pipeline can be exercised hermetically: replaying the bundled scores
 must reproduce the published correlations.  Live evaluation recomputes
-scores on whatever taxonomy and corpus the caller supplies.
+scores on whatever taxonomy and corpus the caller supplies, one sweep
+per measure family (resnik and prob, edge and lch); the last sweep of
+each family is kept, so scoring a benchmark's rows by both measures of
+a family runs the family's kernel once.  A benchmark whose rows are not
+each three fields long is rejected before any row is scored.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from itertools import compress, repeat
 from numbers import Real
 from typing import Iterable, Iterator
 
-from .errors import EvaluationError, SimilarityError
+from .errors import EvaluationError
 from .probability import ProbabilityModel
-from .similarity import CORPUS_MEASURES, _check_model, _check_word_measure, _row_kernel
+from .similarity import CORPUS_MEASURES, _check_model, _check_word_measure, _measure_column
 from .taxonomy import Taxonomy, _normalized, _shown
 
 _REFERENCE_RESOURCE = "miller_charles.tsv"
@@ -270,13 +274,17 @@ def evaluate(
 
     Rows where either word has no senses are excluded from both vectors
     and listed with a reason; included plus excluded always partitions
-    the benchmark.  The measure and its arguments are checked once, as by
-    :func:`~taxsim.similarity.word_similarity`, before any row is
+    the benchmark.  A ``benchmark`` that is not a :class:`Benchmark`, or
+    a row that is not three fields long, raises EvaluationError naming
+    the first bad row.  The measure and its arguments are checked once,
+    as by :func:`~taxsim.similarity.word_similarity`, before any row is
     scored.  Each column of words is then looked up in one pass
-    (:meth:`~taxsim.taxonomy.Taxonomy.sense_index_column`), and each
-    included row's two sense tuples are scored by the row kernel that
+    (:meth:`~taxsim.taxonomy.Taxonomy.sense_index_column`), and the
+    included rows' sense tuples are scored by the kernel that
     ``word_similarity`` runs, so every score is the value it reports.
-    Fails if fewer than 2 rows are usable.
+    The kernel's last sweep of each measure family is kept: resnik and
+    prob, or edge and lch, on the same rows run it once.  Fails if fewer
+    than 2 rows are usable.
     """
     return next(_evaluate_each((measure,), benchmark, taxonomy, model, log_base, lch_floor))
 
@@ -285,7 +293,7 @@ def _evaluate_each(measures: tuple[str, ...], benchmark: Benchmark, taxonomy: Ta
                    model: ProbabilityModel | None, log_base: float = 2.0,
                    lch_floor: float = 1.0) -> Iterator[EvalReport]:
     """The reports of ``evaluate`` for each of ``measures``, in order,
-    from one scoring pass over the rows.
+    from one lookup of the rows' senses.
 
     Each report, and each error, comes where the per-measure ``evaluate``
     calls would give it: the first measure that fails its check ends the
@@ -296,13 +304,16 @@ def _evaluate_each(measures: tuple[str, ...], benchmark: Benchmark, taxonomy: Ta
     rows or over another column: the two sense columns, the included
     mask, and for each report its word, rating, score (``None`` where a
     row is excluded), included and reason columns, from which
-    :func:`_items` fills the report's items slot by slot.  The row
-    kernel runs in one ``map`` over the included rows' sense tuples
-    (:func:`_scored`).  Between reports the pass keeps the mask, the
-    excluded rows, the included rows' ratings and the score columns
-    still to report.
+    :func:`_items` fills the report's items slot by slot.  Each score
+    column comes from one sweep of its measure's family over the included
+    rows' sense tuples (:func:`~taxsim.similarity._measure_column`):
+    resnik and prob share one model sweep, edge and lch one path search
+    per row.  The last sweep of each family is kept, keyed by its model
+    or taxonomy and the swept sense columns, so the second measure of a
+    family on the same rows, in this pass or a later ``evaluate`` call,
+    reads its column instead of running the kernel.
     """
-    rows = benchmark.rows
+    rows = _checked_rows(benchmark)
     field = [operator.itemgetter(k) for k in range(3)]  # word1, word2, human
     column = taxonomy.sense_index_column
     senses1, senses2 = column(map(field[0], rows)), column(map(field[1], rows))
@@ -314,50 +325,49 @@ def _evaluate_each(measures: tuple[str, ...], benchmark: Benchmark, taxonomy: Ta
                                             map(operator.not_, included))
     )
     humans = list(compress(map(field[2], rows), included))
-    checked, failure = [], None
+    # the included rows' sense tuples, which the family sweeps may keep
+    senses1, senses2 = list(compress(senses1, included)), list(compress(senses2, included))
     for measure in measures:
-        try:
-            _check_word_measure(measure, taxonomy, model, log_base, lch_floor)
-            if humans and measure in CORPUS_MEASURES:  # as at the first scored row
-                _check_model(model, taxonomy)
-        except (ValueError, SimilarityError) as exc:  # raised after the reports before it
-            failure = exc
-            break
-        checked.append(measure)
-    columns = _scored(_row_kernel(taxonomy, model, tuple(checked), log_base, lch_floor),
-                      checked, compress(senses1, included),
-                      compress(senses2, included)) if checked else {}
-    del senses1, senses2  # the reports need only the rows, the mask and the scores
-    for measure in checked:
-        scores = columns.pop(measure)  # each column is let go once its report is out
+        _check_word_measure(measure, taxonomy, model, log_base, lch_floor)
+        if humans and measure in CORPUS_MEASURES:  # as at the first scored row
+            _check_model(model, taxonomy)
         if len(humans) < 2:
             raise EvaluationError(
                 f"benchmark {_shown(benchmark.name)} has {len(humans)} usable rows; need >= 2"
             )
+        scores = _measure_column(measure, taxonomy, model, senses1, senses2,
+                                 log_base, lch_floor)
         reasons = _spread(map(operator.not_, included), map(field[2], excluded))
         items = _items(len(rows), *(map(f, rows) for f in field),
                        _spread(included, scores), included, reasons)
         yield EvalReport(measure=measure, r=pearson(humans, scores),
                          n_included=len(humans), excluded=excluded, items=items)
-    if failure is not None:
-        raise failure
 
 
-def _scored(score, measures: list[str], senses1: Iterable[tuple[int, ...]],
-            senses2: Iterable[tuple[int, ...]]) -> dict[str, list[float]]:
-    """{measure: its float column} of the row kernel ``score`` of
-    ``measures``, mapped once over the sense tuple pairs.  The kernel's
-    results stream: each row's result tuple is let go once its values
-    are stored, so no per-row container outlives its row."""
-    results = map(score, senses1, senses2)
-    if len(measures) == 1:
-        return {measures[0]: [r[0] for (r,) in results]}
-    columns = {measure: [] for measure in measures}
-    appends = [columns[measure].append for measure in measures]
-    for result in results:
-        for append, (value, _, _, _) in zip(appends, result):
-            append(value)
-    return columns
+def _checked_rows(benchmark: Benchmark) -> tuple | list:
+    """``benchmark``'s rows, once each is known to be a row of 3 fields
+    (word1, word2, rating): the field counts are read in one C-level
+    pass, and the first bad row is named by its position."""
+    if not isinstance(benchmark, Benchmark):
+        raise EvaluationError(f"benchmark is a {type(benchmark).__name__}, not a Benchmark")
+    rows = benchmark.rows
+    if not isinstance(rows, (tuple, list)):
+        raise EvaluationError(f"benchmark {_shown(benchmark.name)} rows are a "
+                              f"{type(rows).__name__}, not a tuple or list")
+    try:
+        if {*map(len, rows)} <= {3}:
+            return rows
+    except TypeError:  # a row with no length
+        pass
+    for k, row in enumerate(rows):
+        try:
+            if len(row) == 3:
+                continue
+            shape = f"has {len(row)} fields"
+        except TypeError:  # no length
+            shape = f"is a {type(row).__name__}"
+        raise EvaluationError(f"benchmark {_shown(benchmark.name)} row {k} {shape}, "
+                              "not 3 (word1, word2, rating)")
 
 
 def _spread(mask: Iterable[bool], values: Iterable) -> Iterator:

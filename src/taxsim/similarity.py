@@ -21,10 +21,12 @@ from multiple threads.  ``resnik``, ``prob`` and the weighted functions
 read each concept's ancestors from the model's rank-space memo, which
 the model fills without a lock (see
 :meth:`~taxsim.probability.ProbabilityModel.subsumer_argmax`); they
-never fill the taxonomy's.  The one state kept here, the last weighted
-domain, is one tuple read and replaced whole, so it needs no lock.  A
-model must be queried with the taxonomy object it was built on; any
-other raises ``ValueError``.
+never fill the taxonomy's.  The states kept here, the last weighted
+domain and the last sweep of each measure family over a benchmark's
+rows, are each one tuple read and replaced whole, so they need no lock;
+each holds its model or taxonomy by a weak reference.  A model must be
+queried with the taxonomy object it was built on; any other raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import math
 import operator
 import weakref
 from dataclasses import dataclass
+from functools import partial
 from numbers import Real
 from typing import Mapping
 
@@ -99,48 +102,113 @@ def _min_sense_path(t: Taxonomy, s1: tuple[int, ...],
     return best, *best_pair
 
 
-def _row_kernel(t: Taxonomy, model: ProbabilityModel | None, measures: tuple[str, ...],
+def _path_value(measure: str, span: float, log_base: float, lch_floor: float):
+    """edge's or lch's value as a function of a shortest path length,
+    where ``span`` is twice the taxonomy depth."""
+    if measure == "edge":
+        return lambda length: span - length
+    return lambda length: _neg_log((lch_floor if length == 0 else float(length)) / span,
+                                   log_base)
+
+
+def _row_kernel(t: Taxonomy, model: ProbabilityModel | None, measure: str,
                 log_base: float = 2.0, lch_floor: float = 1.0):
     """The one row kernel behind every word measure: a function of two
     words' sense index tuples ``s1``, ``s2`` (sorted, non-empty) that
-    gives, for each of ``measures`` in order, ``(value, witness, i1,
-    i2)``, where ``(i1, i2)`` is the deciding sense pair and ``witness``
-    the deciding subsumer's index, or -1 for edge and lch.
+    gives ``((value, witness, i1, i2),)`` for ``measure``, where ``(i1,
+    i2)`` is the deciding sense pair and ``witness`` the deciding
+    subsumer's index, or -1 for edge and lch.
 
-    resnik and prob come from the model's one sweep of the sense pairs,
+    resnik and prob are the model's sweep of the sense pairs,
     :meth:`~taxsim.probability.ProbabilityModel.subsumer_argmax`, which
     keeps one maximum of ic (zero-frequency subsumers skipped) and one of
     ``1 - p``.  Only a strictly greater value replaces a maximum, so ties
     keep the first pair, then the smallest subsumer index.  prob scores
     ``1 - p``, not the least ``p``: once N > 2**53, distinct p can round
-    to one ``1 - p``, and the tie-break must see that tie.  When
-    ``measures`` holds only those two, in that order, the model's sweep
-    is the kernel itself.  edge and lch come from one search for the
-    shortest path over the sense pairs.
+    to one ``1 - p``, and the tie-break must see that tie.  edge and lch
+    come from one search for the shortest path over the sense pairs.
+    :func:`_measure_column` runs the same two kernels over a benchmark's
+    rows, one sweep per measure family, and keeps the last sweep of each.
 
-    Nothing is checked here, once or per row: the callers check each
+    Nothing is checked here, once or per row: the callers check the
     measure and its arguments, and that ``model`` was built on ``t``.
     """
-    corpus = tuple(m for m in CORPUS_MEASURES if m in measures)
-    if corpus:
-        best = model.subsumer_argmax("resnik" in corpus, "prob" in corpus)
-        if corpus == measures:
-            return best
-    edge, lch = "edge" in measures, "lch" in measures
-    span = 2.0 * t.max_depth
+    if measure in CORPUS_MEASURES:
+        return model.subsumer_argmax(measure == "resnik", measure == "prob")
+    value = _path_value(measure, 2.0 * t.max_depth, log_base, lch_floor)
 
     def score(s1: tuple[int, ...], s2: tuple[int, ...]) -> tuple[tuple, ...]:
-        found = dict(zip(corpus, best(s1, s2))) if corpus else {}
-        if edge or lch:
-            length, i1, i2 = _min_sense_path(t, s1, s2)
-            if edge:
-                found["edge"] = (span - length, -1, i1, i2)
-            if lch:
-                effective = lch_floor if length == 0 else float(length)
-                found["lch"] = (_neg_log(effective / span, log_base), -1, i1, i2)
-        return tuple(map(found.__getitem__, measures))
+        length, i1, i2 = _min_sense_path(t, s1, s2)
+        return ((value(length), -1, i1, i2),)
 
     return score
+
+
+#: The last sweep of each measure family over a benchmark's rows: (weak
+#: reference to the object whose data the sweep read, the two sense
+#: columns it swept, its columns).  The corpus family is keyed by the
+#: model, which fixes its taxonomy, the path family by the taxonomy.  Each
+#: is one tuple, read and replaced whole; a dead reference empties it.
+_NO_SWEEP = (lambda: None, [], [], ())
+_last_sweep = {"corpus": _NO_SWEEP, "path": _NO_SWEEP}
+
+
+def _forget(family: str, ref: weakref.ref) -> None:
+    """Empty ``family``'s slot if it still holds ``ref``, whose object is
+    dying, so that the slot keeps nothing the object owned."""
+    if _last_sweep[family][0] is ref:
+        _last_sweep[family] = _NO_SWEEP
+
+
+def _swept(family: str, sweep, owner, s1: list[tuple[int, ...]],
+           s2: list[tuple[int, ...]]):
+    """``sweep(owner, s1, s2)``, or the kept result of the last sweep of
+    ``family`` if it was of ``owner`` and of columns equal to ``s1`` and
+    ``s2``: then the kernel would get the same inputs.  The columns hold
+    the taxonomy's own sense tuples, so comparing them is one C-level
+    pass of identity checks."""
+    ref, last1, last2, result = _last_sweep[family]
+    if ref() is owner and last1 == s1 and last2 == s2:
+        return result
+    result = sweep(owner, s1, s2)
+    _last_sweep[family] = (weakref.ref(owner, partial(_forget, family)), s1, s2, result)
+    return result
+
+
+def _corpus_columns(model: ProbabilityModel, s1: list[tuple[int, ...]],
+                    s2: list[tuple[int, ...]]) -> tuple[list[float], list[float]]:
+    """The resnik and prob columns of the model's one sweep per row."""
+    resnik, prob = [], []
+    add_resnik, add_prob = resnik.append, prob.append
+    for (by_ic, _, _, _), (by_p, _, _, _) in map(model.subsumer_argmax(), s1, s2):
+        add_resnik(by_ic)
+        add_prob(by_p)
+    return resnik, prob
+
+
+def _path_lengths(t: Taxonomy, s1: list[tuple[int, ...]],
+                  s2: list[tuple[int, ...]]) -> list[int]:
+    """The shortest path length over each row's sense pairs."""
+    return [length for length, _, _ in map(partial(_min_sense_path, t), s1, s2)]
+
+
+def _measure_column(measure: str, t: Taxonomy, model: ProbabilityModel | None,
+                    s1: list[tuple[int, ...]], s2: list[tuple[int, ...]],
+                    log_base: float = 2.0, lch_floor: float = 1.0) -> list[float]:
+    """``measure``'s values over the sense tuple pairs of the columns
+    ``s1`` and ``s2``, each the value :func:`_row_kernel` gives, from one
+    sweep of the measure's family: one model sweep gives both the resnik
+    and the prob column, one path search per row gives the lengths that
+    edge and lch are computed from.  The last sweep of each family is kept
+    (:func:`_swept`), so the other measure of the family on the same
+    rows, as when a benchmark is scored by both, runs no kernel.  The
+    caller checks what :func:`_row_kernel` leaves to it, and hands over
+    ``s1`` and ``s2``, which may be kept: it must not change them."""
+    if measure in CORPUS_MEASURES:
+        resnik, prob = _swept("corpus", _corpus_columns, model, s1, s2)
+        return resnik if measure == "resnik" else prob
+    lengths = _swept("path", _path_lengths, t, s1, s2)
+    return list(map(_path_value(measure, 2.0 * t.max_depth, log_base, lch_floor), lengths))
 
 
 def sim_resnik_concepts(model: ProbabilityModel, t: Taxonomy,
@@ -149,7 +217,7 @@ def sim_resnik_concepts(model: ProbabilityModel, t: Taxonomy,
     zero-frequency subsumers carry no evidence and are skipped."""
     s1, s2 = (t.index_of(c1),), (t.index_of(c2),)
     _check_model(model, t)
-    (value, witness, _, _), = _row_kernel(t, model, ("resnik",))(s1, s2)
+    (value, witness, _, _), = _row_kernel(t, model, "resnik")(s1, s2)
     return SimScore(value, t.concepts()[witness])
 
 
@@ -317,7 +385,7 @@ def word_similarity(measure: str, t: Taxonomy, w1: str, w2: str,
     s1, s2 = _sense_indices(t, w1), _sense_indices(t, w2)
     if measure in CORPUS_MEASURES:
         _check_model(model, t)
-    score = _row_kernel(t, model, (measure,), log_base, lch_floor)
+    score = _row_kernel(t, model, measure, log_base, lch_floor)
     (value, witness, i1, i2), = score(s1, s2)
     ids = t.concepts()
     return SimScore(value, ids[witness] if witness >= 0 else None, (ids[i1], ids[i2]))

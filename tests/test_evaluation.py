@@ -6,6 +6,8 @@ import hashlib
 import math
 import pickle
 import random
+import sys
+import threading
 from decimal import Decimal
 from fractions import Fraction
 
@@ -21,6 +23,7 @@ from taxsim import (
     EvalReport,
     EvaluationError,
     FrequencyTable,
+    ProbabilityModel,
     REFERENCE_TARGETS,
     REFERENCE_TOLERANCE,
     evaluate,
@@ -35,6 +38,7 @@ from taxsim import (
     build_model,
     word_similarity,
 )
+from taxsim import similarity
 from taxsim.evaluation import _evaluate_each, reference_data_bytes
 
 # byte-pin of the bundled reference table
@@ -409,6 +413,100 @@ class TestEvaluate:
                                    (None, ("x",), "word not in taxonomy: ('x',), None"))
         assert report.n_included == 2
 
+    @pytest.mark.parametrize("given, message", [
+        ({"rows": ()}, "^benchmark is a dict, not a Benchmark$"),
+        ((("x", "y", 1.0), ("x", "z", 2.0)), "^benchmark is a tuple, not a Benchmark$"),
+        (Benchmark("g", iter([("x", "y", 1.0)])),
+         "^benchmark 'g' rows are a list_iterator, not a tuple or list$"),
+        (Benchmark("b", (("x", "y", 1.0), ("x", "z"))),
+         r"^benchmark 'b' row 1 has 2 fields, not 3 \(word1, word2, rating\)$"),
+        (Benchmark("b", [("x", "y", 1.0), ("x", "z", 2.0), None, ("x", "z")]),
+         r"^benchmark 'b' row 2 is a NoneType, not 3 \(word1, word2, rating\)$"),
+        (Benchmark("b", (("x", "y", 1.0, "note"), ("x", "z", 2.0))),
+         r"^benchmark 'b' row 0 has 4 fields, not 3 \(word1, word2, rating\)$"),
+        (Benchmark("b", (("x", "y", 1.0), 7)),
+         r"^benchmark 'b' row 1 is a int, not 3 \(word1, word2, rating\)$"),
+    ], ids=["dict", "rows-not-in-a-benchmark", "iterator-rows", "two-fields", "none-row",
+            "four-fields", "int-row"])
+    def test_benchmark_shape_checked_at_the_boundary(self, toy_taxonomy, toy_model,
+                                                      given, message):
+        with pytest.raises(EvaluationError, match=message):
+            evaluate("resnik", given, toy_taxonomy, toy_model)
+
+    def test_second_measure_of_a_family_runs_no_kernel(self, toy_taxonomy, toy_model,
+                                                        monkeypatch):
+        # prob after resnik, and lch after edge, on the same rows read the
+        # family's kept sweep; another benchmark runs the kernels again
+        sweeps, paths = [], []
+        argmax, path_len = ProbabilityModel.subsumer_argmax, Taxonomy.path_len
+        monkeypatch.setattr(ProbabilityModel, "subsumer_argmax",
+                            lambda *a: sweeps.append(a) or argmax(*a))
+        monkeypatch.setattr(Taxonomy, "path_len", lambda *a: paths.append(a) or path_len(*a))
+        rows = (("x", "y", 3.0), ("x", "z", 1.0), ("y", "z", 2.0), ("x", "ghost", 0.0))
+        t, m = toy_taxonomy, toy_model
+        for first, second in (("resnik", "prob"), ("edge", "lch")):
+            evaluate(first, Benchmark("a", rows), t, m)
+            counts = len(sweeps), len(paths)
+            got = evaluate(second, Benchmark("a", list(rows)), t, m)
+            assert (len(sweeps), len(paths)) == counts
+            assert got == evaluate(second, Benchmark("a", rows), *copy.deepcopy((t, m)))
+        assert sweeps and paths
+        for measure in WORD_MEASURES:
+            counts = len(sweeps), len(paths)
+            evaluate(measure, Benchmark("b", rows[1:] + rows[:1]), t, m)
+            evaluate(measure, Benchmark("b", rows[:3]), t, m)  # a's included rows, b's are rotated
+            grown = len(sweeps) > counts[0], len(paths) > counts[1]
+            assert grown == ((True, False) if measure in ("resnik", "prob") else (False, True))
+
+    def test_threads_agree_with_one_thread(self):
+        # four threads evaluate their own benchmarks with their own
+        # measures, so each replaces the family slots the others read; a
+        # torn or stale slot would show as a wrong report in some thread
+        rng = random.Random(5)
+        edges = []
+        for i in range(1, 400):
+            parents = rng.sample(range(i), 2 if rng.random() < 0.1 else 1)
+            edges += [(f"c{i}", f"c{p}") for p in parents]
+        senses = {f"w{i}": {f"c{i}"} | ({f"c{i // 2}"} if i % 7 == 0 else set())
+                  for i in range(400)}
+        t = Taxonomy.build(edges, senses)
+        models = [build_model(t, FrequencyTable.from_counts(
+            {w: rng.randrange(3) for w in senses} | {"w0": 1})) for _ in range(2)]
+        benches = [Benchmark(f"b{k}", tuple((f"w{rng.randrange(400)}", f"w{rng.randrange(400)}",
+                                             float(rng.randrange(10))) for _ in range(60)))
+                   for k in range(3)]
+        jobs = [(measure, b, m) for measure in WORD_MEASURES for b in range(3) for m in range(2)]
+
+        def run(job):
+            measure, b, m = job
+            return _bits(evaluate(measure, benches[b], t, models[m]))
+
+        want = [run(job) for job in jobs]
+        start = threading.Barrier(4)
+        results = [None] * 4
+
+        def work(k):
+            order = list(range(len(jobs))) * 3
+            random.Random(k).shuffle(order)
+            start.wait()
+            got = [None] * len(jobs)
+            for i in order:
+                got[i] = run(jobs[i])
+            results[k] = got
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert results == [want] * 4
+
     def test_per_item_scores_recorded(self, toy_taxonomy, toy_model):
         bench = Benchmark(name="toy", rows=(("x", "y", 3.0), ("x", "z", 1.0)))
         report = evaluate("prob", bench, toy_taxonomy, toy_model)
@@ -616,3 +714,64 @@ class TestSlottedRecords:
     def test_equals_its_init_built_twin(self, record):
         twin = type(record)(*(getattr(record, f.name) for f in dataclasses.fields(record)))
         assert twin == record and hash(twin) == hash(record)
+
+
+def test_family_slots_match_deep_copies_and_the_oracles():
+    # evaluate keeps the last sweep of each measure family (resnik and
+    # prob, edge and lch); random interleavings of calls over the same
+    # rows in another Benchmark, overlapping rows, rows edited in place,
+    # two models on one taxonomy, two taxonomies and varied lch arguments
+    # must each give the report of the same call on deep copies, which
+    # can hit no slot, and the oracles' scores, bit for bit.  The calls on
+    # copies run after the interleaving, so that they leave its slots be.
+    calls = hits = 0
+    for k, (concepts, edges, senses, counts) in enumerate(
+            helpers.random_instances(seed=77, count=_budget(40))):
+        rng = random.Random(k)
+        t = Taxonomy.build(edges, senses, concepts=concepts)
+        t2 = Taxonomy.build(edges, senses, concepts=concepts)
+        setups = [(t, build_model(t, FrequencyTable.from_counts(counts))),
+                  (t, build_model(t, FrequencyTable.from_counts({"w0": 1}))),
+                  (t2, build_model(t2, FrequencyTable.from_counts(counts)))]
+        words = sorted(senses) * 3 + ["ghost"]
+
+        def row():
+            return rng.choice(words), rng.choice(words), float(rng.randint(0, 9))
+
+        rows, done = [row() for _ in range(rng.randint(2, 8))], []
+        for _ in range(12):
+            action = rng.random()
+            if action < 0.15:  # a row edited in place
+                rows[rng.randrange(len(rows))] = row()
+            elif action < 0.25:  # overlapping rows
+                cut = rng.randrange(len(rows))
+                rows = rows[cut:] + [row() for _ in range(rng.randint(0, 2))] + rows[:cut]
+            bench = Benchmark("random", rows if rng.random() < 0.5 else tuple(rows))
+            setup, measure = rng.randrange(len(setups)), rng.choice(WORD_MEASURES)
+            kwargs = {"log_base": rng.choice([2.0, 10.0, Fraction(3, 2)]),
+                      "lch_floor": rng.choice([1.0, 0.5, Fraction(1, 3)])}
+            family = "corpus" if measure in ("resnik", "prob") else "path"
+            slot = similarity._last_sweep[family]
+            got = _outcome(lambda: evaluate(measure, bench, *setups[setup], **kwargs))
+            hits += slot is similarity._last_sweep[family] and isinstance(got, EvalReport)
+            done.append((measure, copy.deepcopy(bench), setup, kwargs, got))
+        for measure, bench, setup, kwargs, got in done:
+            ti, mi = copy.deepcopy(setups[setup])
+            want = _outcome(lambda: evaluate(measure, bench, ti, mi, **kwargs))
+            if isinstance(want, tuple):
+                assert got == want
+                continue
+            assert _bits(got) == _bits(want)
+            oracle = [None if "ghost" in (w1, w2) else
+                      _oracle_scores(ti.concepts(), edges, senses, mi, w1, w2)
+                      for w1, w2, _ in bench.rows]
+            if measure == "lch":
+                oracle = [o and {"lch": (helpers.oracle_lch_words(
+                    ti.concepts(), edges, senses, w1, w2, kwargs["log_base"],
+                    kwargs["lch_floor"]), None, None)}
+                          for (w1, w2, _), o in zip(bench.rows, oracle)]
+            assert (got.r.hex(), [(_hex(it.score), it.included, it.reason) for it in got.items]
+                    ) == _oracle_report(measure, bench.rows, oracle, ti.max_depth)
+            calls += 1
+    # the slots both hit and miss
+    assert calls > _budget(40) * 6 and calls // 10 < hits < calls // 2

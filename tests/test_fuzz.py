@@ -159,8 +159,12 @@ FINITE = st.one_of(st.integers(-9, 9), st.floats(-4.0, 4.0))
 # decomposed accent), and an unhashable word, which sends its whole column
 # through the word-by-word lookup
 LOOKUP_WORD = st.one_of(TOY_WORDS, st.sampled_from([" x ", "\tY", ["x"]]))
+# rows of other shapes, which evaluate rejects naming the first one
+BAD_ROW = st.one_of(st.tuples(TOY_WORDS, TOY_WORDS),
+                    st.tuples(TOY_WORDS, TOY_WORDS, FINITE, FINITE),
+                    st.sampled_from([None, 7, ()]))
 ROW = st.one_of(st.tuples(TOY_WORDS, TOY_WORDS, FINITE), st.tuples(WORDS, WORDS, HOSTILE),
-                st.tuples(LOOKUP_WORD, LOOKUP_WORD, FINITE))
+                st.tuples(LOOKUP_WORD, LOOKUP_WORD, FINITE), BAD_ROW)
 PAIR = st.one_of(st.tuples(FINITE, FINITE), st.tuples(HOSTILE, HOSTILE))
 
 
@@ -287,8 +291,19 @@ def test_pearson_surface(pairs):
 @example(rows=[("x", "y", 1.0), ("x", "z", 2.0), (BIG, "x", 3.0)], measure="edge")
 @example(rows=[(" X", CAFE[1], 1.0), (["x"], "y", 2.0), ("\tY", "Z ", 3.0), (CAFE[2], "x", 4.0)],
          measure="resnik")  # every spelling a fallback, one word unhashable
+@example(rows=[("x", "y", 1.0), ("x", "z"), None], measure="prob")  # the first bad row named
 def test_evaluate_surface(cafe_taxonomy, cafe_model, rows, measure):
     t, m = cafe_taxonomy, cafe_model
+    bad = next(((k, row) for k, row in enumerate(rows)
+                if not isinstance(row, tuple) or len(row) != 3), None)
+    if bad is not None:
+        k, row = bad
+        shape = (f"has {len(row)} fields" if isinstance(row, tuple)
+                 else f"is a {type(row).__name__}")
+        with pytest.raises(EvaluationError, match=re.escape(
+                f"benchmark 'fuzz' row {k} {shape}, not 3 (word1, word2, rating)")):
+            evaluate(measure, Benchmark("fuzz", tuple(rows)), t, m)
+        return
     known = t.sense_indices
     included = [(w1, w2, h) for w1, w2, h in rows if known(w1) and known(w2)]
     humans = [h for _, _, h in included]

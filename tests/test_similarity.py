@@ -33,6 +33,7 @@ from taxsim import (
     uniform_weights,
     word_similarity,
 )
+from taxsim import similarity
 from taxsim.similarity import _finite_ic_subsumers
 
 TOY_IC_A = 0.4150374992788438  # -log2(3/4)
@@ -786,6 +787,23 @@ def test_the_weighted_domain_slot_keeps_no_model_alive(toy_taxonomy):
     # has no frequency, with the same id objects: the root alone
     model = build_model(t, FrequencyTable.from_counts({"z": 1}))
     assert uniform_weights(model, t, "A1", "A2") == {"root": 1.0}
+
+
+def test_the_family_slots_keep_no_taxonomy_or_model_alive():
+    # evaluate keeps the last sweep of each measure family; once the
+    # taxonomy and model it read are dropped, no weak reference to them
+    # is alive, and the slots hold nothing they owned
+    t = Taxonomy.build(TOY_EDGES, TOY_SENSES)
+    model = build_model(t, FrequencyTable.from_counts(TOY_COUNTS))
+    bench = Benchmark("toy", (("x", "y", 3.0), ("x", "z", 1.0), ("y", "z", 2.0)))
+    for measure in WORD_MEASURES:
+        evaluate(measure, bench, t, model)
+    assert similarity._last_sweep["corpus"] != similarity._NO_SWEEP
+    refs = weakref.ref(t), weakref.ref(model)
+    del t, model
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    assert similarity._last_sweep == dict.fromkeys(("corpus", "path"), similarity._NO_SWEEP)
 
 
 def test_threads_racing_on_weighted_queries_agree_with_one_thread():
