@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -119,26 +120,44 @@ def cmd_eval(args: argparse.Namespace, measures) -> int:
         raise ModelError("--benchmark is required (or use --fixture)")
     t, model = _load(args, measures)
     benchmark = load_benchmark(Path(args.benchmark))
-    json_lines: list[str] = []
-    # every measure scored in one pass over the rows; a measure's report,
-    # or its error, comes after the reports of the measures before it
-    for report in _evaluate_each(measures, benchmark, t, model, args.log_base, args.lch_floor):
-        measure = report.measure
-        print(
-            f"{measure}\tr={report.r:.4f}\tn={report.n_included}\t"
-            f"excluded={len(report.excluded)}"
-        )
-        for w1, w2, reason in report.excluded:
-            print(f"# excluded: {w1},{w2}\t{reason}")
-        if args.json_out:
-            json_lines += (
-                json.dumps({"measure": measure, "pair": [item.word1, item.word2],
-                            "score": item.score, "included": item.included,
-                            "reason": item.reason}, sort_keys=True)
-                for item in report.items
+    # the --json-out lines stream to a file beside the target, opened with
+    # the first report, which replaces the target once every report is out:
+    # a failing measure leaves no file
+    target = Path(args.json_out) if args.json_out else None
+    partial = target and target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    out = None
+    try:
+        # every measure scored in one pass over the rows; a measure's
+        # report, or its error, comes after the reports of the measures
+        # before it
+        for report in _evaluate_each(measures, benchmark, t, model, args.log_base,
+                                     args.lch_floor):
+            measure = report.measure
+            print(
+                f"{measure}\tr={report.r:.4f}\tn={report.n_included}\t"
+                f"excluded={len(report.excluded)}"
             )
-    if args.json_out:
-        Path(args.json_out).write_text("\n".join(json_lines) + "\n", encoding="utf-8")
+            for w1, w2, reason in report.excluded:
+                print(f"# excluded: {w1},{w2}\t{reason}")
+            if target:
+                if out is None:
+                    out = open(partial, "w", encoding="utf-8")
+                out.writelines(
+                    json.dumps({"measure": measure, "pair": [item.word1, item.word2],
+                                "score": item.score, "included": item.included,
+                                "reason": item.reason}, sort_keys=True) + "\n"
+                    for item in report.items
+                )
+        if out is not None:
+            out.close()
+            os.replace(partial, target)
+            out = None
+    finally:
+        if out is not None:  # a measure failed, or the file could not be written
+            try:
+                out.close()  # may fail to flush, and closes the file even then
+            finally:
+                partial.unlink()
     return 0
 
 

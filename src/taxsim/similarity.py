@@ -88,18 +88,16 @@ def _min_sense_path(t: Taxonomy, s1: tuple[int, ...],
     """The shortest undirected IS-A path over sense pairs ``s1`` x
     ``s2``: its length and the pair that has it.
 
-    After the first pair, each search is limited to ``best - 1`` edges:
-    only a strictly shorter path can replace the best pair, so ties keep
-    the first pair in sorted index order.
+    One search from every sense of both words at once gives the length
+    (:meth:`~taxsim.taxonomy.Taxonomy.nearest_path_len`).  The pair is
+    the first, in sorted index order, whose own search limited to that
+    length reaches it, so ties keep the first pair.
     """
-    best = None
-    best_pair = (-1, -1)
-    for i1 in s1:
-        for i2 in s2:
-            length = t.path_len(i1, i2, None if best is None else best - 1)
-            if length is not None:
-                best, best_pair = length, (i1, i2)
-    return best, *best_pair
+    length = t.nearest_path_len(s1, s2)
+    if len(s1) == len(s2) == 1:
+        return length, s1[0], s2[0]
+    return length, *next((i1, i2) for i1 in s1 for i2 in s2
+                         if t.path_len(i1, i2, length) is not None)
 
 
 def _path_value(measure: str, span: float, log_base: float, lch_floor: float):
@@ -188,8 +186,9 @@ def _corpus_columns(model: ProbabilityModel, s1: list[tuple[int, ...]],
 
 def _path_lengths(t: Taxonomy, s1: list[tuple[int, ...]],
                   s2: list[tuple[int, ...]]) -> list[int]:
-    """The shortest path length over each row's sense pairs."""
-    return [length for length, _, _ in map(partial(_min_sense_path, t), s1, s2)]
+    """The shortest path length over each row's sense pairs, from one
+    search per row."""
+    return list(map(t.nearest_path_len, s1, s2))
 
 
 def _measure_column(measure: str, t: Taxonomy, model: ProbabilityModel | None,

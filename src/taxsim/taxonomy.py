@@ -56,7 +56,7 @@ import re
 import unicodedata
 from itertools import chain, compress, repeat
 from sys import float_info
-from typing import Callable, Iterable, Mapping, NoReturn, TextIO, TypeVar
+from typing import Callable, Iterable, Mapping, NoReturn, Sequence, TextIO, TypeVar
 
 from .errors import TaxonomyError, UnknownConceptError
 
@@ -223,10 +223,11 @@ class Taxonomy:
         self._order = order = tuple(sorted(index.values(), key=depths.__getitem__))
         self._root = order[0]
         self._depths = depths
-        # path_len steps down only along the far end's one-parent chain and
-        # into valleys, the ancestors-or-self of the nodes with two or more
-        # parents.  One walk up from those nodes lists each valley under
-        # each of its parents, and goes on from a parent when first met.
+        # the path search steps down only onto its starts' one-parent
+        # chains and into valleys, the ancestors-or-self of the nodes with
+        # two or more parents.  One walk up from those nodes lists each
+        # valley under each of its parents, and goes on from a parent when
+        # first met.
         down: list[tuple[int, ...]] = [()] * n
         todo, seen = merges, set(merges)  # each merge listed once, when its depth was set
         for v in todo:
@@ -421,87 +422,82 @@ class Taxonomy:
         edges as traversable in both directions.
 
         The path may run down through a shared child as well as up
-        through a common subsumer.  Found by :meth:`path_len`'s
+        through a common subsumer.  Found by :meth:`nearest_path_len`'s
         bidirectional breadth-first search from both concepts, run
         without a length limit, so the result is always the exact
         length.  The search skips every step down that no shortest path
-        can take; :meth:`path_len` gives its rule and why it is exact."""
+        can take; :meth:`nearest_path_len` gives its rule and why it is
+        exact."""
         return self.path_len(self.index_of(c1), self.index_of(c2))
 
     def path_len(self, i: int, j: int, limit: int | None = None) -> int | None:
-        """Undirected shortest path length between concept indices.
+        """Undirected shortest path length between concept indices:
+        :meth:`nearest_path_len` of ``(i,)`` and ``(j,)``, with the same
+        ``limit`` and the same errors."""
+        return self.nearest_path_len((i,), (j,), limit)
 
-        Bidirectional BFS: each step expands the smaller of the two
-        frontiers by one whole level, up to every parent and down to
-        some children; on a tie the side that expanded last goes on, and
-        the side from ``i`` expands first.  A side steps down from ``u``
-        to its child ``v`` if ``v`` is an ancestor-or-self of a concept
-        with two or more parents (a valley).  The side from ``i`` also
-        steps down onto ``j``'s one-parent chain: ``j`` and the concepts
-        reached from it by going up while the concept has exactly one
-        parent.  The chain is one path, so each ``u`` has at most one
-        child on it.
+    def nearest_path_len(self, s1: Sequence[int], s2: Sequence[int],
+                         limit: int | None = None) -> int | None:
+        """The least undirected path length between any concept index of
+        ``s1`` and any of ``s2``, such as the senses of two words.
 
-        This skips no step of any shortest path.  Take first the
-        symmetric rule, under which the side from ``j`` steps down onto
-        ``i``'s chain too.  After a shortest path goes down into ``v``,
-        it either keeps going down to the far end, so ``v`` is an
-        ancestor-or-self of that end, or it turns upward at some ``w`` at
-        or below ``v``.  It leaves ``w`` by a different parent than the
-        one it came in by, else it would not be shortest, so ``w`` has
-        two or more parents and ``v`` is a valley.  The far end's
-        ancestors-or-self are its chain and the ancestors-or-self of the
-        chain's top ``t``; ``t`` is either the root, which is no
-        concept's child, or has two or more parents, so that it and its
-        ancestors are valleys.  Hence each side reaches every node of
-        every shortest path at that node's distance from its start.
-        While the searched balls (radii ``d_a`` from ``i`` and ``d_b``
-        from ``j``) are disjoint, the distance therefore exceeds
-        ``d_a + d_b``; and every meeting is a real path.  So the first
-        node one side reaches inside the other's ball closes a path of
-        exactly ``d_a + d_b + 1``, the minimum over every meeting node of
-        that level.
+        Bidirectional BFS from every start of both sides at once: each
+        step expands the smaller of the two frontiers by one whole level,
+        up to every parent and down to some children; on a tie the side
+        that expanded last goes on, and the side from ``s1`` expands
+        first.  A side steps down from ``u`` to its child ``v`` if ``v``
+        is an ancestor-or-self of a concept with two or more parents (a
+        valley), or if ``v`` is on the one-parent chain of a start of the
+        other side: that start and the concepts reached from it by going
+        up while the concept has exactly one parent.  A side walks those
+        chains when it first expands; chains that share a node are
+        merged, so ``u`` may have several children on them.
 
-        The side from ``j`` needs no chain: under the symmetric rule it
-        never steps along ``i``'s chain into a node that is not a valley,
-        so both rules run alike.  Such a step would enter ``C``: the
-        nodes of ``i``'s chain that have one parent and are not valleys,
-        ``i`` up to ``C``'s top.  A node that is not a valley has only
-        such nodes below it, so ``C`` and the nodes below it form a tree
-        joined to the rest by the one edge above ``C``'s top.  In ``C``
-        the side from ``i`` steps only up, except at ``L``, the lowest
-        node of ``C`` at or above ``j``, if there is one, where it also
-        steps down toward ``j``.  So its frontier is one node, and it goes
-        on expanding, until it has seen ``C`` up to ``L`` and the node
-        above ``L``, or all of ``C`` and the node above its top, before
-        the side from ``j`` first expands.  The two sides never see one
-        node, so the side from ``j`` can later hold the parent ``u`` of a
-        node of ``C`` only if there is an ``L`` and ``u`` is at least two
-        above it.  Then ``d_b >= d(j, u) >= d(j, L) + 2`` and ``d_a >=
-        d(i, L) + 1``, so ``d_a + d_b`` exceeds the distance ``d(i, L) +
-        d(L, j)``, and the search has already ended.
+        This skips no step of any shortest path.  Take one, from a start
+        ``a`` of one side to a start ``b`` of the other; every node on it
+        is as far from its side's starts as from ``a``, else a shorter
+        path would exist.  After it goes down into ``v``, it either keeps
+        going down to ``b``, so ``v`` is an ancestor-or-self of ``b``, or
+        it turns upward at some ``w`` at or below ``v``.  It leaves ``w``
+        by a different parent than the one it came in by, else it would
+        not be shortest, so ``w`` has two or more parents and ``v`` is a
+        valley.  ``b``'s ancestors-or-self are its chain and the
+        ancestors-or-self of the chain's top ``t``; ``t`` is either the
+        root, which is no concept's child, or has two or more parents, so
+        that it and its ancestors are valleys.  Read from ``b``, the path
+        is one of the other side's, so each side reaches every node of
+        every shortest path at that node's distance from its starts.
+        While the searched balls (radii ``d_a`` from ``s1`` and ``d_b``
+        from ``s2``) are disjoint, the distance therefore exceeds ``d_a +
+        d_b``; and every meeting is a real path.  So the first node one
+        side reaches inside the other's ball closes a path of exactly
+        ``d_a + d_b + 1``, the minimum over every meeting node of that
+        level.
 
         With ``limit`` set, returns None as soon as the distance is
         known to exceed ``limit`` (once ``d_a + d_b >= limit`` without a
-        meeting), and the exact length otherwise.  An int index outside
+        meeting), and the exact length otherwise.  ``s1`` and ``s2`` are
+        sequences of concept indices; an int index outside
         ``range(concept_count)`` raises UnknownConceptError, any other
-        index, or a ``limit`` other than an int or None, TypeError.
+        index, or a ``limit`` other than an int or None, TypeError, and
+        an empty sequence ValueError.
         """
         # each index converted first, so that an error names it as a plain int
         n = len(self._ids)
-        i, j = _checked_index(operator.index(i), n), _checked_index(operator.index(j), n)
+        seen_a = {_checked_index(operator.index(i), n) for i in s1}
+        seen_b = {_checked_index(operator.index(j), n) for j in s2}
+        if not (seen_a and seen_b):
+            raise ValueError("a sense sequence is empty")
         if limit is not None:
             limit = operator.index(limit)
-        if i == j:
+        if not seen_a.isdisjoint(seen_b):
             return 0 if limit is None or limit >= 0 else None
         parents, down = self._parents, self._down
-        chain_a, chain_b = {}, {}  # j's one-parent chain as {parent: child}, and none
-        end = j
-        while len(ps := parents[end]) == 1:
-            chain_a[ps[0]] = end
-            end = ps[0]
-        seen_a, seen_b = {i}, {j}
-        front_a, front_b = [i], [j]
+        front_a, front_b = list(seen_a), list(seen_b)
+        # each side steps down onto the chains of the other side's starts,
+        # walked when the side first expands
+        ends_a, ends_b = front_b, front_a
+        chain_a = chain_b = None
         reach = 0  # d_a + d_b
         while front_a and front_b:
             if limit is not None and reach >= limit:
@@ -510,11 +506,14 @@ class Taxonomy:
                 front_a, front_b = front_b, front_a
                 seen_a, seen_b = seen_b, seen_a
                 chain_a, chain_b = chain_b, chain_a
+                ends_a, ends_b = ends_b, ends_a
+            if chain_a is None:
+                chain_a = _chains(parents, ends_a)
             nxt = []
             for u in front_a:
                 below = down[u]
-                if u in chain_a:  # u's child on the far end's chain
-                    below += (chain_a[u],)
+                if u in chain_a:  # u's children on the other side's chains
+                    below += chain_a[u]
                 for adjacent in (parents[u], below):
                     for v in adjacent:
                         if v in seen_b:
@@ -525,7 +524,7 @@ class Taxonomy:
             front_a = nxt
             reach += 1
         raise TaxonomyError(
-            f"no path between {self._ids[i]!r} and {self._ids[j]!r}"
+            "no path between the two index sequences"
         )  # unreachable after validation: the root connects everything
 
     def depth_of(self, concept: str) -> int:
@@ -551,6 +550,25 @@ def _checked_index(i: int, count: int) -> int:
     if not 0 <= (k := operator.index(i)) < count:
         raise UnknownConceptError(f"unknown concept index: {_shown(i)}")
     return k
+
+
+def _chains(parents: tuple[tuple[int, ...], ...],
+            starts: Iterable[int]) -> dict[int, tuple[int, ...]]:
+    """The one-parent chains of ``starts`` as ``{parent: children}``: each
+    start, and each concept reached from it by going up while the concept
+    has exactly one parent, listed under its parent.  Chains that meet
+    share what lies above the meeting node, which is walked once."""
+    chains: dict[int, tuple[int, ...]] = {}
+    for end in starts:
+        while len(ps := parents[end]) == 1:
+            below = chains.get(p := ps[0])
+            if below is not None:  # p and the chain above it are listed
+                if end not in below:
+                    chains[p] = below + (end,)
+                break
+            chains[p] = (end,)
+            end = p
+    return chains
 
 
 def _ancestor_tuple(parents: tuple[tuple[int, ...], ...], memo: list,

@@ -301,6 +301,32 @@ class TestEvalLive:
         assert str(target) in err
         assert not target.parent.exists()
 
+    def test_json_out_onto_a_directory_exits_2_and_leaves_it(self, capsys, tmp_path,
+                                                            toy_files):
+        target = tmp_path / "out" / "rows.jsonl"
+        target.mkdir(parents=True)
+        code, out, err = _run(
+            capsys,
+            ["eval", "--benchmark", str(toy_files["benchmark"]), "--json-out", str(target)]
+            + _base_args(toy_files) + ["--measure", "edge"],
+        )
+        assert code == 2
+        assert out.startswith("edge\tr=1.0000\tn=2\texcluded=1\n")
+        assert str(target) in err
+        assert [p.name for p in target.parent.iterdir()] == ["rows.jsonl"]
+        assert list(target.iterdir()) == []
+
+    def test_json_out_replaces_an_existing_file_whole(self, capsys, tmp_path, toy_files):
+        (tmp_path / "out").mkdir()
+        target = tmp_path / "out" / "rows.jsonl"
+        target.write_text("old\n" * 1000, encoding="utf-8")
+        args = ["eval", "--benchmark", str(toy_files["benchmark"]), "--json-out", str(target)]
+        assert _run(capsys, args + _base_args(toy_files) + ["--measure", "edge"])[0] == 0
+        lines = target.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["pair"] for line in lines] == [
+            ["x", "y"], ["x", "z"], ["x", "unlisted"]]
+        assert [p.name for p in target.parent.iterdir()] == ["rows.jsonl"]
+
     @pytest.mark.parametrize("json_out", [[], ["--json-out", ""]], ids=["absent", "empty"])
     def test_no_json_rows_built_without_json_out(self, capsys, toy_files, monkeypatch,
                                                   json_out):
@@ -363,7 +389,8 @@ class TestEvalReportOrder:
         assert (code, err) == (4, "error: zero variance: correlation undefined\n")
         assert out == (f"{first}\tr=1.0000\tn=2\texcluded=1\n"
                        "# excluded: a,ghost\tword not in taxonomy: ghost\n")
-        assert not json_out.exists()  # written only once every report is out
+        # written only once every report is out, and the partial file is gone
+        assert sorted(p.name for p in json_out.parent.iterdir()) == sorted(twin_files)
 
     @pytest.mark.parametrize("measures, code, err", [
         ([], 4, "zero variance: correlation undefined"),  # resnik, before lch's depth

@@ -438,10 +438,13 @@ class TestEvaluate:
         # prob after resnik, and lch after edge, on the same rows read the
         # family's kept sweep; another benchmark runs the kernels again
         sweeps, paths = [], []
-        argmax, path_len = ProbabilityModel.subsumer_argmax, Taxonomy.path_len
+        argmax = ProbabilityModel.subsumer_argmax
         monkeypatch.setattr(ProbabilityModel, "subsumer_argmax",
                             lambda *a: sweeps.append(a) or argmax(*a))
-        monkeypatch.setattr(Taxonomy, "path_len", lambda *a: paths.append(a) or path_len(*a))
+        for name in ("path_len", "nearest_path_len"):  # every path search
+            search = getattr(Taxonomy, name)
+            monkeypatch.setattr(Taxonomy, name,
+                                lambda *a, search=search: paths.append(a) or search(*a))
         rows = (("x", "y", 3.0), ("x", "z", 1.0), ("y", "z", 2.0), ("x", "ghost", 0.0))
         t, m = toy_taxonomy, toy_model
         for first, second in (("resnik", "prob"), ("edge", "lch")):

@@ -423,9 +423,14 @@ def test_build_surface(edges, senses, concepts):
     for i in (True, _Index.TWO):  # asked first, so the memo is given these
         if i < t.concept_count:
             assert {ids[a] for a in t.ancestor_indices(i)} == anc[ids[i]]
+            assert t.nearest_path_len([i], (0, i)) == 0
+            assert t.nearest_path_len((i,), [0]) == helpers.oracle_path_len(
+                ids, edge_list, ids[i], ids[0])
         else:
             with pytest.raises(UnknownConceptError):
                 t.ancestor_indices(i)
+            with pytest.raises(UnknownConceptError):
+                t.nearest_path_len((0,), (0, i))
     for c in ids:
         i = t.index_of(c)
         assert ids[i] == c
@@ -437,16 +442,26 @@ def test_build_surface(edges, senses, concepts):
         for args in ((i, 0), (0, i)):
             with pytest.raises(UnknownConceptError if isinstance(i, int) else TypeError):
                 t.path_len(*args)
+        for args in (((i,), (0,)), ((0,), [0, i]), ([i, 0], ())):
+            with pytest.raises(UnknownConceptError if isinstance(i, int) else TypeError):
+                t.nearest_path_len(*args)
+    for args in (((), (0,)), ([0], []), ((), ())):
+        with pytest.raises(ValueError, match="^a sense sequence is empty$"):
+            t.nearest_path_len(*args)
+    assert t.nearest_path_len(range(t.concept_count), (t.concept_count - 1,), 0) == 0
     for c1 in ids:
         for c2 in ids:
             i, j = t.index_of(c1), t.index_of(c2)
             d = helpers.oracle_path_len(ids, edge_list, c1, c2)
-            for limit in (None, -1, 0, d - 1, d, 10**400):
-                assert t.path_len(i, j, limit) == (
-                    None if limit is not None and d > limit else d)
+            for limit in (None, -1, 0, False, True, d - 1, d, 10**400):
+                expected = None if limit is not None and d > limit else d
+                assert t.path_len(i, j, limit) == expected
+                assert t.nearest_path_len((i, i), [j], limit) == expected
             for limit in (0.5, 1.0, math.nan, "1", Fraction(1), Decimal(1)):
                 with pytest.raises(TypeError):
                     t.path_len(i, j, limit)
+                with pytest.raises(TypeError):
+                    t.nearest_path_len((i,), (j,), limit)
 
 
 @settings(max_examples=_budget(20), derandomize=True, database=None, deadline=None)
@@ -505,6 +520,9 @@ def test_lookup_surface(toy_taxonomy, toy_model, concept, word, index):
         # this index too: the oracle's witness and domain, and plain ints
         # in the rank-space memo
         ids = t.concepts()
+        for s1, s2 in (((index,), (0, 4)), ((3, index), [index, 1])):
+            assert t.nearest_path_len(s1, s2) == min(
+                helpers.oracle_path_len(ids, TOY_EDGES, ids[i], ids[j]) for i in s1 for j in s2)
         ic = lambda c: None if math.isinf(m.ic(c)) else m.ic(c)  # noqa: E731
         for model in (build_model(t, FrequencyTable.from_counts(TOY_COUNTS)), m):
             best = model.subsumer_argmax()
@@ -526,6 +544,8 @@ def test_lookup_surface(toy_taxonomy, toy_model, concept, word, index):
         best = m.subsumer_argmax()
         for query in (lambda: best((index,), (0,)), lambda: best((0,), (index,)),
                       lambda: best((0, index), (0,)),
+                      lambda: t.nearest_path_len((0, index), (0,)),
+                      lambda: t.nearest_path_len((1,), [index], 0),
                       lambda: m.finite_ic_subsumer_indices(index, 0),
                       lambda: m.finite_ic_subsumer_indices(0, index)):
             with pytest.raises(UnknownConceptError if isinstance(index, int) else TypeError):

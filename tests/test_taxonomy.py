@@ -378,11 +378,10 @@ class TestShortestPath:
           ("x", "r"), ("x", "b")], "b1", "a2", 5),
         # no valley at all: the only route runs over the root
         ([("a", "r"), ("b", "r")], "a", "b", 2),
-        # no valley, and only the side from the first end may step down
-        # onto the other's chain: on a tie of one-node frontiers that side
-        # must go on, or the side from b reaches r with nowhere to go
+        # no valley: each side steps down only onto the other's chain, so
+        # whichever side holds r when the frontiers tie finds the way down
         ([("c", "r"), ("a", "c"), ("b", "r")], "a", "b", 3),
-    ], ids=["turn-at-valley", "far-end-under-no-valley", "root-only", "tie-keeps-first-side"])
+    ], ids=["turn-at-valley", "far-end-under-no-valley", "root-only", "both-chains"])
     def test_pruned_down_moves_keep_every_shortest_path(self, edges, c1, c2, length):
         t = Taxonomy.build(edges)
         for x, y in ((c1, c2), (c2, c1)):
@@ -390,6 +389,33 @@ class TestShortestPath:
             assert t.shortest_path_len(x, y) == t.path_len(i, j) == length
             assert t.path_len(i, j, length - 1) is None
             assert t.path_len(i, j, length) == length
+
+    @pytest.mark.parametrize("edges, s1, s2, length", [
+        # a concept on both sides: 0, whatever else either side holds
+        ([("a", "r"), ("b", "r"), ("a1", "a")], ("a1", "b"), ("r", "b"), 0),
+        # c and a on one chain: their chains merge at b, and the walk from a
+        # stops at r, which the walk from c listed already
+        ([("a", "r"), ("b", "a"), ("c", "b"), ("x", "r")], ("c", "a"), ("x",), 2),
+        ([("a", "r"), ("b", "a"), ("c", "b"), ("x", "r")], ("c", "a", "c"), ("b",), 1),
+        # no valley: the side holding r steps down onto a1's and a2's
+        # merged chains, or onto b1's
+        ([("a", "r"), ("a1", "a"), ("a2", "a"), ("b", "r"), ("b1", "b")],
+         ("a1", "a2"), ("b1",), 4),
+        # a valley under one start: the nearer pair goes through v
+        ([("a", "r"), ("a1", "a"), ("b", "r"), ("b1", "b"), ("v", "a1"), ("v", "b1")],
+         ("a", "b1"), ("a1", "r"), 1),
+    ], ids=["overlap", "nested-on-one-chain", "nested-next-to-the-other-end",
+            "chains-under-no-valley", "beside-a-valley"])
+    def test_nearest_path_len_of_hand_built_sets(self, edges, s1, s2, length):
+        t = Taxonomy.build(edges)
+        ids = t.concepts()
+        assert length == min(helpers.oracle_path_len(ids, edges, c1, c2)
+                             for c1 in s1 for c2 in s2)
+        for x, y in ((s1, s2), (s2, s1)):
+            i, j = [t.index_of(c) for c in x], tuple(map(t.index_of, y))
+            assert t.nearest_path_len(i, j) == length
+            assert t.nearest_path_len(i, j, length - 1) is None
+            assert t.nearest_path_len(i, j, length) == length
 
 
 class TestDepths:
@@ -492,6 +518,37 @@ def test_random_dags_path_limit_matches_bfs_oracle(seed):
                 got = t.path_len(i, j, limit)
                 assert got == (None if expected > limit else expected)
                 assert t.path_len(j, i, limit) == got
+
+
+@settings(max_examples=_budget(30), derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sparse=st.booleans())
+def test_random_dags_nearest_path_len_matches_the_oracle(seed, sparse):
+    # one search from every index of both sequences gives the least oracle
+    # length over their pairs, and None exactly when that exceeds limit;
+    # the sequences may overlap, repeat an index or hold two indices of
+    # one chain; word_similarity's edge and lch sense pair is the first
+    # pair in sorted order that has it, for words of 2-4 senses
+    rng = random.Random(seed)
+    if sparse:
+        concepts, edges, senses = helpers.random_sparse_instance(rng, max_concepts=30)
+    else:
+        concepts, edges, senses, _ = helpers.random_instance(rng, max_concepts=25)
+    senses.update((f"poly{k}", set(rng.sample(concepts, min(len(concepts), rng.randint(2, 4)))))
+                  for k in range(4))
+    t = Taxonomy.build(edges, senses, concepts=concepts)
+    ids = t.concepts()
+    table = helpers.oracle_all_pairs_path_len(concepts, edges)
+    for _ in range(30):
+        s1, s2 = ([rng.randrange(len(ids)) for _ in range(rng.randint(1, 4))] for _ in "ab")
+        expected = min(table[ids[i]][ids[j]] for i in s1 for j in s2)
+        assert t.nearest_path_len(s1, s2) == t.nearest_path_len(s2, s1) == expected
+        for limit in range(-1, expected + 2):
+            assert t.nearest_path_len(s1, s2, limit) == (None if expected > limit else expected)
+    for w1 in senses:
+        for w2 in senses:
+            if t.max_depth >= 1 and max(len(senses[w1]), len(senses[w2])) >= 2:
+                pair = helpers.oracle_min_sense_pair(ids, edges, senses, w1, w2)
+                assert sim_edge(t, w1, w2).sense_pair == sim_lch(t, w1, w2).sense_pair == pair
 
 
 @settings(max_examples=30, deadline=None)
