@@ -280,10 +280,13 @@ def evaluate(
     as by :func:`~taxsim.similarity.word_similarity`, before any row is
     scored.  Each column of words is then looked up in one pass
     (:meth:`~taxsim.taxonomy.Taxonomy.sense_index_column`), and the
-    included rows' sense tuples are scored by the kernel that
-    ``word_similarity`` runs, so every score is the value it reports.
-    The kernel's last sweep of each measure family is kept: resnik and
-    prob, or edge and lch, on the same rows run it once.  Fails if fewer
+    included rows' sense tuples are scored by the measure family's
+    kernel, which ``word_similarity`` runs too: the model's
+    :meth:`~taxsim.probability.ProbabilityModel.subsumer_argmax` for
+    resnik and prob, :meth:`~taxsim.taxonomy.Taxonomy.nearest_path_len`
+    for edge and lch.  So every score is the value ``word_similarity``
+    reports.  The last sweep of each family is kept: resnik and prob, or
+    edge and lch, on the same rows run its kernel once.  Fails if fewer
     than 2 rows are usable.
     """
     return next(_evaluate_each((measure,), benchmark, taxonomy, model, log_base, lch_floor))
@@ -308,10 +311,11 @@ def _evaluate_each(measures: tuple[str, ...], benchmark: Benchmark, taxonomy: Ta
     column comes from one sweep of its measure's family over the included
     rows' sense tuples (:func:`~taxsim.similarity._measure_column`):
     resnik and prob share one model sweep, edge and lch one path search
-    per row.  The last sweep of each family is kept, keyed by its model
-    or taxonomy and the swept sense columns, so the second measure of a
-    family on the same rows, in this pass or a later ``evaluate`` call,
-    reads its column instead of running the kernel.
+    per row, the kernels ``word_similarity`` calls.  The last sweep of
+    each family is kept, keyed by its model or taxonomy and the swept
+    sense columns, so the second measure of a family on the same rows,
+    in this pass or a later ``evaluate`` call, reads its column instead
+    of running the family's kernel.
     """
     rows = _checked_rows(benchmark)
     field = [operator.itemgetter(k) for k in range(3)]  # word1, word2, human

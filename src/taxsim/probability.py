@@ -15,15 +15,17 @@ import itertools
 import math
 import os
 import sys
+from collections.abc import Container
 from dataclasses import dataclass, field
+from functools import partial
 from numbers import Real
 from sys import float_info
 from types import MappingProxyType
 from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ModelError
-from .taxonomy import (Taxonomy, _ancestor_tuple, _checked_index, _decimal_digits,
-                       _gc_paused, _normalized, _parse_pair_columns, _shown)
+from .taxonomy import (Taxonomy, _ancestor_tuple, _decimal_digits, _gc_paused,
+                       _normalized, _parse_pair_columns, _shown)
 
 
 def _neg_log(x: float, base: float) -> float:
@@ -84,7 +86,8 @@ class FrequencyTable:
         in "s" whose stripped form is in ``plural_stems`` has its count
         folded into the stripped form; ``None`` folds nothing.  The rule
         is deliberately naive; counts files are expected to arrive
-        pre-lemmatized.  A ``str`` ``plural_stems`` raises ``ModelError``.
+        pre-lemmatized.  A ``plural_stems`` that is a ``str``, ``bytes``
+        or no container of words at all raises ``ModelError``.
         """
         counts = cls(counts).counts  # checked as given; merging keeps their total
         # int subclasses as plain ints, as summing them would give
@@ -96,8 +99,12 @@ def _table(words: list[str], counts: list[int],
     """The table of a word column and a column of counts >= 0, summed per
     stripped and lowercased word, words in order of first appearance;
     ``plural_stems`` is as for :meth:`FrequencyTable.from_counts`."""
-    if isinstance(plural_stems, str):  # would match any substring as a stem
-        raise ModelError(f"plural_stems is a string, not a collection: {plural_stems!r}")
+    # a str would match any substring as a stem; bytes, or a non-container such
+    # as an int, cannot hold a str stem
+    if isinstance(plural_stems, (str, bytes, bytearray)) or not (
+            plural_stems is None or isinstance(plural_stems, Container)):
+        kind = "string" if isinstance(plural_stems, str) else type(plural_stems).__name__
+        raise ModelError(f"plural_stems is a {kind}, not a collection: {_shown(plural_stems)}")
     words = _normalized(words)
     if plural_stems is None:  # one dict pass, unless a word repeats
         merged = dict(zip(words, counts))
@@ -158,7 +165,7 @@ def load_counts(
     counts = list(map(int, counts))  # frees the count strings before _table runs
     try:
         return _table(words, counts, plural_stems)
-    except ModelError as exc:  # the total, or a str plural_stems: the counts were checked
+    except ModelError as exc:  # the total, or a bad plural_stems: the counts were checked
         raise ModelError(f"{label}: {exc}") from None
 
 
@@ -335,36 +342,31 @@ class ProbabilityModel:
         order += reversed(order[:zeros])
         del order[:zeros]
         rank = sorted(every, key=order.__getitem__)  # the position of each index in order
-        memo, label = [None] * len(order), rank.__getitem__
-
-        def ancestors(i: int) -> tuple[int, ...]:
-            try:  # most calls: an index in range whose tuple is built
-                if i >= 0 and (built := memo[i]) is not None:
-                    return built
-            except (TypeError, IndexError):  # not an int, or too large: checked below
-                pass
-            return _ancestor_tuple(parents, memo, label, _checked_index(i, len(memo)))
-
+        memo = [None] * len(order)
+        ancestors = partial(_ancestor_tuple, parents, memo, rank.__getitem__)
         tied = (frozenset(rank[c] for c in order if freq[c] in tied_freqs)
                 if tied_freqs else frozenset()
                 for tied_freqs in (self._tied_ic, self._tied_one_minus_p))
         space = _RankSpace(order, rank, memo, ancestors, len(order) - zeros, *tied)
         return vars(self).setdefault("_ranked", space)
 
-    def subsumer_argmax(self, ic: bool = True, one_minus_p: bool = True):
+    def subsumer_argmax(self):
         """A function ``best(s1, s2)`` that gives, over the sense pairs
-        ``s1`` x ``s2``, the common subsumer of greatest ic if ``ic`` and
-        then the one of greatest 1 - p if ``one_minus_p``, as a tuple of
-        one ``(value, witness, i1, i2)`` each: the value, the subsumer's
-        index and the sense pair.
+        ``s1`` x ``s2``, the common subsumer of greatest ic and the one of
+        greatest 1 - p, as a pair ``(by_ic, by_one_minus_p)`` of
+        ``(value, witness, i1, i2)``: the value, the subsumer's index and
+        the sense pair.  resnik reads the first, prob the second.
 
         Zero-frequency subsumers (ic = ``+inf``) are skipped for ic; the
         root, with ic = 0 as N > 0, subsumes every pair, so one always
         remains.  Ties keep the first sense pair, in the order of ``s1``
-        then ``s2``, then the smallest subsumer index.  ``s1`` and ``s2``
-        are non-empty sequences of concept indices, each checked as
-        :meth:`Taxonomy.ancestor_indices` checks an index; an empty one
-        raises ValueError.  ``i1`` and ``i2`` are their items as given.
+        then ``s2``, then the smallest subsumer index.  prob keeps the
+        greatest ``1 - p``, not the least ``p``: once N > 2**53, distinct
+        p can round to one ``1 - p``, and the tie-break must see that
+        tie.  ``s1`` and ``s2`` are non-empty sequences of concept
+        indices, each checked as :meth:`Taxonomy.ancestor_indices` checks
+        an index; an empty one raises ValueError.  ``i1`` and ``i2`` are
+        their items as given.
 
         Each sense pair's common subsumers are one set of ranks.  Ranks
         go by ascending frequency, and a greater frequency has a lower ic
@@ -381,9 +383,8 @@ class ProbabilityModel:
         """
         order, _, memo, ancestors, nonzero, tied_ic, tied_p = self._ranked or self._rank()
         ic_of, one_minus_p_of = self._ic, self._one_minus_p
-        asked = slice(0 if ic else 1, 2 if one_minus_p else 1)
 
-        def best(s1: Sequence[int], s2: Sequence[int]) -> tuple[tuple, ...]:
+        def best(s1: Sequence[int], s2: Sequence[int]) -> tuple[tuple, tuple]:
             if not (s1 and s2):
                 raise ValueError("a sense sequence is empty")
             best_ic = best_p = None
@@ -392,36 +393,32 @@ class ProbabilityModel:
                 for i1 in s1:
                     if i1 < 0 or (anc1 := memo[i1]) is None:
                         anc1 = ancestors(i1)
-                    a1, zero1 = set(anc1), one_minus_p and anc1[-1] >= nonzero
+                    a1, zero1 = set(anc1), anc1[-1] >= nonzero
                     for i2 in s2:
                         if i2 < 0 or (anc2 := memo[i2]) is None:
                             anc2 = ancestors(i2)
                         common = a1.intersection(anc2)
-                        least = min(common)
-                        if ic:
-                            if least in tied_ic:
-                                v, c = _first_best([order[r] for r in common if r < nonzero],
-                                                   ic_of)
-                            else:
-                                v = ic_of[c := order[least]]
-                            if v > top_ic:
-                                top_ic, best_ic = v, (v, c, i1, i2)
-                        if one_minus_p:
-                            r = least
-                            if zero1 and anc2[-1] >= nonzero and (most := max(common)) >= nonzero:
-                                r = most  # a zero-frequency subsumer: 1 - p = 1
-                            if r in tied_p:
-                                v, c = _first_best(list(map(order.__getitem__, common)),
-                                                   one_minus_p_of)
-                            else:
-                                v = one_minus_p_of[c := order[r]]
-                            if v > top_p:
-                                top_p, best_p = v, (v, c, i1, i2)
+                        r = least = min(common)
+                        if least in tied_ic:
+                            v, c = _first_best([order[k] for k in common if k < nonzero], ic_of)
+                        else:
+                            v = ic_of[c := order[least]]
+                        if v > top_ic:
+                            top_ic, best_ic = v, (v, c, i1, i2)
+                        if zero1 and anc2[-1] >= nonzero and (most := max(common)) >= nonzero:
+                            r = most  # a zero-frequency subsumer: 1 - p = 1
+                        if r in tied_p:
+                            v, c = _first_best(list(map(order.__getitem__, common)),
+                                               one_minus_p_of)
+                        else:
+                            v = one_minus_p_of[c := order[r]]
+                        if v > top_p:
+                            top_p, best_p = v, (v, c, i1, i2)
             except (TypeError, IndexError):  # an index that is no int, or beyond the memo
                 for i in (*s1, *s2):
                     ancestors(i)  # raises as ancestor_indices does
                 raise
-            return (best_ic, best_p)[asked]
+            return best_ic, best_p
 
         return best
 

@@ -34,10 +34,10 @@ from __future__ import annotations
 import math
 import operator
 import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
 from numbers import Real
-from typing import Mapping
 
 from .errors import SimilarityError, UnknownWordError
 from .probability import ProbabilityModel, _check_real, _neg_log
@@ -109,39 +109,6 @@ def _path_value(measure: str, span: float, log_base: float, lch_floor: float):
                                    log_base)
 
 
-def _row_kernel(t: Taxonomy, model: ProbabilityModel | None, measure: str,
-                log_base: float = 2.0, lch_floor: float = 1.0):
-    """The one row kernel behind every word measure: a function of two
-    words' sense index tuples ``s1``, ``s2`` (sorted, non-empty) that
-    gives ``((value, witness, i1, i2),)`` for ``measure``, where ``(i1,
-    i2)`` is the deciding sense pair and ``witness`` the deciding
-    subsumer's index, or -1 for edge and lch.
-
-    resnik and prob are the model's sweep of the sense pairs,
-    :meth:`~taxsim.probability.ProbabilityModel.subsumer_argmax`, which
-    keeps one maximum of ic (zero-frequency subsumers skipped) and one of
-    ``1 - p``.  Only a strictly greater value replaces a maximum, so ties
-    keep the first pair, then the smallest subsumer index.  prob scores
-    ``1 - p``, not the least ``p``: once N > 2**53, distinct p can round
-    to one ``1 - p``, and the tie-break must see that tie.  edge and lch
-    come from one search for the shortest path over the sense pairs.
-    :func:`_measure_column` runs the same two kernels over a benchmark's
-    rows, one sweep per measure family, and keeps the last sweep of each.
-
-    Nothing is checked here, once or per row: the callers check the
-    measure and its arguments, and that ``model`` was built on ``t``.
-    """
-    if measure in CORPUS_MEASURES:
-        return model.subsumer_argmax(measure == "resnik", measure == "prob")
-    value = _path_value(measure, 2.0 * t.max_depth, log_base, lch_floor)
-
-    def score(s1: tuple[int, ...], s2: tuple[int, ...]) -> tuple[tuple, ...]:
-        length, i1, i2 = _min_sense_path(t, s1, s2)
-        return ((value(length), -1, i1, i2),)
-
-    return score
-
-
 #: The last sweep of each measure family over a benchmark's rows: (weak
 #: reference to the object whose data the sweep read, the two sense
 #: columns it swept, its columns).  The corpus family is keyed by the
@@ -195,14 +162,18 @@ def _measure_column(measure: str, t: Taxonomy, model: ProbabilityModel | None,
                     s1: list[tuple[int, ...]], s2: list[tuple[int, ...]],
                     log_base: float = 2.0, lch_floor: float = 1.0) -> list[float]:
     """``measure``'s values over the sense tuple pairs of the columns
-    ``s1`` and ``s2``, each the value :func:`_row_kernel` gives, from one
-    sweep of the measure's family: one model sweep gives both the resnik
-    and the prob column, one path search per row gives the lengths that
-    edge and lch are computed from.  The last sweep of each family is kept
-    (:func:`_swept`), so the other measure of the family on the same
-    rows, as when a benchmark is scored by both, runs no kernel.  The
-    caller checks what :func:`_row_kernel` leaves to it, and hands over
-    ``s1`` and ``s2``, which may be kept: it must not change them."""
+    ``s1`` and ``s2``, each the value :func:`word_similarity` gives, from
+    one sweep of the measure's family: one model sweep,
+    :meth:`~taxsim.probability.ProbabilityModel.subsumer_argmax`, gives
+    both the resnik and the prob column, one path search per row,
+    :meth:`~taxsim.taxonomy.Taxonomy.nearest_path_len`, gives the lengths
+    that edge and lch are computed from.  The last sweep of each family
+    is kept (:func:`_swept`), so the other measure of the family on the
+    same rows, as when a benchmark is scored by both, runs no kernel.
+    Nothing is checked here, once or per row: the caller checks the
+    measure and its arguments, and that ``model`` was built on ``t``, and
+    hands over ``s1`` and ``s2``, which may be kept: it must not change
+    them."""
     if measure in CORPUS_MEASURES:
         resnik, prob = _swept("corpus", _corpus_columns, model, s1, s2)
         return resnik if measure == "resnik" else prob
@@ -216,7 +187,7 @@ def sim_resnik_concepts(model: ProbabilityModel, t: Taxonomy,
     zero-frequency subsumers carry no evidence and are skipped."""
     s1, s2 = (t.index_of(c1),), (t.index_of(c2),)
     _check_model(model, t)
-    (value, witness, _, _), = _row_kernel(t, model, "resnik")(s1, s2)
+    value, witness, _, _ = model.subsumer_argmax()(s1, s2)[0]
     return SimScore(value, t.concepts()[witness])
 
 
@@ -315,6 +286,8 @@ def sim_weighted(model: ProbabilityModel, t: Taxonomy, c1: str, c2: str,
     maximizing subsumer this reduces to :func:`sim_resnik_concepts`.
     """
     domain = _finite_ic_subsumers(model, t, c1, c2)
+    if not isinstance(weights, Mapping):  # None, or a list of pairs
+        raise ValueError(f"weights is a {type(weights).__name__}, not a mapping")
     if domain.keys() != weights.keys():
         missing, extra = (", ".join(sorted(map(_shown, ks))) for ks in (
             domain.keys() - weights.keys(), weights.keys() - domain.keys()))
@@ -373,18 +346,23 @@ def word_similarity(measure: str, t: Taxonomy, w1: str, w2: str,
 
     The measure and its arguments are checked before the words are
     looked up; each word's senses are then looked up once and handed to
-    the row kernel that :func:`~taxsim.evaluation.evaluate` also runs,
-    whose indices become the witness and sense pair ids.  ``model`` is
-    required for the corpus-based
-    measures (resnik, prob) and ignored by the purely structural ones
-    (edge, lch).  ``log_base`` only affects lch; the corpus measures
-    inherit the base the model was built with.
+    the measure family's kernel, which :func:`~taxsim.evaluation.evaluate`
+    runs too: the model's sweep of sense pairs x common subsumers,
+    :meth:`~taxsim.probability.ProbabilityModel.subsumer_argmax`, for
+    resnik and prob, and the least path over sense pairs,
+    :func:`_min_sense_path`, for edge and lch.  Their indices become the
+    witness and sense pair ids.  ``model`` is required for the
+    corpus-based measures (resnik, prob) and ignored by the purely
+    structural ones (edge, lch).  ``log_base`` only affects lch; the
+    corpus measures inherit the base the model was built with.
     """
     _check_word_measure(measure, t, model, log_base, lch_floor)
     s1, s2 = _sense_indices(t, w1), _sense_indices(t, w2)
+    ids = t.concepts()
     if measure in CORPUS_MEASURES:
         _check_model(model, t)
-    score = _row_kernel(t, model, measure, log_base, lch_floor)
-    (value, witness, i1, i2), = score(s1, s2)
-    ids = t.concepts()
-    return SimScore(value, ids[witness] if witness >= 0 else None, (ids[i1], ids[i2]))
+        value, witness, i1, i2 = model.subsumer_argmax()(s1, s2)[measure == "prob"]
+        return SimScore(value, ids[witness], (ids[i1], ids[i2]))
+    length, i1, i2 = _min_sense_path(t, s1, s2)
+    value = _path_value(measure, 2.0 * t.max_depth, log_base, lch_floor)(length)
+    return SimScore(value, None, (ids[i1], ids[i2]))

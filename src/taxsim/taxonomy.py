@@ -54,9 +54,10 @@ import operator
 import os
 import re
 import unicodedata
+from collections.abc import Mapping
 from itertools import chain, compress, repeat
 from sys import float_info
-from typing import Callable, Iterable, Mapping, NoReturn, Sequence, TextIO, TypeVar
+from typing import Callable, Iterable, NoReturn, Sequence, TextIO, TypeVar
 
 from .errors import TaxonomyError, UnknownConceptError
 
@@ -276,14 +277,15 @@ class Taxonomy:
         reference, a duplicate concept id, a concept id that is not a
         non-empty tab-free string, an edge that is not a pair or is a
         string, a ``concepts`` argument that is a string, a word that is
-        not a string, a sense set that is a string or not iterable, an
-        empty word or sense set, or empty input.
+        not a string, a ``senses`` argument that is neither a mapping nor
+        None (a list of pairs, a string), a sense set that is a string or
+        not iterable, an empty word or sense set, or empty input.
         """
         ends = _edge_column(edges)
         extra = _extra_concepts(concepts, ends)
         if not ends and not extra:
             raise TaxonomyError("empty input: no concepts")
-        words, sense_ids = _sense_columns(senses or {})
+        words, sense_ids = _sense_columns({} if senses is None else senses)
         return cls(*_index_columns(ends[0::2], ends[1::2], words, sense_ids, extra))
 
     # ------------------------------------------------------------------
@@ -346,17 +348,9 @@ class Taxonomy:
         other index TypeError; an int subclass, such as ``bool``, is taken
         as its plain int, so every returned index is an ``int``.
         """
-        memo = self._ancestors
-        try:  # most calls: an index in range whose tuple is built
-            if i >= 0 and (built := memo[i]) is not None:
-                return built
-        except (TypeError, IndexError):  # not an int, too large, or no memo yet
-            pass
-        # a plain int, not a bool or IntEnum member: the memo keeps it
-        i = _checked_index(i, len(self._ids))
-        if memo is None:  # the first miss: every thread gets the one list stored
-            memo = vars(self).setdefault("_ancestors", [None] * len(self._ids))
-        return _ancestor_tuple(self._parents, memo, operator.index, i)
+        # the first call makes the memo: every thread gets the one list stored
+        return _ancestor_tuple(self._parents, self._ancestors or vars(self).setdefault(
+            "_ancestors", [None] * len(self._ids)), operator.index, i)
 
     @property
     def parents_by_index(self) -> tuple[tuple[int, ...], ...]:
@@ -575,8 +569,11 @@ def _ancestor_tuple(parents: tuple[tuple[int, ...], ...], memo: list,
                     label: Callable[[int], int], i: int) -> tuple[int, ...]:
     """``label(u)`` of every ancestor-or-self ``u`` of the concept of
     index ``i``, once each: the root's first, each after those of all of
-    ``u``'s own ancestors, and ``i``'s last; built into ``memo[i]``, with
-    the tuple of every unbuilt ancestor on the way.
+    ``u``'s own ancestors, and ``i``'s last; read from ``memo[i]``, or
+    built into it, with the tuple of every unbuilt ancestor on the way.
+    ``i`` is checked as :func:`_checked_index` checks it, against
+    ``len(memo)``, and a plain int, not a bool or IntEnum member, is
+    what the memo keeps.
 
     ``memo`` holds one slot per concept, None until built.  A tuple is
     built from its parents' tuples: with one parent, the parent's tuple
@@ -588,6 +585,12 @@ def _ancestor_tuple(parents: tuple[tuple[int, ...], ...], memo: list,
     This is the one ancestor walk: :meth:`Taxonomy.ancestor_indices`
     labels each concept by its index, the probability model by its rank.
     """
+    try:  # most calls: an index in range whose tuple is built
+        if i >= 0 and (built := memo[i]) is not None:
+            return built
+    except (TypeError, IndexError):  # not an int, or too large: checked below
+        pass
+    i = _checked_index(i, len(memo))
     ps = parents[i]
     if len(ps) == 1 and (up := memo[ps[0]]) is not None:  # most misses
         memo[i] = built = up + (label(i),)
@@ -663,6 +666,9 @@ def _extra_concepts(concepts: Iterable, ends: list[str]) -> list[str]:
 def _sense_columns(senses: Mapping) -> tuple[list[str], list]:
     """``senses`` as a word column and a concept id column, one row per
     (word, id) pair; words are not yet normalized."""
+    if not isinstance(senses, Mapping):  # a list of pairs has no words to look up
+        raise TaxonomyError(f"senses is a {type(senses).__name__}, "
+                            "not a mapping of words to concept ids")
     words: list[str] = []
     sense_ids: list = []
     for word, cids in senses.items():

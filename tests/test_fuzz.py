@@ -193,7 +193,7 @@ def _checked(counts) -> bool:
 @given(counts=COUNTS,
        log_base=st.one_of(st.sampled_from([2.0, math.e, 10]), HOSTILE),
        other=st.sampled_from(NOT_A_TABLE),
-       stems=st.sampled_from([None, frozenset({"x", "og"}), "dog", "x"]))
+       stems=st.sampled_from([None, frozenset({"x", "og"}), "dog", "x", b"dog", 5]))
 @example(counts={"x": 10**4400}, log_base=2.0, other=None, stems=None)
 @example(counts={"x": -5}, log_base=2.0, other=None, stems=None)
 @example(counts={"x": 2.5}, log_base=2.0, other=None, stems=None)
@@ -203,14 +203,17 @@ def _checked(counts) -> bool:
 @example(counts={"x": 2, "y": 1}, log_base="2", other=None, stems=None)
 @example(counts={"x": 1, "y": 3}, log_base=2.0, other=None, stems=None)  # then y: 2.5
 @example(counts={"ogs": 2, "xs": 1}, log_base=2.0, other=None, stems="dog")
+@example(counts={"ogs": 2, "xs": 1}, log_base=2.0, other=None, stems=b"dog")
+@example(counts={"x": 1}, log_base=2.0, other=None, stems=5)  # no word ends in "s"
 def test_corpus_surface(toy_taxonomy, counts, log_base, other, stems):
     if not _checked(counts):
         for build in (FrequencyTable, FrequencyTable.from_counts):
             with pytest.raises(ModelError):
                 build(counts)
         return
-    if isinstance(stems, str):  # its substrings are not the stems meant
-        with pytest.raises(ModelError, match="^plural_stems is a string, not a collection"):
+    if isinstance(stems, (str, bytes, int)):  # a str's substrings are not the stems meant
+        kind = "string" if isinstance(stems, str) else type(stems).__name__
+        with pytest.raises(ModelError, match=f"^plural_stems is a {kind}, not a collection"):
             FrequencyTable.from_counts(counts, plural_stems=stems)
         stems = None
     source = dict(counts)
@@ -363,6 +366,8 @@ def _expected_build(edges, senses, concepts):
     """The parents of each concept and the sense set of each word that
     ``Taxonomy.build(edges, senses, concepts)`` gives by the documented
     rules, or None if it raises TaxonomyError."""
+    if not isinstance(senses, dict):  # a list of pairs, a str
+        return None
     if isinstance(concepts, str) or not all(
             isinstance(e, (tuple, list)) and len(e) == 2 and all(map(_valid_id, e))
             for e in edges) or not all(map(_valid_id, concepts)):
@@ -405,6 +410,9 @@ def _expected_build(edges, senses, concepts):
 @example(edges=[("a", "r"), ("b", "r"), ("c", "a")], senses={}, concepts=[])
 @example(edges=[("a", "r"), ("b", "r")], senses=dict(zip(CAFE[:2], (["a"], ["b"]))),
          concepts=[])
+@example(edges=[("a", "r")], senses=[("w", ["a"])], concepts=[])  # pairs, not a mapping
+@example(edges=[("a", "r")], senses="wa", concepts=[])
+@example(edges=[("a", "r")], senses=[], concepts=[])
 def test_build_surface(edges, senses, concepts):
     expected = _expected_build(edges, senses, concepts)
     if expected is None:
@@ -705,6 +713,9 @@ def test_weights_surface(toy_taxonomy, toy_model, c1, c2, position, weight, extr
     assert finite_common_subsumers(m, t, c1, c2) == domain
     weights = uniform_weights(m, t, c1, c2)
     assert weights == dict.fromkeys(sorted(domain, key=t.index_of), 1.0 / len(domain))
+    for not_a_mapping in (None, [("A", 1.0)], list(weights.items())):
+        with pytest.raises(ValueError, match="^weights is a (NoneType|list), not a mapping$"):
+            sim_weighted(m, t, c1, c2, not_a_mapping)
     if 0 <= position < len(weights):
         weights[list(weights)[position]] = weight
     if extra_key is not None:

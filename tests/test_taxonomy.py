@@ -152,6 +152,13 @@ class TestBuild:
         with pytest.raises(TaxonomyError, match="invalid edge '.*': a string"):
             Taxonomy.build(edges)
 
+    @pytest.mark.parametrize("senses", [[("w", ["a"])], "wa", []], ids=["pairs", "str", "empty"])
+    def test_non_mapping_senses_rejected(self, senses):
+        # each but the empty list used to raise AttributeError from senses.items()
+        kind = type(senses).__name__
+        with pytest.raises(TaxonomyError, match=f"^senses is a {kind}, not a mapping of words"):
+            Taxonomy.build([("a", "r")], senses)
+
     def test_string_concepts_rejected(self):
         # "xy" used to declare the concepts x and y
         with pytest.raises(TaxonomyError, match="concepts is a string"):
