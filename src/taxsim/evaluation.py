@@ -10,10 +10,12 @@ published reference scores for three measures, so the whole correlation
 pipeline can be exercised hermetically: replaying the bundled scores
 must reproduce the published correlations.  Live evaluation recomputes
 scores on whatever taxonomy and corpus the caller supplies, one sweep
-per measure family (resnik and prob, edge and lch); the last sweep of
-each family is kept, so scoring a benchmark's rows by both measures of
-a family runs the family's kernel once.  A benchmark whose rows are not
-each three fields long is rejected before any row is scored.
+per measure family (resnik and prob, edge and lch).  The last sweep of
+each family is kept on its model or taxonomy, and the last lookup of a
+benchmark's rows on the taxonomy, so scoring one benchmark by both
+measures of a family looks its words up once and runs the family's
+kernel once.  A benchmark whose rows are not each three fields long is
+rejected before any row is scored.
 """
 
 from __future__ import annotations
@@ -286,8 +288,11 @@ def evaluate(
     resnik and prob, :meth:`~taxsim.taxonomy.Taxonomy.nearest_path_len`
     for edge and lch.  So every score is the value ``word_similarity``
     reports.  The last sweep of each family is kept: resnik and prob, or
-    edge and lch, on the same rows run its kernel once.  Fails if fewer
-    than 2 rows are usable.
+    edge and lch, on the same rows run its kernel once.  The last lookup
+    of rows that are a tuple of tuples of ``str`` words and ``float`` or
+    ``int`` ratings is kept on the taxonomy too, so a later call on the
+    same ``benchmark.rows`` object looks no word up.  Fails if fewer than
+    2 rows are usable.
     """
     return next(_evaluate_each((measure,), benchmark, taxonomy, model, log_base, lch_floor))
 
@@ -305,32 +310,22 @@ def _evaluate_each(measures: tuple[str, ...], benchmark: Benchmark, taxonomy: Ta
 
     The pass works by columns, each made by one C-level pass over the
     rows or over another column: the two sense columns, the included
-    mask, and for each report its word, rating, score (``None`` where a
-    row is excluded), included and reason columns, from which
+    mask (:func:`_row_columns`, which keeps them for the same rows'
+    next call), and for each report its word, rating, score (``None``
+    where a row is excluded), included and reason columns, from which
     :func:`_items` fills the report's items slot by slot.  Each score
     column comes from one sweep of its measure's family over the included
     rows' sense tuples (:func:`~taxsim.similarity._measure_column`):
     resnik and prob share one model sweep, edge and lch one path search
     per row, the kernels ``word_similarity`` calls.  The last sweep of
-    each family is kept, keyed by its model or taxonomy and the swept
+    each family is kept on its model or taxonomy, keyed by the swept
     sense columns, so the second measure of a family on the same rows,
     in this pass or a later ``evaluate`` call, reads its column instead
     of running the family's kernel.
     """
     rows = _checked_rows(benchmark)
     field = [operator.itemgetter(k) for k in range(3)]  # word1, word2, human
-    column = taxonomy.sense_index_column
-    senses1, senses2 = column(map(field[0], rows)), column(map(field[1], rows))
-    included = list(map(all, zip(senses1, senses2)))
-    excluded = tuple(
-        (w1, w2, "word not in taxonomy: " + ", ".join(
-            sorted({_shown(w, str) for w, s in ((w1, s1), (w2, s2)) if not s})))
-        for (w1, w2, _), s1, s2 in compress(zip(rows, senses1, senses2),
-                                            map(operator.not_, included))
-    )
-    humans = list(compress(map(field[2], rows), included))
-    # the included rows' sense tuples, which the family sweeps may keep
-    senses1, senses2 = list(compress(senses1, included)), list(compress(senses2, included))
+    included, excluded, humans, senses1, senses2 = _row_columns(rows, taxonomy, field)
     for measure in measures:
         _check_word_measure(measure, taxonomy, model, log_base, lch_floor)
         if humans and measure in CORPUS_MEASURES:  # as at the first scored row
@@ -346,6 +341,43 @@ def _evaluate_each(measures: tuple[str, ...], benchmark: Benchmark, taxonomy: Ta
                        _spread(included, scores), included, reasons)
         yield EvalReport(measure=measure, r=pearson(humans, scores),
                          n_included=len(humans), excluded=excluded, items=items)
+
+
+def _row_columns(rows: tuple | list, taxonomy: Taxonomy, field: list) -> tuple:
+    """What the rows give over ``taxonomy`` before any measure: the
+    included mask, the excluded rows with their reasons, and the included
+    rows' ratings and two sense columns, which the family sweeps may keep.
+    ``field`` gets each row's word1, word2 and rating.
+
+    Each column of words is looked up in one pass
+    (:meth:`~taxsim.taxonomy.Taxonomy.sense_index_column`).  The result
+    is kept on the taxonomy, in one slot, ``(rows, *result)``, read and
+    replaced whole and keyed by the rows object itself, so a later call
+    on the same rows reads it.  It is kept only for a ``tuple`` of
+    ``tuple``s of two ``str`` words and a ``float`` or ``int`` rating, each
+    of that exact type, as checked by C-level type passes: all it holds
+    is then a function of the immutable taxonomy and rows, so a hit is
+    never stale.  Other rows (a list, a ``str`` subclass, a ``bool``
+    rating) are looked up on every call; no rows match by equality."""
+    kept = vars(taxonomy).get("_kept_rows")
+    if kept is not None and kept[0] is rows:
+        return kept[1:]
+    column = taxonomy.sense_index_column
+    senses1, senses2 = column(map(field[0], rows)), column(map(field[1], rows))
+    included = list(map(all, zip(senses1, senses2)))
+    excluded = tuple(
+        (w1, w2, "word not in taxonomy: " + ", ".join(
+            sorted({_shown(w, str) for w, s in ((w1, s1), (w2, s2)) if not s})))
+        for (w1, w2, _), s1, s2 in compress(zip(rows, senses1, senses2),
+                                            map(operator.not_, included))
+    )
+    found = (included, excluded, list(compress(map(field[2], rows), included)),
+             list(compress(senses1, included)), list(compress(senses2, included)))
+    if (type(rows) is tuple and {*map(type, rows)} <= {tuple}
+            and {*map(type, map(field[0], rows)), *map(type, map(field[1], rows))} <= {str}
+            and {*map(type, map(field[2], rows))} <= {float, int}):
+        vars(taxonomy)["_kept_rows"] = (rows, *found)
+    return found
 
 
 def _checked_rows(benchmark: Benchmark) -> tuple | list:

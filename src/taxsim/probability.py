@@ -15,13 +15,13 @@ import itertools
 import math
 import os
 import sys
-from collections.abc import Container
+from collections.abc import Container, Mapping
 from dataclasses import dataclass, field
 from functools import partial
 from numbers import Real
 from sys import float_info
 from types import MappingProxyType
-from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterator, NamedTuple, Sequence
 
 from .errors import ModelError
 from .taxonomy import (Taxonomy, _ancestor_tuple, _decimal_digits, _gc_paused,
@@ -51,6 +51,9 @@ class FrequencyTable:
     total_raw: int = field(init=False)
 
     def __post_init__(self):
+        if not isinstance(self.counts, Mapping):  # None, a str, a list of pairs
+            raise ModelError(f"counts is a {type(self.counts).__name__}, "
+                             "not a mapping of words to counts")
         counts = dict(self.counts)
         # accepted at once when every word is a str and every count an int
         # >= 0, as is usual; else each entry is checked, naming the first bad one
@@ -326,9 +329,11 @@ class ProbabilityModel:
     _ranked: _RankSpace | None = None
 
     def __getstate__(self) -> dict:
-        # the rank space is a cache whose memo a closure fills, so a pickled
-        # or copied model leaves it out and builds its own on first use
-        return {k: v for k, v in vars(self).items() if k != "_ranked"}
+        # the rank space is a cache whose memo a closure fills, and the
+        # slots that queries keep here are named _kept_...: a pickled or
+        # copied model leaves them all out and builds its own on first use
+        return {k: v for k, v in vars(self).items()
+                if k != "_ranked" and not k.startswith("_kept_")}
 
     def _rank(self) -> _RankSpace:
         """The rank space, built once and kept; two threads that miss

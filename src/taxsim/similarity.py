@@ -23,20 +23,19 @@ the model fills without a lock (see
 :meth:`~taxsim.probability.ProbabilityModel.subsumer_argmax`); they
 never fill the taxonomy's.  The states kept here, the last weighted
 domain and the last sweep of each measure family over a benchmark's
-rows, are each one tuple read and replaced whole, so they need no lock;
-each holds its model or taxonomy by a weak reference.  A model must be
-queried with the taxonomy object it was built on; any other raises
-``ValueError``.
+rows, live on the object they are keyed by, in ``vars(model)`` or
+``vars(taxonomy)``, so they die with it; each is one tuple read and
+replaced whole, so it needs no lock, and a pickled or copied model or
+taxonomy leaves it out.  A model must be queried with the taxonomy
+object it was built on; any other raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import partial
 from numbers import Real
 
 from .errors import SimilarityError, UnknownWordError
@@ -109,34 +108,21 @@ def _path_value(measure: str, span: float, log_base: float, lch_floor: float):
                                    log_base)
 
 
-#: The last sweep of each measure family over a benchmark's rows: (weak
-#: reference to the object whose data the sweep read, the two sense
-#: columns it swept, its columns).  The corpus family is keyed by the
-#: model, which fixes its taxonomy, the path family by the taxonomy.  Each
-#: is one tuple, read and replaced whole; a dead reference empties it.
-_NO_SWEEP = (lambda: None, [], [], ())
-_last_sweep = {"corpus": _NO_SWEEP, "path": _NO_SWEEP}
-
-
-def _forget(family: str, ref: weakref.ref) -> None:
-    """Empty ``family``'s slot if it still holds ``ref``, whose object is
-    dying, so that the slot keeps nothing the object owned."""
-    if _last_sweep[family][0] is ref:
-        _last_sweep[family] = _NO_SWEEP
-
-
-def _swept(family: str, sweep, owner, s1: list[tuple[int, ...]],
+def _swept(slot: str, sweep, owner, s1: list[tuple[int, ...]],
            s2: list[tuple[int, ...]]):
-    """``sweep(owner, s1, s2)``, or the kept result of the last sweep of
-    ``family`` if it was of ``owner`` and of columns equal to ``s1`` and
-    ``s2``: then the kernel would get the same inputs.  The columns hold
-    the taxonomy's own sense tuples, so comparing them is one C-level
-    pass of identity checks."""
-    ref, last1, last2, result = _last_sweep[family]
-    if ref() is owner and last1 == s1 and last2 == s2:
-        return result
+    """``sweep(owner, s1, s2)``, or the result that the last sweep of
+    ``owner`` kept in ``vars(owner)[slot]`` if it was of columns equal to
+    ``s1`` and ``s2``: then the kernel would get the same inputs.  The
+    slot is one tuple, (the two columns, the result), read and replaced
+    whole, and it dies with its owner; its name starts with ``_kept_``,
+    so the owner's ``__getstate__`` leaves it out of every pickle and
+    copy.  The columns hold the taxonomy's own sense tuples, so comparing
+    them is one C-level pass of identity checks."""
+    kept = vars(owner).get(slot)
+    if kept is not None and kept[0] == s1 and kept[1] == s2:
+        return kept[2]
     result = sweep(owner, s1, s2)
-    _last_sweep[family] = (weakref.ref(owner, partial(_forget, family)), s1, s2, result)
+    vars(owner)[slot] = (s1, s2, result)
     return result
 
 
@@ -168,16 +154,17 @@ def _measure_column(measure: str, t: Taxonomy, model: ProbabilityModel | None,
     both the resnik and the prob column, one path search per row,
     :meth:`~taxsim.taxonomy.Taxonomy.nearest_path_len`, gives the lengths
     that edge and lch are computed from.  The last sweep of each family
-    is kept (:func:`_swept`), so the other measure of the family on the
-    same rows, as when a benchmark is scored by both, runs no kernel.
+    is kept on its model or taxonomy (:func:`_swept`), so the other
+    measure of the family on the same rows, as when a benchmark is scored
+    by both, runs no kernel.
     Nothing is checked here, once or per row: the caller checks the
     measure and its arguments, and that ``model`` was built on ``t``, and
     hands over ``s1`` and ``s2``, which may be kept: it must not change
     them."""
     if measure in CORPUS_MEASURES:
-        resnik, prob = _swept("corpus", _corpus_columns, model, s1, s2)
+        resnik, prob = _swept("_kept_corpus_sweep", _corpus_columns, model, s1, s2)
         return resnik if measure == "resnik" else prob
-    lengths = _swept("path", _path_lengths, t, s1, s2)
+    lengths = _swept("_kept_path_sweep", _path_lengths, t, s1, s2)
     return list(map(_path_value(measure, 2.0 * t.max_depth, log_base, lch_floor), lengths))
 
 
@@ -230,33 +217,27 @@ def sim_lch(t: Taxonomy, w1: str, w2: str, *,
     return word_similarity("lch", t, w1, w2, log_base=log_base, lch_floor=floor)
 
 
-#: The last weighted domain: (weak reference to its model, c1, c2,
-#: {concept id: ic}).  One tuple, read and replaced whole; it starts with
-#: ids that no caller holds.
-_last_domain: tuple = (lambda: None, object(), object(), {})
-
-
 def _finite_ic_subsumers(model: ProbabilityModel, t: Taxonomy,
                          c1: str, c2: str) -> dict[str, float]:
     """{concept id: ic} of the finite-ic common subsumers of two concepts,
     in concept index order.
 
-    The last answer is kept in one slot, keyed by the model and the two
-    id objects themselves, so asking for a pair's domain and then scoring
+    The last answer is kept on the model, in one slot keyed by the two id
+    objects themselves, so asking for a pair's domain and then scoring
     it, as ``sim_weighted(m, t, a, b, uniform_weights(m, t, a, b))``
-    does, intersects the pair's ancestors once.  The slot holds the model
-    by a weak reference, so it keeps no model alive.  The dict it returns
-    may be returned again: callers only read it, and none hands it on.
+    does, intersects the pair's ancestors once.  The slot, (c1, c2,
+    domain), is read and replaced whole and dies with the model.  The
+    dict it returns may be returned again: callers only read it, and none
+    hands it on.
     """
-    global _last_domain
     _check_model(model, t)
-    ref, last1, last2, domain = _last_domain
-    if last1 is c1 and last2 is c2 and ref() is model:
-        return domain
+    kept = vars(model).get("_kept_domain")
+    if kept is not None and kept[0] is c1 and kept[1] is c2:
+        return kept[2]
     ic, ids = model.ic_by_index, t.concepts()
     finite = model.finite_ic_subsumer_indices(t.index_of(c1), t.index_of(c2))
     domain = {ids[c]: ic[c] for c in finite}
-    _last_domain = (weakref.ref(model), c1, c2, domain)
+    vars(model)["_kept_domain"] = (c1, c2, domain)
     return domain
 
 

@@ -22,7 +22,10 @@ miss together at worst build the same tuple twice.  The similarity
 measures do not fill this memo: the probability model keeps the same
 tuples in its rank space (see :mod:`taxsim.probability`), built by the
 same walk, :func:`_ancestor_tuple`.  The path search keeps nothing
-between calls.
+between calls.  Besides the memo, :mod:`taxsim.similarity` and
+:mod:`taxsim.evaluation` keep the last path sweep and the last benchmark
+rows' lookup on the taxonomy, each one tuple in a ``_kept_...`` attribute,
+read and replaced whole, which pickles and copies leave out.
 
 Input formats (UTF-8 text, ``#`` lines ignored, duplicate lines
 idempotent):
@@ -246,6 +249,11 @@ class Taxonomy:
     #: ints takes a fifth of the memory of a frozenset, and the collector
     #: stops tracking it once it survives one collection.
     _ancestors: list[tuple[int, ...] | None] | None = None
+
+    def __getstate__(self) -> dict:
+        # the slots that evaluate and the similarity measures keep here are
+        # named _kept_...; a pickled or copied taxonomy leaves them out
+        return {k: v for k, v in vars(self).items() if not k.startswith("_kept_")}
 
     # ------------------------------------------------------------------
     # construction

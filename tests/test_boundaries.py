@@ -34,3 +34,40 @@ def test_no_private_attribute_access_across_objects():
         for node in _private_accesses(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == []
+
+
+def _kept_globals(tree):
+    """The names of modules ``tree`` imports whose top name is
+    ``weakref``, and of module-level names starting with ``_last`` that it
+    assigns or declares ``global``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names if a.name.split(".")[0] == "weakref")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "weakref":
+            yield node.module
+        elif isinstance(node, ast.Global):
+            yield from (n for n in node.names if n.startswith("_last"))
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else [])
+        for target in targets:
+            yield from (n.id for n in ast.walk(target)
+                        if isinstance(n, ast.Name) and n.id.startswith("_last"))
+
+
+def test_kept_state_scanner_flags_weakref_and_last_globals():
+    tree = ast.parse("import weakref\nfrom weakref import ref\n_last: tuple = ()\n"
+                     "_last_sweep, x = {}, 1\nlast = _last_y = 0\n"
+                     "def f():\n    global _last_z\n    _last_local = 1\n")
+    assert sorted(_kept_globals(tree)) == ["_last", "_last_sweep", "_last_y", "_last_z",
+                                           "weakref", "weakref"]
+
+
+def test_kept_state_lives_on_its_owners():
+    # evaluate's and the weighted queries' kept slots live in vars() of the
+    # model or taxonomy they are keyed by; a module-level slot would be
+    # shared by every caller and need a weak reference to free its owner
+    root = Path(taxsim.__file__).parent
+    found = {name: list(_kept_globals(ast.parse((root / name).read_text(encoding="utf-8"))))
+             for name in ("similarity.py", "evaluation.py")}
+    assert found == {"similarity.py": [], "evaluation.py": []}

@@ -36,9 +36,10 @@ from taxsim import (
     Taxonomy,
     WORD_MEASURES,
     build_model,
+    sim_weighted,
+    uniform_weights,
     word_similarity,
 )
-from taxsim import similarity
 from taxsim.evaluation import _evaluate_each, reference_data_bytes
 
 # byte-pin of the bundled reference table
@@ -436,8 +437,12 @@ class TestEvaluate:
     def test_second_measure_of_a_family_runs_no_kernel(self, toy_taxonomy, toy_model,
                                                         monkeypatch):
         # prob after resnik, and lch after edge, on the same rows read the
-        # family's kept sweep; another benchmark runs the kernels again
-        sweeps, paths = [], []
+        # family's kept sweep; on the same rows object they also read the
+        # taxonomy's kept lookup of the rows, and look no word up.  Rows
+        # that may not be kept (a list, a str-subclass word, a bool rating)
+        # are looked up on every call, and equal rows in a new tuple on the
+        # first; another benchmark runs the kernels again
+        sweeps, paths, lookups = [], [], []
         argmax = ProbabilityModel.subsumer_argmax
         monkeypatch.setattr(ProbabilityModel, "subsumer_argmax",
                             lambda *a: sweeps.append(a) or argmax(*a))
@@ -445,14 +450,31 @@ class TestEvaluate:
             search = getattr(Taxonomy, name)
             monkeypatch.setattr(Taxonomy, name,
                                 lambda *a, search=search: paths.append(a) or search(*a))
-        rows = (("x", "y", 3.0), ("x", "z", 1.0), ("y", "z", 2.0), ("x", "ghost", 0.0))
+        column = Taxonomy.sense_index_column
+        monkeypatch.setattr(Taxonomy, "sense_index_column",
+                            lambda *a: lookups.append(a) or column(*a))
+
+        class Word(str):
+            pass
+
+        rows = (("x", "y", 3.0), ("x", "z", 1.0), ("y", "z", 2), ("x", "ghost", 0.0))
         t, m = toy_taxonomy, toy_model
         for first, second in (("resnik", "prob"), ("edge", "lch")):
-            evaluate(first, Benchmark("a", rows), t, m)
-            counts = len(sweeps), len(paths)
-            got = evaluate(second, Benchmark("a", list(rows)), t, m)
-            assert (len(sweeps), len(paths)) == counts
-            assert got == evaluate(second, Benchmark("a", rows), *copy.deepcopy((t, m)))
+            bench = Benchmark("a", rows)
+            evaluate(first, bench, t, m)
+            # the lookups of two calls in a row on each benchmark
+            for again, looked_up in (
+                    (bench, (0, 0)), (Benchmark("renamed", rows), (0, 0)),
+                    (Benchmark("a", list(rows)), (2, 2)),
+                    (Benchmark("a", ((Word("x"), "y", 3.0), *rows[1:])), (2, 2)),
+                    (Benchmark("a", (("x", "y", True), *rows[1:])), (2, 2)),
+                    (Benchmark("a", tuple([(*row,) for row in rows])), (2, 0))):
+                for n in looked_up:
+                    counts = len(sweeps), len(paths), len(lookups)
+                    got = evaluate(second, again, t, m)
+                    assert (len(sweeps), len(paths), len(lookups)) == (*counts[:2],
+                                                                      counts[2] + n)
+                assert got == evaluate(second, again, *copy.deepcopy((t, m)))
         assert sweeps and paths
         for measure in WORD_MEASURES:
             counts = len(sweeps), len(paths)
@@ -461,10 +483,43 @@ class TestEvaluate:
             grown = len(sweeps) > counts[0], len(paths) > counts[1]
             assert grown == ((True, False) if measure in ("resnik", "prob") else (False, True))
 
-    def test_threads_agree_with_one_thread(self):
+    def test_copies_carry_no_kept_state(self, toy_taxonomy, toy_model, monkeypatch):
+        # a pickled or deep-copied taxonomy and model leave out every slot
+        # that evaluate and the weighted queries kept on them, so their
+        # first evaluate looks the words up and runs the kernel again
+        t, m = toy_taxonomy, toy_model
+        bench = Benchmark("toy", (("x", "y", 3.0), ("x", "z", 1.0), ("y", "z", 2.0)))
+        for measure in WORD_MEASURES:
+            evaluate(measure, bench, t, m)
+        assert sim_weighted(m, t, "A1", "A2", uniform_weights(m, t, "A1", "A2")) > 0
+        slots = {"_kept_rows", "_kept_path_sweep"}, {"_kept_corpus_sweep", "_kept_domain"}
+        assert slots[0] <= vars(t).keys() and slots[1] <= vars(m).keys()
+        sweeps, paths, lookups = [], [], []
+        argmax = ProbabilityModel.subsumer_argmax
+        monkeypatch.setattr(ProbabilityModel, "subsumer_argmax",
+                            lambda *a: sweeps.append(a) or argmax(*a))
+        search = Taxonomy.nearest_path_len
+        monkeypatch.setattr(Taxonomy, "nearest_path_len", lambda *a: paths.append(a) or search(*a))
+        column = Taxonomy.sense_index_column
+        monkeypatch.setattr(Taxonomy, "sense_index_column",
+                            lambda *a: lookups.append(a) or column(*a))
+        for t2, m2 in (pickle.loads(pickle.dumps((t, m))), copy.deepcopy((t, m))):
+            assert m2.taxonomy is t2
+            for owner in (t2, m2):
+                assert not [k for k in vars(owner) if k.startswith("_kept_")]
+            # the first call looks the rows up; the second reads its lookup
+            for measure, ran, looked_up in (("prob", sweeps, 2), ("lch", paths, 0)):
+                counts = len(ran), len(lookups)
+                assert evaluate(measure, bench, t2, m2) == evaluate(measure, bench, t, m)
+                assert len(ran) > counts[0] and len(lookups) == counts[1] + looked_up
+            assert not slots[0] - vars(t2).keys() and "_kept_corpus_sweep" in vars(m2)
+
+    def test_threads_agree_with_one_thread(self, monkeypatch):
         # four threads evaluate their own benchmarks with their own
-        # measures, so each replaces the family slots the others read; a
-        # torn or stale slot would show as a wrong report in some thread
+        # measures, so each replaces the slots the others read: each
+        # model's resnik/prob sweep, and the taxonomy's edge/lch sweep and
+        # its lookup of the last rows; a torn or stale slot would show as
+        # a wrong report in some thread
         rng = random.Random(5)
         edges = []
         for i in range(1, 400):
@@ -485,6 +540,10 @@ class TestEvaluate:
             return _bits(evaluate(measure, benches[b], t, models[m]))
 
         want = [run(job) for job in jobs]
+        lookups = []
+        column = Taxonomy.sense_index_column
+        monkeypatch.setattr(Taxonomy, "sense_index_column",
+                            lambda *a: lookups.append(a) or column(*a))
         start = threading.Barrier(4)
         results = [None] * 4
 
@@ -509,6 +568,7 @@ class TestEvaluate:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert results == [want] * 4
+        assert len(lookups) < 2 * 4 * 3 * len(jobs)  # some calls hit the kept rows
 
     def test_per_item_scores_recorded(self, toy_taxonomy, toy_model):
         bench = Benchmark(name="toy", rows=(("x", "y", 3.0), ("x", "z", 1.0)))
@@ -721,13 +781,15 @@ class TestSlottedRecords:
 
 def test_family_slots_match_deep_copies_and_the_oracles():
     # evaluate keeps the last sweep of each measure family (resnik and
-    # prob, edge and lch); random interleavings of calls over the same
-    # rows in another Benchmark, overlapping rows, rows edited in place,
-    # two models on one taxonomy, two taxonomies and varied lch arguments
-    # must each give the report of the same call on deep copies, which
-    # can hit no slot, and the oracles' scores, bit for bit.  The calls on
-    # copies run after the interleaving, so that they leave its slots be.
-    calls = hits = 0
+    # prob on the model, edge and lch on the taxonomy) and the last lookup
+    # of a tuple of rows on the taxonomy; random interleavings of calls
+    # over one rows tuple reused across measures, the same rows in another
+    # tuple or a list, overlapping rows, rows edited in place, two models
+    # on one taxonomy, two taxonomies and varied lch arguments must each
+    # give the report of the same call on deep copies, which carry no
+    # slot, and the oracles' scores, bit for bit.  The calls on copies run
+    # after the interleaving, so that they leave its slots be.
+    calls = hits = row_hits = row_misses = 0
     for k, (concepts, edges, senses, counts) in enumerate(
             helpers.random_instances(seed=77, count=_budget(40))):
         rng = random.Random(k)
@@ -742,6 +804,7 @@ def test_family_slots_match_deep_copies_and_the_oracles():
             return rng.choice(words), rng.choice(words), float(rng.randint(0, 9))
 
         rows, done = [row() for _ in range(rng.randint(2, 8))], []
+        shared = tuple(rows)
         for _ in range(12):
             action = rng.random()
             if action < 0.15:  # a row edited in place
@@ -749,14 +812,25 @@ def test_family_slots_match_deep_copies_and_the_oracles():
             elif action < 0.25:  # overlapping rows
                 cut = rng.randrange(len(rows))
                 rows = rows[cut:] + [row() for _ in range(rng.randint(0, 2))] + rows[:cut]
-            bench = Benchmark("random", rows if rng.random() < 0.5 else tuple(rows))
+            if action < 0.25 and rng.random() < 0.5:
+                shared = tuple(rows)
+            given = rng.random()
+            bench = Benchmark("random", rows if given < 0.3 else tuple(rows) if given < 0.5
+                              else shared)
             setup, measure = rng.randrange(len(setups)), rng.choice(WORD_MEASURES)
             kwargs = {"log_base": rng.choice([2.0, 10.0, Fraction(3, 2)]),
                       "lch_floor": rng.choice([1.0, 0.5, Fraction(1, 3)])}
-            family = "corpus" if measure in ("resnik", "prob") else "path"
-            slot = similarity._last_sweep[family]
-            got = _outcome(lambda: evaluate(measure, bench, *setups[setup], **kwargs))
-            hits += slot is similarity._last_sweep[family] and isinstance(got, EvalReport)
+            ti, mi = setups[setup]
+            owner, name = ((mi, "_kept_corpus_sweep") if measure in ("resnik", "prob")
+                           else (ti, "_kept_path_sweep"))
+            slot, rows_slot = vars(owner).get(name), vars(ti).get("_kept_rows")
+            got = _outcome(lambda: evaluate(measure, bench, ti, mi, **kwargs))
+            hits += slot is vars(owner).get(name) and isinstance(got, EvalReport)
+            if vars(ti).get("_kept_rows") is not rows_slot:
+                row_misses += 1
+                assert vars(ti)["_kept_rows"][0] is bench.rows
+            else:
+                row_hits += rows_slot is not None and rows_slot[0] is bench.rows
             done.append((measure, copy.deepcopy(bench), setup, kwargs, got))
         for measure, bench, setup, kwargs, got in done:
             ti, mi = copy.deepcopy(setups[setup])
@@ -778,3 +852,4 @@ def test_family_slots_match_deep_copies_and_the_oracles():
             calls += 1
     # the slots both hit and miss
     assert calls > _budget(40) * 6 and calls // 10 < hits < calls // 2
+    assert calls // 10 < row_hits < calls and calls // 10 < row_misses < calls

@@ -149,6 +149,7 @@ CAFE = ["caf\u00e9", "cafe\u0301", "CAF\u00c9", "CAFE\u0301"]
 TOY_WORDS = st.sampled_from(["x", "y", "z", " X", "Z ", "unlisted", "Xs"] + CAFE)
 WORDS = st.one_of(TOY_WORDS, HOSTILE)  # hostile words are hashable non-str
 NOT_A_TABLE = [None, [5, 2], {"x": 2}, "x"]
+NOT_COUNTS = [None, 5, "ab", [("x", 1)]]  # no mapping of words to counts
 # about half of the tables and rows are valid, so that the value checks run
 COUNTS = st.one_of(st.dictionaries(TOY_WORDS, st.integers(0, 9), max_size=4),
                    st.dictionaries(WORDS, st.one_of(st.integers(0, 9), HOSTILE),
@@ -190,7 +191,7 @@ def _checked(counts) -> bool:
 
 
 @settings(max_examples=_budget(150), derandomize=True, database=None, deadline=None)
-@given(counts=COUNTS,
+@given(counts=st.one_of(COUNTS, st.sampled_from(NOT_COUNTS)),
        log_base=st.one_of(st.sampled_from([2.0, math.e, 10]), HOSTILE),
        other=st.sampled_from(NOT_A_TABLE),
        stems=st.sampled_from([None, frozenset({"x", "og"}), "dog", "x", b"dog", 5]))
@@ -205,7 +206,17 @@ def _checked(counts) -> bool:
 @example(counts={"ogs": 2, "xs": 1}, log_base=2.0, other=None, stems="dog")
 @example(counts={"ogs": 2, "xs": 1}, log_base=2.0, other=None, stems=b"dog")
 @example(counts={"x": 1}, log_base=2.0, other=None, stems=5)  # no word ends in "s"
+@example(counts=None, log_base=2.0, other=None, stems=None)
+@example(counts=5, log_base=2.0, other=None, stems=None)
+@example(counts="ab", log_base=2.0, other=None, stems=None)
+@example(counts=[("x", 1)], log_base=2.0, other=None, stems=None)  # pairs, not a mapping
 def test_corpus_surface(toy_taxonomy, counts, log_base, other, stems):
+    if not isinstance(counts, dict):
+        for build in (FrequencyTable, FrequencyTable.from_counts):
+            with pytest.raises(ModelError, match=(
+                    f"^counts is a {type(counts).__name__}, not a mapping of words to counts$")):
+                build(counts)
+        return
     if not _checked(counts):
         for build in (FrequencyTable, FrequencyTable.from_counts):
             with pytest.raises(ModelError):

@@ -33,7 +33,6 @@ from taxsim import (
     uniform_weights,
     word_similarity,
 )
-from taxsim import similarity
 from taxsim.similarity import _finite_ic_subsumers
 
 TOY_IC_A = 0.4150374992788438  # -log2(3/4)
@@ -776,9 +775,11 @@ def test_weighted_domain_memo_matches_the_oracles():
 
 
 def test_the_weighted_domain_slot_keeps_no_model_alive(toy_taxonomy):
+    # the last domain is kept on the model itself, so it dies with it
     t = toy_taxonomy
     model = build_model(t, FrequencyTable.from_counts(TOY_COUNTS))
     assert sim_weighted(model, t, "A1", "A2", uniform_weights(model, t, "A1", "A2")) > 0
+    assert vars(model)["_kept_domain"][:2] == ("A1", "A2")
     ref = weakref.ref(model)
     del model
     gc.collect()
@@ -786,24 +787,28 @@ def test_the_weighted_domain_slot_keeps_no_model_alive(toy_taxonomy):
     # a model built in its place, at the same address or not, where A
     # has no frequency, with the same id objects: the root alone
     model = build_model(t, FrequencyTable.from_counts({"z": 1}))
+    assert "_kept_domain" not in vars(model)
     assert uniform_weights(model, t, "A1", "A2") == {"root": 1.0}
 
 
 def test_the_family_slots_keep_no_taxonomy_or_model_alive():
-    # evaluate keeps the last sweep of each measure family; once the
-    # taxonomy and model it read are dropped, no weak reference to them
-    # is alive, and the slots hold nothing they owned
+    # evaluate keeps the last sweep of each measure family on its model or
+    # taxonomy, and the last lookup of the rows on the taxonomy; once the
+    # taxonomy and model are dropped, nothing keeps them alive
     t = Taxonomy.build(TOY_EDGES, TOY_SENSES)
     model = build_model(t, FrequencyTable.from_counts(TOY_COUNTS))
     bench = Benchmark("toy", (("x", "y", 3.0), ("x", "z", 1.0), ("y", "z", 2.0)))
     for measure in WORD_MEASURES:
         evaluate(measure, bench, t, model)
-    assert similarity._last_sweep["corpus"] != similarity._NO_SWEEP
+    assert vars(t)["_kept_rows"][0] is bench.rows
+    # the sweeps compare, and keep, the very sense columns of the rows' lookup
+    columns = vars(t)["_kept_rows"][4:]
+    for sweep in (vars(t)["_kept_path_sweep"], vars(model)["_kept_corpus_sweep"]):
+        assert sweep[0] is columns[0] and sweep[1] is columns[1]
     refs = weakref.ref(t), weakref.ref(model)
     del t, model
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
-    assert similarity._last_sweep == dict.fromkeys(("corpus", "path"), similarity._NO_SWEEP)
 
 
 def test_threads_racing_on_weighted_queries_agree_with_one_thread():
