@@ -29,7 +29,7 @@ from .errors import (
 from .evaluation import (
     REFERENCE_TARGETS,
     REFERENCE_TOLERANCE,
-    _evaluate_each,
+    evaluate,
     load_benchmark,
     reference_correlations,
 )
@@ -101,10 +101,8 @@ def cmd_sim(args: argparse.Namespace, measures) -> int:
 
 
 def cmd_eval_fixture() -> int:
-    computed = reference_correlations()
     failed = False
-    for key in ("ic", "edge", "prob"):
-        r = computed[key]
+    for key, r in reference_correlations().items():
         target = REFERENCE_TARGETS[key]
         ok = abs(r - target) <= REFERENCE_TOLERANCE
         failed = failed or not ok
@@ -120,19 +118,20 @@ def cmd_eval(args: argparse.Namespace, measures) -> int:
         raise ModelError("--benchmark is required (or use --fixture)")
     t, model = _load(args, measures)
     benchmark = load_benchmark(Path(args.benchmark))
-    # the --json-out lines stream to a file beside the target, opened with
-    # the first report, which replaces the target once every report is out:
-    # a failing measure leaves no file
-    target = Path(args.json_out) if args.json_out else None
-    partial = target and target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    # the --json-out lines stream to a file beside the target, or beside
+    # the file it links to, opened with the first report, which replaces
+    # that file once every report is out: a failing measure leaves no file.
+    # Any other target is written straight into: a FIFO or device, which
+    # the rename would replace, or a directory, which fails to open
+    target = partial = Path(args.json_out) if args.json_out else None
+    if target and (target.is_file() or not target.exists()):
+        target = Path(os.path.realpath(target))
+        partial = target.with_name(f"{target.name}.{os.getpid()}.tmp")
     out = None
     try:
-        # every measure scored in one pass over the rows; a measure's
-        # report, or its error, comes after the reports of the measures
-        # before it
-        for report in _evaluate_each(measures, benchmark, t, model, args.log_base,
-                                     args.lch_floor):
-            measure = report.measure
+        for measure in measures:
+            report = evaluate(measure, benchmark, t, model, log_base=args.log_base,
+                              lch_floor=args.lch_floor)
             print(
                 f"{measure}\tr={report.r:.4f}\tn={report.n_included}\t"
                 f"excluded={len(report.excluded)}"
@@ -150,14 +149,16 @@ def cmd_eval(args: argparse.Namespace, measures) -> int:
                 )
         if out is not None:
             out.close()
-            os.replace(partial, target)
+            if partial != target:
+                os.replace(partial, target)
             out = None
     finally:
         if out is not None:  # a measure failed, or the file could not be written
             try:
                 out.close()  # may fail to flush, and closes the file even then
             finally:
-                partial.unlink()
+                if partial != target:
+                    partial.unlink()
     return 0
 
 

@@ -156,7 +156,10 @@ def _csv_records(fh: Iterable[str], label: str) -> Iterator[tuple[int, list[str]
 
 
 def load_benchmark(path: str | os.PathLike) -> Benchmark:
-    """Read a benchmark CSV with header ``word1,word2,rating``, named by its path."""
+    """Read a benchmark CSV with header ``word1,word2,rating``, named by its path.
+    A word that holds a tab or line break, which no lexicon word can and
+    which would split the lines ``taxsim eval`` prints, is rejected, naming
+    the line its record ends on."""
     label = str(path)
     rows: list[tuple[str, str, float]] = []
     with open(path, encoding="utf-8-sig", newline="") as fh:
@@ -180,7 +183,10 @@ def load_benchmark(path: str | os.PathLike) -> Benchmark:
                 raise EvaluationError(f"{label}:{lineno}: malformed rating {rating!r}") from None
             if not math.isfinite(value):
                 raise EvaluationError(f"{label}:{lineno}: non-finite rating {rating!r}")
-            rows.append((*_normalized((w1, w2)), value))
+            w1, w2 = _normalized((w1, w2))
+            if "\t" in w1 + w2 or "\n" in w1 + w2 or "\r" in w1 + w2:
+                raise EvaluationError(f"{label}:{lineno}: tab or line break in {w1!r},{w2!r}")
+            rows.append((w1, w2, value))
     return Benchmark(name=label, rows=tuple(rows))
 
 
@@ -280,7 +286,7 @@ def evaluate(
     a row that is not three fields long, raises EvaluationError naming
     the first bad row.  The measure and its arguments are checked once,
     as by :func:`~taxsim.similarity.word_similarity`, before any row is
-    scored.  Each column of words is then looked up in one pass
+    scored.  Each column of words is looked up in one pass
     (:meth:`~taxsim.taxonomy.Taxonomy.sense_index_column`), and the
     included rows' sense tuples are scored by the measure family's
     kernel, which ``word_similarity`` runs too: the model's
@@ -294,53 +300,22 @@ def evaluate(
     same ``benchmark.rows`` object looks no word up.  Fails if fewer than
     2 rows are usable.
     """
-    return next(_evaluate_each((measure,), benchmark, taxonomy, model, log_base, lch_floor))
-
-
-def _evaluate_each(measures: tuple[str, ...], benchmark: Benchmark, taxonomy: Taxonomy,
-                   model: ProbabilityModel | None, log_base: float = 2.0,
-                   lch_floor: float = 1.0) -> Iterator[EvalReport]:
-    """The reports of ``evaluate`` for each of ``measures``, in order,
-    from one lookup of the rows' senses.
-
-    Each report, and each error, comes where the per-measure ``evaluate``
-    calls would give it: the first measure that fails its check ends the
-    reports, after those of the measures before it; the usable-row count
-    and the correlation of a measure are checked when its report is due.
-
-    The pass works by columns, each made by one C-level pass over the
-    rows or over another column: the two sense columns, the included
-    mask (:func:`_row_columns`, which keeps them for the same rows'
-    next call), and for each report its word, rating, score (``None``
-    where a row is excluded), included and reason columns, from which
-    :func:`_items` fills the report's items slot by slot.  Each score
-    column comes from one sweep of its measure's family over the included
-    rows' sense tuples (:func:`~taxsim.similarity._measure_column`):
-    resnik and prob share one model sweep, edge and lch one path search
-    per row, the kernels ``word_similarity`` calls.  The last sweep of
-    each family is kept on its model or taxonomy, keyed by the swept
-    sense columns, so the second measure of a family on the same rows,
-    in this pass or a later ``evaluate`` call, reads its column instead
-    of running the family's kernel.
-    """
     rows = _checked_rows(benchmark)
     field = [operator.itemgetter(k) for k in range(3)]  # word1, word2, human
     included, excluded, humans, senses1, senses2 = _row_columns(rows, taxonomy, field)
-    for measure in measures:
-        _check_word_measure(measure, taxonomy, model, log_base, lch_floor)
-        if humans and measure in CORPUS_MEASURES:  # as at the first scored row
-            _check_model(model, taxonomy)
-        if len(humans) < 2:
-            raise EvaluationError(
-                f"benchmark {_shown(benchmark.name)} has {len(humans)} usable rows; need >= 2"
-            )
-        scores = _measure_column(measure, taxonomy, model, senses1, senses2,
-                                 log_base, lch_floor)
-        reasons = _spread(map(operator.not_, included), map(field[2], excluded))
-        items = _items(len(rows), *(map(f, rows) for f in field),
-                       _spread(included, scores), included, reasons)
-        yield EvalReport(measure=measure, r=pearson(humans, scores),
-                         n_included=len(humans), excluded=excluded, items=items)
+    _check_word_measure(measure, taxonomy, model, log_base, lch_floor)
+    if humans and measure in CORPUS_MEASURES:  # as at the first scored row
+        _check_model(model, taxonomy)
+    if len(humans) < 2:
+        raise EvaluationError(
+            f"benchmark {_shown(benchmark.name)} has {len(humans)} usable rows; need >= 2"
+        )
+    scores = _measure_column(measure, taxonomy, model, senses1, senses2, log_base, lch_floor)
+    reasons = _spread(map(operator.not_, included), map(field[2], excluded))
+    items = _items(len(rows), *(map(f, rows) for f in field),
+                   _spread(included, scores), included, reasons)
+    return EvalReport(measure=measure, r=pearson(humans, scores),
+                      n_included=len(humans), excluded=excluded, items=items)
 
 
 def _row_columns(rows: tuple | list, taxonomy: Taxonomy, field: list) -> tuple:

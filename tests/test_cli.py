@@ -2,13 +2,15 @@
 
 import json
 import math
+import os
+import stat
 import unicodedata
 from types import SimpleNamespace
 
 import pytest
 
 import taxsim.cli
-from taxsim import Taxonomy
+from taxsim import ProbabilityModel, Taxonomy
 from taxsim.cli import main
 
 
@@ -326,6 +328,78 @@ class TestEvalLive:
         assert [json.loads(line)["pair"] for line in lines] == [
             ["x", "y"], ["x", "z"], ["x", "unlisted"]]
         assert [p.name for p in target.parent.iterdir()] == ["rows.jsonl"]
+
+    def test_json_out_through_a_symlink_fills_the_file_it_links_to(self, capsys, tmp_path,
+                                                                   toy_files):
+        # the rename used to replace the link with a file, and leave the
+        # linked file as it was
+        (tmp_path / "out").mkdir()
+        real, link = tmp_path / "out" / "real.jsonl", tmp_path / "out" / "link.jsonl"
+        real.write_text("old\n", encoding="utf-8")
+        link.symlink_to(real)
+        args = ["eval", "--benchmark", str(toy_files["benchmark"]), "--json-out", str(link)]
+        assert _run(capsys, args + _base_args(toy_files) + ["--measure", "edge"])[0] == 0
+        assert link.is_symlink() and link.resolve() == real
+        lines = real.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["pair"] for line in lines] == [
+            ["x", "y"], ["x", "z"], ["x", "unlisted"]]
+        assert sorted(p.name for p in real.parent.iterdir()) == ["link.jsonl", "real.jsonl"]
+
+    def test_json_out_into_a_fifo_writes_through_it(self, capsys, tmp_path, toy_files):
+        # the rename used to replace the FIFO with a file.  The read end,
+        # opened first and without blocking, lets the write end open, and
+        # reads what was written once the run is over
+        (tmp_path / "out").mkdir()
+        fifo = tmp_path / "out" / "rows.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            args = ["eval", "--benchmark", str(toy_files["benchmark"]), "--json-out", str(fifo)]
+            code = _run(capsys, args + _base_args(toy_files) + ["--measure", "edge"])[0]
+            data = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert code == 0
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert [json.loads(line)["pair"] for line in data.decode("utf-8").splitlines()] == [
+            ["x", "y"], ["x", "z"], ["x", "unlisted"]]
+        assert [p.name for p in fifo.parent.iterdir()] == ["rows.fifo"]
+
+    @pytest.mark.parametrize("word, line", [('"z\ny"', 6), ('"z\ty"', 5)],
+                             ids=["newline", "tab"])
+    def test_a_word_with_a_tab_or_line_break_exits_4(self, capsys, tmp_path, toy_files,
+                                                     word, line):
+        # such a word used to be excluded, and its "# excluded" line split
+        # into more lines or fields
+        bench = tmp_path / "breaks.csv"
+        bench.write_text(f"word1,word2,rating\nx,y,3.5\nx,z,0.5\ny,z,1.0\ny,{word},2\n",
+                         encoding="utf-8")
+        code, out, err = _run(capsys, ["eval", "--benchmark", str(bench)]
+                              + _base_args(toy_files) + ["--measure", "edge"])
+        assert (code, out) == (4, "")
+        assert err.startswith(f"error: {bench}:{line}: tab or line break in")
+
+    def test_each_word_column_is_looked_up_and_each_family_swept_once(self, capsys,
+                                                                      toy_files, monkeypatch):
+        # one evaluate call per measure: the taxonomy's kept lookup of the
+        # rows and each family's kept sweep make the four calls one lookup
+        # of each word column, one model sweep and one path search per
+        # included row
+        calls = {}
+        for cls, name in ((Taxonomy, "sense_index_column"),
+                          (ProbabilityModel, "subsumer_argmax"),
+                          (Taxonomy, "nearest_path_len")):
+            method, calls[name] = getattr(cls, name), []
+            monkeypatch.setattr(cls, name, lambda *a, method=method, seen=calls[name]:
+                                seen.append(a) or method(*a))
+        code, out, _ = _run(capsys, ["eval", "--benchmark", str(toy_files["benchmark"])]
+                            + _base_args(toy_files) + ["--counts", str(toy_files["counts"])])
+        assert code == 0
+        assert [line.split("\t")[0] for line in out.splitlines()[::2]] == [
+            "resnik", "edge", "prob", "lch"]
+        # the model's lookup of the counts, then the two word columns
+        assert {name: len(seen) for name, seen in calls.items()} == {
+            "sense_index_column": 3, "subsumer_argmax": 1, "nearest_path_len": 2}
 
     @pytest.mark.parametrize("json_out", [[], ["--json-out", ""]], ids=["absent", "empty"])
     def test_no_json_rows_built_without_json_out(self, capsys, toy_files, monkeypatch,

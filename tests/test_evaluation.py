@@ -40,7 +40,7 @@ from taxsim import (
     uniform_weights,
     word_similarity,
 )
-from taxsim.evaluation import _evaluate_each, reference_data_bytes
+from taxsim.evaluation import reference_data_bytes
 
 # byte-pin of the bundled reference table
 REFERENCE_SHA256 = "c611c8f97082effd17115b3eb28e6e2c9a404091ab6ce4d28e9f24af7f2e4958"
@@ -316,10 +316,12 @@ class TestLoadBenchmark:
             load_benchmark(path)
 
     @pytest.mark.parametrize("body, problem", [
-        ('"a\nb",c,1\nx,y\n', "expected 3 columns"),  # a quoted field spans two lines
+        # a quoted field spans two lines; the word it holds is "a" once
+        # stripped, as a word that holds a line break is itself rejected
+        ('"a\n",c,1\nx,y\n', "expected 3 columns"),
         ("x,y,1\n\nx,y\n", "expected 3 columns"),  # a blank line
-        ('"a\nb",c,1\nx,y,high\n', "malformed rating"),
-        ('"a\nb",c,1\nx,y,nan\n', "non-finite rating"),
+        ('"a\n",c,1\nx,y,high\n', "malformed rating"),
+        ('"a\n",c,1\nx,y,nan\n', "non-finite rating"),
     ])
     def test_messages_name_the_physical_line(self, tmp_path, body, problem):
         path = tmp_path / "b.csv"
@@ -666,18 +668,6 @@ def _bits(report):
              for it in report.items])
 
 
-def _until_error(reports):
-    """The bits of each report that ``reports`` yields, then the outcome
-    of the error that ends them, if any."""
-    out = []
-    try:
-        for report in reports:
-            out.append(_bits(report))
-    except (EvaluationError, SimilarityError) as exc:
-        out.append((type(exc), str(exc)))
-    return out
-
-
 def _oracle_report(measure, rows, oracle, depth):
     """(r, [(score, included, reason)]) that ``evaluate`` must give from the
     oracle's scores, floats as hex, or the error it must raise."""
@@ -694,9 +684,8 @@ def _oracle_report(measure, rows, oracle, depth):
 
 def test_evaluate_matches_the_oracles_on_random_dags():
     """evaluate, row by row, against the brute-force oracles on random DAGs
-    with diamonds and polysemy, for every measure; the one-pass reports of
-    several measures against one evaluate call each, bit for bit; and
-    word_similarity's witness and sense pair against the oracles'."""
+    with diamonds and polysemy, for every measure, and word_similarity's
+    witness and sense pair against the oracles'."""
     ties = rows_scored = 0
     for k, (concepts, edges, senses, counts) in enumerate(
             helpers.random_instances(count=_budget(helpers.N_RANDOM_INSTANCES))):
@@ -720,9 +709,6 @@ def test_evaluate_matches_the_oracles_on_random_dags():
                 measure, rows, oracle, t.max_depth)
             assert got.excluded == tuple((w1, w2, "word not in taxonomy: ghost")
                                          for (w1, w2, _), o in zip(rows, oracle) if o is None)
-        measures = tuple(rng.sample(WORD_MEASURES, rng.randint(1, len(WORD_MEASURES))))
-        assert _until_error(_evaluate_each(measures, bench, t, model)) == _until_error(
-            evaluate(m, bench, t, model) for m in measures)
         for (w1, w2, _), scores in zip(rows, oracle):
             for measure, (value, witness, pair) in (scores or {}).items():
                 score = word_similarity(measure, t, w1, w2, model)
