@@ -100,7 +100,10 @@ def cmd_sim(args: argparse.Namespace, measures) -> int:
     return 0
 
 
-def cmd_eval_fixture() -> int:
+def cmd_eval_fixture(args: argparse.Namespace) -> int:
+    if args.benchmark or args.json_out:
+        raise ModelError("--fixture replays the bundled reference scores; "
+                         "it takes no --benchmark or --json-out")
     failed = False
     for key, r in reference_correlations().items():
         target = REFERENCE_TARGETS[key]
@@ -113,21 +116,33 @@ def cmd_eval_fixture() -> int:
     return 1 if failed else 0
 
 
+def _is_stdout(path: Path) -> bool:
+    """Whether ``path`` names the file that stdout writes to; a path that
+    does not exist, or a stdout with no file descriptor, names none."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):  # io.UnsupportedOperation is both
+        return False
+
+
 def cmd_eval(args: argparse.Namespace, measures) -> int:
     if not args.benchmark:
         raise ModelError("--benchmark is required (or use --fixture)")
     t, model = _load(args, measures)
     benchmark = load_benchmark(Path(args.benchmark))
     # the --json-out lines stream to a file beside the target, or beside
-    # the file it links to, opened with the first report, which replaces
-    # that file once every report is out: a failing measure leaves no file.
-    # Any other target is written straight into: a FIFO or device, which
-    # the rename would replace, or a directory, which fails to open
+    # the file it links to, created afresh with the first report, which
+    # replaces that file once every report is out: a failing measure
+    # leaves no file.  The file stdout writes to gets them through stdout,
+    # after each report's lines.  Any other target is written straight
+    # into: a FIFO or device, which the rename would replace, or a
+    # directory, which fails to open
     target = partial = Path(args.json_out) if args.json_out else None
-    if target and (target.is_file() or not target.exists()):
+    to_stdout = sys.stdout if target and _is_stdout(target) else None
+    if target and to_stdout is None and (target.is_file() or not target.exists()):
         target = Path(os.path.realpath(target))
         partial = target.with_name(f"{target.name}.{os.getpid()}.tmp")
-    out = None
+    out = to_stdout  # or, once opened, the file; stdout is never closed here
     try:
         for measure in measures:
             report = evaluate(measure, benchmark, t, model, log_base=args.log_base,
@@ -139,21 +154,21 @@ def cmd_eval(args: argparse.Namespace, measures) -> int:
             for w1, w2, reason in report.excluded:
                 print(f"# excluded: {w1},{w2}\t{reason}")
             if target:
-                if out is None:
-                    out = open(partial, "w", encoding="utf-8")
+                if out is None:  # "x": a file or link already at the temporary name fails
+                    out = open(partial, "w" if partial == target else "x", encoding="utf-8")
                 out.writelines(
                     json.dumps({"measure": measure, "pair": [item.word1, item.word2],
                                 "score": item.score, "included": item.included,
                                 "reason": item.reason}, sort_keys=True) + "\n"
                     for item in report.items
                 )
-        if out is not None:
+        if out is not to_stdout:
             out.close()
             if partial != target:
                 os.replace(partial, target)
             out = None
     finally:
-        if out is not None:  # a measure failed, or the file could not be written
+        if out is not to_stdout:  # a measure failed, or the file could not be written
             try:
                 out.close()  # may fail to flush, and closes the file even then
             finally:
@@ -226,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "eval" and args.fixture:
-            return cmd_eval_fixture()
+            return cmd_eval_fixture(args)
         _check_real(args.log_base, "--log-base", 1, "> 1", ModelError)
         _check_real(args.lch_floor, "--lch-floor", 0, "in (0, 1]", ModelError, 1)
         chosen = args.measure or WORD_MEASURES

@@ -25,12 +25,11 @@ import math
 import operator
 import os
 import re
-from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from importlib import resources
 from itertools import compress, repeat
 from numbers import Real
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EvaluationError
 from .probability import ProbabilityModel
@@ -237,16 +236,8 @@ def reference_correlations() -> dict[str, float]:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class EvalItem:
-    """Per-row outcome of an evaluation run.
-
-    ``evaluate`` does not call ``__init__``: it fills the slots of all of
-    a report's items directly, one field at a time through the slot's
-    descriptor (:func:`_items`), which is what ``__init__`` does per
-    field.  So its items are ordinary frozen instances, equal to the ones
-    ``__init__`` makes from the same values.
-    """
+class EvalItem(NamedTuple):
+    """Per-row outcome of an evaluation run: a named tuple of its six fields."""
 
     word1: str
     word2: str
@@ -312,8 +303,8 @@ def evaluate(
         )
     scores = _measure_column(measure, taxonomy, model, senses1, senses2, log_base, lch_floor)
     reasons = _spread(map(operator.not_, included), map(field[2], excluded))
-    items = _items(len(rows), *(map(f, rows) for f in field),
-                   _spread(included, scores), included, reasons)
+    items = tuple(map(EvalItem, *(map(f, rows) for f in field),
+                      _spread(included, scores), included, reasons))
     return EvalReport(measure=measure, r=pearson(humans, scores),
                       n_included=len(humans), excluded=excluded, items=items)
 
@@ -387,15 +378,3 @@ def _spread(mask: Iterable[bool], values: Iterable) -> Iterator:
     sources = (repeat(None), iter(values))
     return map(next, map(sources.__getitem__, mask))
 
-
-def _items(n: int, *columns: Iterable) -> tuple[EvalItem, ...]:
-    """The ``n`` EvalItems whose fields, in order, are the entries of
-    ``columns``, one column per field.  Each slot is filled by one
-    C-level pass of its member descriptor's ``__set__``, which is what
-    the frozen dataclass's ``__init__`` reaches per field through
-    ``object.__setattr__``, so each item equals the one ``__init__``
-    makes."""
-    items = tuple(map(object.__new__, repeat(EvalItem, n)))
-    for field, values in zip(fields(EvalItem), columns, strict=True):
-        deque(map(getattr(EvalItem, field.name).__set__, items, values), maxlen=0)
-    return items

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import unicodedata
 from types import SimpleNamespace
 
@@ -22,6 +24,18 @@ def _run(capsys, argv):
 
 def _base_args(paths):
     return ["--taxonomy", str(paths["taxonomy"]), "--lexicon", str(paths["lexicon"])]
+
+
+def _run_into(path, argv):
+    """Exit code and stderr of ``taxsim argv`` run as a child process whose
+    stdout is redirected to the file ``path``."""
+    src = os.path.dirname(os.path.dirname(taxsim.cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    with open(path, "w", encoding="utf-8") as fh:
+        run = subprocess.run([sys.executable, "-m", "taxsim.cli", *argv], stdout=fh,
+                             stderr=subprocess.PIPE, env=env, timeout=120)
+    return run.returncode, run.stderr.decode("utf-8")
 
 
 class TestValidate:
@@ -206,6 +220,28 @@ class TestEvalFixture:
         code, _, _ = _run(capsys, ["eval", "--fixture"])
         assert code == 0
 
+    @pytest.mark.parametrize("flags", [
+        ["--benchmark", "mine.csv"],
+        ["--json-out", "rows.jsonl"],
+        ["--benchmark", "mine.csv", "--json-out", "rows.jsonl"],
+    ], ids=["benchmark", "json-out", "both"])
+    def test_rejects_a_benchmark_or_json_out(self, capsys, tmp_path, monkeypatch, flags):
+        # they used to be ignored: the replayed correlations printed with
+        # exit 0 and no file written, as if mine.csv had been evaluated.
+        # mine.csv does not exist, so nothing is read before the error
+        monkeypatch.chdir(tmp_path)
+        code, out, err = _run(capsys, ["eval", "--fixture"] + flags)
+        assert (code, out) == (1, "")
+        assert err == ("error: --fixture replays the bundled reference scores; "
+                       "it takes no --benchmark or --json-out\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_benchmark_and_json_out_count_as_absent(self, capsys):
+        code, out, _ = _run(capsys, ["eval", "--fixture", "--benchmark", "",
+                                     "--json-out", ""])
+        assert code == 0
+        assert [line.split("\t")[0] for line in out.splitlines()] == ["ic", "edge", "prob"]
+
 
 class TestEvalLive:
     def test_report_with_exclusions(self, capsys, toy_files):
@@ -364,6 +400,64 @@ class TestEvalLive:
         assert [json.loads(line)["pair"] for line in data.decode("utf-8").splitlines()] == [
             ["x", "y"], ["x", "z"], ["x", "unlisted"]]
         assert [p.name for p in fifo.parent.iterdir()] == ["rows.fifo"]
+
+    @pytest.mark.parametrize("name", ["own", "dev"])
+    def test_json_out_into_the_file_stdout_writes_to_keeps_both(self, tmp_path, toy_files,
+                                                                name):
+        # the rows went to a temporary file renamed over the one stdout
+        # writes to, so the report lines went to the unlinked file and
+        # were lost.  "own" names that file, "dev" names /dev/stdout
+        both = tmp_path / "both.txt"
+        if name == "dev" and not os.path.exists("/dev/stdout"):
+            pytest.skip("no /dev/stdout")
+        target = str(both) if name == "own" else "/dev/stdout"
+        code, err = _run_into(both, ["eval", "--benchmark", str(toy_files["benchmark"]),
+                                     "--json-out", target, "--counts", str(toy_files["counts"]),
+                                     "--measure", "resnik", "--measure", "edge"]
+                              + _base_args(toy_files))
+        assert (code, err) == (0, "")
+        lines = both.read_text(encoding="utf-8").splitlines()
+        assert [line if line.startswith(("resnik", "edge", "#")) else
+                (json.loads(line)["measure"], json.loads(line)["pair"])
+                for line in lines] == [
+            "resnik\tr=1.0000\tn=2\texcluded=1",
+            "# excluded: x,unlisted\tword not in taxonomy: unlisted",
+            ("resnik", ["x", "y"]), ("resnik", ["x", "z"]), ("resnik", ["x", "unlisted"]),
+            "edge\tr=1.0000\tn=2\texcluded=1",
+            "# excluded: x,unlisted\tword not in taxonomy: unlisted",
+            ("edge", ["x", "y"]), ("edge", ["x", "z"]), ("edge", ["x", "unlisted"]),
+        ]
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith("both")] == [
+            "both.txt"]
+
+    def test_json_out_into_stdout_with_a_failing_measure(self, tmp_path, toy_files):
+        # the rows go through stdout, so a failing measure has no file to
+        # close or remove
+        thin, both = tmp_path / "thin.csv", tmp_path / "both.txt"
+        thin.write_text("word1,word2,rating\nx,y,3.0\n", encoding="utf-8")
+        code, err = _run_into(both, ["eval", "--benchmark", str(thin), "--json-out", str(both),
+                                     "--measure", "edge"] + _base_args(toy_files))
+        assert code == 4 and err.startswith("error: benchmark") and "usable rows" in err
+        assert both.read_text(encoding="utf-8") == ""
+
+    def test_json_out_follows_no_link_at_its_temporary_name(self, capsys, tmp_path,
+                                                            toy_files):
+        # the temporary was opened with "w", which wrote the rows into the
+        # file a link planted at its name points to, and then renamed the
+        # link over the target
+        (tmp_path / "out").mkdir()
+        target, victim = tmp_path / "out" / "out.jsonl", tmp_path / "victim.txt"
+        victim.write_text("keep\n", encoding="utf-8")
+        planted = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+        planted.symlink_to(victim)
+        args = ["eval", "--benchmark", str(toy_files["benchmark"]), "--json-out", str(target)]
+        code, out, err = _run(capsys, args + _base_args(toy_files) + ["--measure", "edge"])
+        assert code == 2
+        assert out.startswith("edge\tr=1.0000\tn=2\texcluded=1\n")
+        assert str(planted) in err
+        assert victim.read_text(encoding="utf-8") == "keep\n"
+        assert planted.is_symlink() and planted.resolve() == victim
+        assert [p.name for p in target.parent.iterdir()] == [planted.name]
 
     @pytest.mark.parametrize("word, line", [('"z\ny"', 6), ('"z\ty"', 5)],
                              ids=["newline", "tab"])

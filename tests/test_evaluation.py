@@ -581,7 +581,7 @@ class TestEvaluate:
 
 def _row_by_row_report(measure, benchmark, t, model):
     """The report ``evaluate`` must give, built one row at a time: each
-    item by the dataclass's own ``__init__``, each score by
+    item by its own constructor call, each score by
     ``word_similarity`` and r by the generator-based reference."""
     items, excluded, humans, scores = [], [], [], []
     for w1, w2, human in benchmark.rows:
@@ -615,8 +615,9 @@ _ROW_WORD = st.sampled_from(["x", "y", "z", "Y", " z", "ghost", "phantom", 7, No
          + (("x", 2.5, 0.0),))  # words that are not str
 @example(rows=(_GHOST, ("x", "y", 3.0), _GHOST, ("z", "x", 1.0), _GHOST))
 def test_column_built_report_matches_a_row_by_row_build(toy_taxonomy, toy_model, rows):
-    # evaluate fills its items slot by slot from columns; a build that
-    # makes each row's item by __init__ must give the same report
+    # evaluate builds its items in one constructor pass over columns; a
+    # build that makes each row's item by its own call must give the same
+    # report
     t, bench = toy_taxonomy, Benchmark("cols", tuple(rows))
     usable = sum(bool(t.sense_indices(w1) and t.sense_indices(w2)) for w1, w2, _ in rows)
     for measure in WORD_MEASURES:
@@ -725,7 +726,7 @@ def test_evaluate_matches_the_oracles_on_random_dags():
 
 def _evaluated_items():
     """An included and an excluded item of a real ``evaluate`` report,
-    whose slots ``evaluate`` fills directly rather than by ``__init__``."""
+    which ``evaluate`` builds in one constructor pass over its columns."""
     t = Taxonomy.build(helpers.TOY_EDGES, helpers.TOY_SENSES)
     model = build_model(t, FrequencyTable.from_counts(helpers.TOY_COUNTS))
     bench = Benchmark("toy", (("x", "y", 3.5), ("x", "ghost", 1.0), ("x", "z", 0.5)))
@@ -742,8 +743,9 @@ def _evaluated_items():
 ], ids=["simscore", "simscore-bare", "evalitem", "evalitem-excluded",
         "evalitem-from-evaluate", "evalitem-excluded-from-evaluate"])
 class TestSlottedRecords:
-    """The per-pair and per-row records have slots and no ``__dict__``,
-    and stay frozen, picklable and copyable."""
+    """The per-pair and per-row records have no ``__dict__``, and stay
+    frozen, picklable and copyable: ``SimScore`` a slotted frozen
+    dataclass, ``EvalItem`` a named tuple."""
 
     def test_no_instance_dict(self, record):
         assert not hasattr(record, "__dict__")
@@ -756,13 +758,41 @@ class TestSlottedRecords:
         assert copied == record and copied is not record
 
     def test_assignment_raises(self, record):
-        name = dataclasses.fields(record)[0].name
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(record, name, 0)
+        error = AttributeError if isinstance(record, EvalItem) else dataclasses.FrozenInstanceError
+        with pytest.raises(error):
+            setattr(record, _field_names(record)[0], 0)
 
     def test_equals_its_init_built_twin(self, record):
-        twin = type(record)(*(getattr(record, f.name) for f in dataclasses.fields(record)))
+        twin = type(record)(*(getattr(record, name) for name in _field_names(record)))
         assert twin == record and hash(twin) == hash(record)
+
+
+def _field_names(record):
+    """The field names of a named tuple or a dataclass, in order."""
+    if isinstance(record, EvalItem):
+        return record._fields
+    return [f.name for f in dataclasses.fields(record)]
+
+
+def test_report_repr_hash_and_pickle_are_pinned(toy_taxonomy, toy_model):
+    # a report with an excluded row keeps its repr, each item hashes as
+    # the tuple of its fields, and the whole report survives a pickle
+    # round trip
+    bench = Benchmark("toy", (("x", "y", 3.5), ("x", "ghost", 1.0), ("x", "z", 0.5)))
+    report = evaluate("resnik", bench, toy_taxonomy, toy_model)
+    assert repr(report) == (
+        "EvalReport(measure='resnik', r=0.9999999999999998, n_included=2, "
+        "excluded=(('x', 'ghost', 'word not in taxonomy: ghost'),), items=("
+        "EvalItem(word1='x', word2='y', human=3.5, score=0.4150374992788438, "
+        "included=True, reason=None), "
+        "EvalItem(word1='x', word2='ghost', human=1.0, score=None, included=False, "
+        "reason='word not in taxonomy: ghost'), "
+        "EvalItem(word1='x', word2='z', human=0.5, score=0.0, included=True, "
+        "reason=None)))")
+    for item in report.items:
+        assert hash(item) == hash((item.word1, item.word2, item.human, item.score,
+                                   item.included, item.reason))
+    assert pickle.loads(pickle.dumps(report)) == report
 
 
 def test_family_slots_match_deep_copies_and_the_oracles():
