@@ -101,31 +101,34 @@ def cmd_sim(args: argparse.Namespace, measures) -> int:
 
 
 def cmd_eval_fixture(args: argparse.Namespace) -> int:
-    if args.benchmark or args.json_out:
-        raise ModelError("--fixture replays the bundled reference scores; "
-                         "it takes no --benchmark or --json-out")
+    if any((args.benchmark, args.json_out, args.measure, args.taxonomy, args.lexicon,
+            args.counts, args.plural_fold)):
+        raise ModelError("--fixture replays the bundled reference scores; it takes no "
+                         "--benchmark, --json-out, --measure, --taxonomy, --lexicon, "
+                         "--counts or --plural-fold")
     failed = False
     for key, r in reference_correlations().items():
         target = REFERENCE_TARGETS[key]
         ok = abs(r - target) <= REFERENCE_TOLERANCE
         failed = failed or not ok
-        print(
-            f"{key}\tr={r:.4f}\ttarget={target:.4f}±{REFERENCE_TOLERANCE}\t"
-            f"{'PASS' if ok else 'FAIL'}"
-        )
+        print(f"{key}\tr={r:.4f}\ttarget={target:.4f}±{REFERENCE_TOLERANCE}\t"
+              f"{'PASS' if ok else 'FAIL'}")
     return 1 if failed else 0
 
 
 def _is_stdout(path: Path) -> bool:
     """Whether ``path`` names the file that stdout writes to; a path that
-    does not exist, or a stdout with no file descriptor, names none."""
+    does not exist, or a stdout with no file descriptor (None when it was
+    closed at start), names none."""
     try:
         return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
-    except (OSError, ValueError):  # io.UnsupportedOperation is both
+    except (OSError, ValueError, AttributeError):  # io.UnsupportedOperation is both
         return False
 
 
 def cmd_eval(args: argparse.Namespace, measures) -> int:
+    if args.fixture:
+        return cmd_eval_fixture(args)
     if not args.benchmark:
         raise ModelError("--benchmark is required (or use --fixture)")
     t, model = _load(args, measures)
@@ -240,8 +243,6 @@ def main(argv: list[str] | None = None) -> int:
     it returns, so that no collection scans the loaded taxonomy."""
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "eval" and args.fixture:
-            return cmd_eval_fixture(args)
         _check_real(args.log_base, "--log-base", 1, "> 1", ModelError)
         _check_real(args.lch_floor, "--lch-floor", 0, "in (0, 1]", ModelError, 1)
         chosen = args.measure or WORD_MEASURES

@@ -10,12 +10,30 @@ published reference scores for three measures, so the whole correlation
 pipeline can be exercised hermetically: replaying the bundled scores
 must reproduce the published correlations.  Live evaluation recomputes
 scores on whatever taxonomy and corpus the caller supplies, one sweep
-per measure family (resnik and prob, edge and lch).  The last sweep of
-each family is kept on its model or taxonomy, and the last lookup of a
-benchmark's rows on the taxonomy, so scoring one benchmark by both
-measures of a family looks its words up once and runs the family's
-kernel once.  A benchmark whose rows are not each three fields long is
-rejected before any row is scored.
+per measure family (resnik and prob, edge and lch).  A benchmark whose
+rows are not each three fields long is rejected before any row is
+scored.
+
+Kept state.  ``evaluate`` keeps the last lookup of a benchmark's rows
+and the last edge/lch sweep on the taxonomy, and the last resnik/prob
+sweep on the model; the weighted queries of :mod:`taxsim.similarity`
+keep the last pair's domain on the model.  Each slot is one tuple in
+its owner's ``vars()``, under a name starting with ``_kept_``, read and
+replaced whole, so it needs no lock, dies with its owner and is left
+out of the owner's pickles and copies.  One rule decides a hit: the
+objects given are the very objects the slot was computed from (``is``).
+The rows slot is keyed by the ``benchmark.rows`` object, and is filled
+only for rows that cannot change: a ``tuple`` of ``tuple``s of two
+``str`` words and a ``float`` or ``int`` rating, each of that exact
+type, as :func:`load_benchmark` makes.  A family slot is keyed by the
+two sense columns it swept, which only a hit on the rows slot hands
+back.  So scoring one rows object by both measures of a family looks
+its words up once and runs the family's kernel once, whatever
+``log_base`` and ``lch_floor`` are; other rows (a list, a ``str``
+subclass word, a ``bool`` rating, equal rows in a new tuple) are looked
+up and swept again.  A hit is never stale: a slot holds its keys, so
+their ids are not reused while it lives, and nobody changes a kept row
+or column.
 """
 
 from __future__ import annotations
@@ -33,7 +51,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EvaluationError
 from .probability import ProbabilityModel
-from .similarity import CORPUS_MEASURES, _check_model, _check_word_measure, _measure_column
+from .similarity import CORPUS_MEASURES, _check_model, _check_word_measure, _path_value
 from .taxonomy import Taxonomy, _normalized, _shown
 
 _REFERENCE_RESOURCE = "miller_charles.tsv"
@@ -284,12 +302,10 @@ def evaluate(
     :meth:`~taxsim.probability.ProbabilityModel.subsumer_argmax` for
     resnik and prob, :meth:`~taxsim.taxonomy.Taxonomy.nearest_path_len`
     for edge and lch.  So every score is the value ``word_similarity``
-    reports.  The last sweep of each family is kept: resnik and prob, or
-    edge and lch, on the same rows run its kernel once.  The last lookup
-    of rows that are a tuple of tuples of ``str`` words and ``float`` or
-    ``int`` ratings is kept on the taxonomy too, so a later call on the
-    same ``benchmark.rows`` object looks no word up.  Fails if fewer than
-    2 rows are usable.
+    reports.  The rows' lookup and each family's sweep are kept under the
+    module's kept-state rule: resnik and prob, or edge and lch, on the
+    same ``benchmark.rows`` object look no word up and run the family's
+    kernel once.  Fails if fewer than 2 rows are usable.
     """
     rows = _checked_rows(benchmark)
     field = [operator.itemgetter(k) for k in range(3)]  # word1, word2, human
@@ -301,7 +317,13 @@ def evaluate(
         raise EvaluationError(
             f"benchmark {_shown(benchmark.name)} has {len(humans)} usable rows; need >= 2"
         )
-    scores = _measure_column(measure, taxonomy, model, senses1, senses2, log_base, lch_floor)
+    if measure in CORPUS_MEASURES:
+        resnik, prob = _swept("_kept_corpus_sweep", _corpus_columns, model, senses1, senses2)
+        scores = resnik if measure == "resnik" else prob
+    else:
+        lengths = _swept("_kept_path_sweep", _path_lengths, taxonomy, senses1, senses2)
+        at = _path_value(measure, 2.0 * taxonomy.max_depth, log_base, lch_floor)
+        scores = list(map(at, lengths))
     reasons = _spread(map(operator.not_, included), map(field[2], excluded))
     items = tuple(map(EvalItem, *(map(f, rows) for f in field),
                       _spread(included, scores), included, reasons))
@@ -317,14 +339,9 @@ def _row_columns(rows: tuple | list, taxonomy: Taxonomy, field: list) -> tuple:
 
     Each column of words is looked up in one pass
     (:meth:`~taxsim.taxonomy.Taxonomy.sense_index_column`).  The result
-    is kept on the taxonomy, in one slot, ``(rows, *result)``, read and
-    replaced whole and keyed by the rows object itself, so a later call
-    on the same rows reads it.  It is kept only for a ``tuple`` of
-    ``tuple``s of two ``str`` words and a ``float`` or ``int`` rating, each
-    of that exact type, as checked by C-level type passes: all it holds
-    is then a function of the immutable taxonomy and rows, so a hit is
-    never stale.  Other rows (a list, a ``str`` subclass, a ``bool``
-    rating) are looked up on every call; no rows match by equality."""
+    is kept on the taxonomy as ``(rows, *result)`` when the rows pass the
+    module's exact-type gate, checked by C-level type passes on a miss
+    only."""
     kept = vars(taxonomy).get("_kept_rows")
     if kept is not None and kept[0] is rows:
         return kept[1:]
@@ -344,6 +361,38 @@ def _row_columns(rows: tuple | list, taxonomy: Taxonomy, field: list) -> tuple:
             and {*map(type, map(field[2], rows))} <= {float, int}):
         vars(taxonomy)["_kept_rows"] = (rows, *found)
     return found
+
+
+def _swept(slot: str, sweep, owner, s1: list[tuple[int, ...]],
+           s2: list[tuple[int, ...]]):
+    """``sweep(owner, s1, s2)``, or the result kept in
+    ``vars(owner)[slot]`` by the last sweep of these very columns.  The
+    caller must not change ``s1`` or ``s2``."""
+    kept = vars(owner).get(slot)
+    if kept is not None and kept[0] is s1 and kept[1] is s2:
+        return kept[2]
+    result = sweep(owner, s1, s2)
+    vars(owner)[slot] = (s1, s2, result)
+    return result
+
+
+def _corpus_columns(model: ProbabilityModel, s1: list[tuple[int, ...]],
+                    s2: list[tuple[int, ...]]) -> tuple[list[float], list[float]]:
+    """The resnik and prob columns of the model's one sweep per row,
+    :meth:`~taxsim.probability.ProbabilityModel.subsumer_argmax`."""
+    resnik, prob = [], []
+    add_resnik, add_prob = resnik.append, prob.append
+    for (by_ic, _, _, _), (by_p, _, _, _) in map(model.subsumer_argmax(), s1, s2):
+        add_resnik(by_ic)
+        add_prob(by_p)
+    return resnik, prob
+
+
+def _path_lengths(t: Taxonomy, s1: list[tuple[int, ...]],
+                  s2: list[tuple[int, ...]]) -> list[int]:
+    """The shortest path length over each row's sense pairs, from one
+    search per row, :meth:`~taxsim.taxonomy.Taxonomy.nearest_path_len`."""
+    return list(map(t.nearest_path_len, s1, s2))
 
 
 def _checked_rows(benchmark: Benchmark) -> tuple | list:

@@ -21,13 +21,10 @@ from multiple threads.  ``resnik``, ``prob`` and the weighted functions
 read each concept's ancestors from the model's rank-space memo, which
 the model fills without a lock (see
 :meth:`~taxsim.probability.ProbabilityModel.subsumer_argmax`); they
-never fill the taxonomy's.  The states kept here, the last weighted
-domain and the last sweep of each measure family over a benchmark's
-rows, live on the object they are keyed by, in ``vars(model)`` or
-``vars(taxonomy)``, so they die with it; each is one tuple read and
-replaced whole, so it needs no lock, and a pickled or copied model or
-taxonomy leaves it out.  A model must be queried with the taxonomy
-object it was built on; any other raises ``ValueError``.
+never fill the taxonomy's.  The last weighted domain is kept on the
+model under :mod:`taxsim.evaluation`'s kept-state rule.  A model must be
+queried with the taxonomy object it was built on; any other raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -108,66 +105,6 @@ def _path_value(measure: str, span: float, log_base: float, lch_floor: float):
                                    log_base)
 
 
-def _swept(slot: str, sweep, owner, s1: list[tuple[int, ...]],
-           s2: list[tuple[int, ...]]):
-    """``sweep(owner, s1, s2)``, or the result that the last sweep of
-    ``owner`` kept in ``vars(owner)[slot]`` if it was of columns equal to
-    ``s1`` and ``s2``: then the kernel would get the same inputs.  The
-    slot is one tuple, (the two columns, the result), read and replaced
-    whole, and it dies with its owner; its name starts with ``_kept_``,
-    so the owner's ``__getstate__`` leaves it out of every pickle and
-    copy.  The columns hold the taxonomy's own sense tuples, so comparing
-    them is one C-level pass of identity checks."""
-    kept = vars(owner).get(slot)
-    if kept is not None and kept[0] == s1 and kept[1] == s2:
-        return kept[2]
-    result = sweep(owner, s1, s2)
-    vars(owner)[slot] = (s1, s2, result)
-    return result
-
-
-def _corpus_columns(model: ProbabilityModel, s1: list[tuple[int, ...]],
-                    s2: list[tuple[int, ...]]) -> tuple[list[float], list[float]]:
-    """The resnik and prob columns of the model's one sweep per row."""
-    resnik, prob = [], []
-    add_resnik, add_prob = resnik.append, prob.append
-    for (by_ic, _, _, _), (by_p, _, _, _) in map(model.subsumer_argmax(), s1, s2):
-        add_resnik(by_ic)
-        add_prob(by_p)
-    return resnik, prob
-
-
-def _path_lengths(t: Taxonomy, s1: list[tuple[int, ...]],
-                  s2: list[tuple[int, ...]]) -> list[int]:
-    """The shortest path length over each row's sense pairs, from one
-    search per row."""
-    return list(map(t.nearest_path_len, s1, s2))
-
-
-def _measure_column(measure: str, t: Taxonomy, model: ProbabilityModel | None,
-                    s1: list[tuple[int, ...]], s2: list[tuple[int, ...]],
-                    log_base: float = 2.0, lch_floor: float = 1.0) -> list[float]:
-    """``measure``'s values over the sense tuple pairs of the columns
-    ``s1`` and ``s2``, each the value :func:`word_similarity` gives, from
-    one sweep of the measure's family: one model sweep,
-    :meth:`~taxsim.probability.ProbabilityModel.subsumer_argmax`, gives
-    both the resnik and the prob column, one path search per row,
-    :meth:`~taxsim.taxonomy.Taxonomy.nearest_path_len`, gives the lengths
-    that edge and lch are computed from.  The last sweep of each family
-    is kept on its model or taxonomy (:func:`_swept`), so the other
-    measure of the family on the same rows, as when a benchmark is scored
-    by both, runs no kernel.
-    Nothing is checked here, once or per row: the caller checks the
-    measure and its arguments, and that ``model`` was built on ``t``, and
-    hands over ``s1`` and ``s2``, which may be kept: it must not change
-    them."""
-    if measure in CORPUS_MEASURES:
-        resnik, prob = _swept("_kept_corpus_sweep", _corpus_columns, model, s1, s2)
-        return resnik if measure == "resnik" else prob
-    lengths = _swept("_kept_path_sweep", _path_lengths, t, s1, s2)
-    return list(map(_path_value(measure, 2.0 * t.max_depth, log_base, lch_floor), lengths))
-
-
 def sim_resnik_concepts(model: ProbabilityModel, t: Taxonomy,
                         c1: str, c2: str) -> SimScore:
     """Information content of the most informative concept subsuming both;
@@ -222,13 +159,12 @@ def _finite_ic_subsumers(model: ProbabilityModel, t: Taxonomy,
     """{concept id: ic} of the finite-ic common subsumers of two concepts,
     in concept index order.
 
-    The last answer is kept on the model, in one slot keyed by the two id
-    objects themselves, so asking for a pair's domain and then scoring
-    it, as ``sim_weighted(m, t, a, b, uniform_weights(m, t, a, b))``
-    does, intersects the pair's ancestors once.  The slot, (c1, c2,
-    domain), is read and replaced whole and dies with the model.  The
-    dict it returns may be returned again: callers only read it, and none
-    hands it on.
+    The last answer is kept on the model as ``(c1, c2, domain)``, keyed
+    by the two id objects themselves, so asking for a pair's domain and
+    then scoring it, as ``sim_weighted(m, t, a, b, uniform_weights(m, t,
+    a, b))`` does, intersects the pair's ancestors once.  The dict it
+    returns may be returned again: callers only read it, and none hands
+    it on.
     """
     _check_model(model, t)
     kept = vars(model).get("_kept_domain")

@@ -22,10 +22,8 @@ miss together at worst build the same tuple twice.  The similarity
 measures do not fill this memo: the probability model keeps the same
 tuples in its rank space (see :mod:`taxsim.probability`), built by the
 same walk, :func:`_ancestor_tuple`.  The path search keeps nothing
-between calls.  Besides the memo, :mod:`taxsim.similarity` and
-:mod:`taxsim.evaluation` keep the last path sweep and the last benchmark
-rows' lookup on the taxonomy, each one tuple in a ``_kept_...`` attribute,
-read and replaced whole, which pickles and copies leave out.
+between calls.  Besides the memo, :func:`taxsim.evaluation.evaluate`
+keeps ``_kept_...`` slots on the taxonomy (see :mod:`taxsim.evaluation`).
 
 Input formats (UTF-8 text, ``#`` lines ignored, duplicate lines
 idempotent):

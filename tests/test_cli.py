@@ -224,21 +224,42 @@ class TestEvalFixture:
         ["--benchmark", "mine.csv"],
         ["--json-out", "rows.jsonl"],
         ["--benchmark", "mine.csv", "--json-out", "rows.jsonl"],
-    ], ids=["benchmark", "json-out", "both"])
+        ["--measure", "edge"],
+        ["--taxonomy", "nothere.tsv"],
+        ["--lexicon", "nothere.tsv"],
+        ["--counts", "nothere.tsv"],
+        ["--plural-fold"],
+        ["--measure", "edge", "--taxonomy", "nothere.tsv", "--lexicon", "nothere.tsv"],
+    ], ids=["benchmark", "json-out", "both", "measure", "taxonomy", "lexicon", "counts",
+            "plural-fold", "measure-and-files"])
     def test_rejects_a_benchmark_or_json_out(self, capsys, tmp_path, monkeypatch, flags):
         # they used to be ignored: the replayed correlations printed with
-        # exit 0 and no file written, as if mine.csv had been evaluated.
-        # mine.csv does not exist, so nothing is read before the error
+        # exit 0 and no file written, as if mine.csv had been evaluated,
+        # or only edge asked for.  No named file exists, so nothing is
+        # read before the error
         monkeypatch.chdir(tmp_path)
         code, out, err = _run(capsys, ["eval", "--fixture"] + flags)
         assert (code, out) == (1, "")
-        assert err == ("error: --fixture replays the bundled reference scores; "
-                       "it takes no --benchmark or --json-out\n")
+        assert err == ("error: --fixture replays the bundled reference scores; it takes no "
+                       "--benchmark, --json-out, --measure, --taxonomy, --lexicon, --counts "
+                       "or --plural-fold\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--log-base", "0.5"], "--log-base"),
+        (["--lch-floor", "2"], "--lch-floor"),
+        (["--measure", "edge", "--log-base", "0.5", "--taxonomy", "nothere.tsv"], "--log-base"),
+    ], ids=["log-base", "lch-floor", "log-base-first"])
+    def test_checks_log_base_and_lch_floor_first(self, capsys, flags, named):
+        # as every other command does, before the fixture's own checks
+        code, out, err = _run(capsys, ["eval", "--fixture"] + flags)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {named} ")
+
     def test_empty_benchmark_and_json_out_count_as_absent(self, capsys):
-        code, out, _ = _run(capsys, ["eval", "--fixture", "--benchmark", "",
-                                     "--json-out", ""])
+        # so do empty input files
+        code, out, _ = _run(capsys, ["eval", "--fixture", "--benchmark", "", "--json-out", "",
+                                     "--taxonomy", "", "--lexicon", "", "--counts", ""])
         assert code == 0
         assert [line.split("\t")[0] for line in out.splitlines()] == ["ic", "edge", "prob"]
 
@@ -274,6 +295,24 @@ class TestEvalLive:
         assert records[2]["included"] is False
         assert records[2]["score"] is None
         assert "unlisted" in records[2]["reason"]
+
+    def test_json_out_with_stdout_closed(self, capsys, tmp_path, toy_files, monkeypatch):
+        # run with stdout closed (`>&-`), sys.stdout is None: the report
+        # lines go nowhere and the rows still replace an existing
+        # --json-out file, where looking for stdout's file descriptor used
+        # to raise AttributeError
+        argv = (["eval", "--benchmark", str(toy_files["benchmark"])] + _base_args(toy_files)
+                + ["--counts", str(toy_files["counts"]), "--json-out"])
+        (tmp_path / "out").mkdir()
+        want, got = tmp_path / "out" / "want.jsonl", tmp_path / "out" / "got.jsonl"
+        assert _run(capsys, argv + [str(want)])[0] == 0
+        got.write_text("old\n", encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", None)
+        code = main(argv + [str(got)])
+        monkeypatch.undo()
+        assert (code, capsys.readouterr()) == (0, ("", ""))
+        assert got.read_bytes() == want.read_bytes()
+        assert sorted(p.name for p in got.parent.iterdir()) == ["got.jsonl", "want.jsonl"]
 
     def test_degenerate_benchmark_exits_4(self, capsys, tmp_path, toy_files):
         thin = tmp_path / "thin.csv"
