@@ -101,11 +101,14 @@ def cmd_sim(args: argparse.Namespace, measures) -> int:
 
 
 def cmd_eval_fixture(args: argparse.Namespace) -> int:
-    if any((args.benchmark, args.json_out, args.measure, args.taxonomy, args.lexicon,
-            args.counts, args.plural_fold)):
+    # every other option must hold its parser default, an empty path counting
+    # as absent; an explicit default, such as --log-base 2, cannot be told apart
+    defaults = vars(build_parser().parse_args(["eval", "--fixture"]))
+    given = [f"--{name.replace('_', '-')}" for name, value in vars(args).items()
+             if value not in ("", defaults[name])]
+    if given:
         raise ModelError("--fixture replays the bundled reference scores; it takes no "
-                         "--benchmark, --json-out, --measure, --taxonomy, --lexicon, "
-                         "--counts or --plural-fold")
+                         f"other option, got {', '.join(given)}")
     failed = False
     for key, r in reference_correlations().items():
         target = REFERENCE_TARGETS[key]

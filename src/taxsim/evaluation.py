@@ -31,9 +31,10 @@ back.  So scoring one rows object by both measures of a family looks
 its words up once and runs the family's kernel once, whatever
 ``log_base`` and ``lch_floor`` are; other rows (a list, a ``str``
 subclass word, a ``bool`` rating, equal rows in a new tuple) are looked
-up and swept again.  A hit is never stale: a slot holds its keys, so
-their ids are not reused while it lives, and nobody changes a kept row
-or column.
+up and swept again.  The domain slot is filled only for two concept ids
+of exact type ``str``.  A hit is never stale: a slot holds its keys, so
+their ids are not reused while it lives, and no kept row, column or id
+can change.
 """
 
 from __future__ import annotations

@@ -159,12 +159,14 @@ def _finite_ic_subsumers(model: ProbabilityModel, t: Taxonomy,
     """{concept id: ic} of the finite-ic common subsumers of two concepts,
     in concept index order.
 
-    The last answer is kept on the model as ``(c1, c2, domain)``, keyed
-    by the two id objects themselves, so asking for a pair's domain and
-    then scoring it, as ``sim_weighted(m, t, a, b, uniform_weights(m, t,
-    a, b))`` does, intersects the pair's ancestors once.  The dict it
-    returns may be returned again: callers only read it, and none hands
-    it on.
+    The last answer for two ids of exact type ``str`` is kept on the
+    model as ``(c1, c2, domain)``, keyed by the two id objects
+    themselves, so asking for a pair's domain and then scoring it, as
+    ``sim_weighted(m, t, a, b, uniform_weights(m, t, a, b))`` does,
+    intersects the pair's ancestors once.  Any other id, whose hash and
+    equality may follow a field that changes, is looked up every call.
+    The dict it returns may be returned again: callers only read it, and
+    none hands it on.
     """
     _check_model(model, t)
     kept = vars(model).get("_kept_domain")
@@ -173,7 +175,8 @@ def _finite_ic_subsumers(model: ProbabilityModel, t: Taxonomy,
     ic, ids = model.ic_by_index, t.concepts()
     finite = model.finite_ic_subsumer_indices(t.index_of(c1), t.index_of(c2))
     domain = {ids[c]: ic[c] for c in finite}
-    vars(model)["_kept_domain"] = (c1, c2, domain)
+    if type(c1) is str and type(c2) is str:  # checked on a miss only
+        vars(model)["_kept_domain"] = (c1, c2, domain)
     return domain
 
 

@@ -16,9 +16,11 @@ from helpers import (
     write_toy_files,
 )
 
-# A bigger, deterministic budget for the fuzz and reader-agreement tests,
-# which scale their own budgets by its max_examples (helpers._budget):
-# pytest tests/test_fuzz.py --hypothesis-profile=fuzz.
+# A bigger, deterministic budget: ten times the examples of every test that
+# sizes its budget with helpers._budget, which scales by this max_examples.
+# A test opts into CI's ten-times run by calling _budget; CI runs the whole
+# suite under this profile (pytest --hypothesis-profile=fuzz), and every
+# other test keeps the max_examples of its own @settings.
 # Not named "ci": Hypothesis loads its own "ci" profile whenever the CI
 # environment variable is set, and with it every tier-1 run there.
 settings.register_profile("fuzz", max_examples=1000, derandomize=True)

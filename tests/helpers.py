@@ -21,7 +21,9 @@ from taxsim import EvaluationError, pearson
 
 def _budget(examples: int) -> int:
     """``examples``, scaled by the loaded profile's ``max_examples`` over
-    Hypothesis's default of 100."""
+    Hypothesis's default of 100.  Calling it is how a test opts into CI's
+    ten-times run: CI runs the whole suite under the ``fuzz`` profile of
+    ``conftest.py``, which scales only the budgets made here."""
     return examples * settings.default.max_examples // 100
 
 
@@ -114,6 +116,23 @@ def write_toy_files(directory):
         "word1,word2,rating\nx,y,3.5\nx,z,0.5\nx,unlisted,1.0\n", encoding="utf-8"
     )
     return paths
+
+
+class MutableId:
+    """A concept id whose hash and equality follow a field that can
+    change: it looks up as whatever id ``cid`` holds at the time."""
+
+    def __init__(self, cid):
+        self.cid = cid
+
+    def __hash__(self):
+        return hash(self.cid)
+
+    def __eq__(self, other):
+        return self.cid == other
+
+    def __repr__(self):
+        return f"MutableId({self.cid!r})"
 
 
 # ----------------------------------------------------------------------

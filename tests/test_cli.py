@@ -220,29 +220,32 @@ class TestEvalFixture:
         code, _, _ = _run(capsys, ["eval", "--fixture"])
         assert code == 0
 
-    @pytest.mark.parametrize("flags", [
-        ["--benchmark", "mine.csv"],
-        ["--json-out", "rows.jsonl"],
-        ["--benchmark", "mine.csv", "--json-out", "rows.jsonl"],
-        ["--measure", "edge"],
-        ["--taxonomy", "nothere.tsv"],
-        ["--lexicon", "nothere.tsv"],
-        ["--counts", "nothere.tsv"],
-        ["--plural-fold"],
-        ["--measure", "edge", "--taxonomy", "nothere.tsv", "--lexicon", "nothere.tsv"],
+    @pytest.mark.parametrize("flags, given", [
+        (["--benchmark", "mine.csv"], "--benchmark"),
+        (["--json-out", "rows.jsonl"], "--json-out"),
+        (["--benchmark", "mine.csv", "--json-out", "rows.jsonl"], "--benchmark, --json-out"),
+        (["--measure", "edge"], "--measure"),
+        (["--taxonomy", "nothere.tsv"], "--taxonomy"),
+        (["--lexicon", "nothere.tsv"], "--lexicon"),
+        (["--counts", "nothere.tsv"], "--counts"),
+        (["--plural-fold"], "--plural-fold"),
+        (["--measure", "edge", "--taxonomy", "nothere.tsv", "--lexicon", "nothere.tsv"],
+         "--taxonomy, --lexicon, --measure"),
+        (["--log-base", "10"], "--log-base"),
+        (["--lch-floor", "0.5"], "--lch-floor"),
     ], ids=["benchmark", "json-out", "both", "measure", "taxonomy", "lexicon", "counts",
-            "plural-fold", "measure-and-files"])
-    def test_rejects_a_benchmark_or_json_out(self, capsys, tmp_path, monkeypatch, flags):
+            "plural-fold", "measure-and-files", "log-base", "lch-floor"])
+    def test_rejects_a_benchmark_or_json_out(self, capsys, tmp_path, monkeypatch, flags, given):
         # they used to be ignored: the replayed correlations printed with
         # exit 0 and no file written, as if mine.csv had been evaluated,
-        # or only edge asked for.  No named file exists, so nothing is
-        # read before the error
+        # or only edge asked for, or scored with another log base or lch
+        # floor.  No named file exists, so nothing is read before the
+        # error, which names the options given in the parser's order
         monkeypatch.chdir(tmp_path)
         code, out, err = _run(capsys, ["eval", "--fixture"] + flags)
         assert (code, out) == (1, "")
         assert err == ("error: --fixture replays the bundled reference scores; it takes no "
-                       "--benchmark, --json-out, --measure, --taxonomy, --lexicon, --counts "
-                       "or --plural-fold\n")
+                       f"other option, got {given}\n")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flags, named", [
@@ -257,9 +260,11 @@ class TestEvalFixture:
         assert err.startswith(f"error: {named} ")
 
     def test_empty_benchmark_and_json_out_count_as_absent(self, capsys):
-        # so do empty input files
+        # so do empty input files, and a log base or lch floor given at its
+        # default, which the parsed options cannot tell from the default
         code, out, _ = _run(capsys, ["eval", "--fixture", "--benchmark", "", "--json-out", "",
-                                     "--taxonomy", "", "--lexicon", "", "--counts", ""])
+                                     "--taxonomy", "", "--lexicon", "", "--counts", "",
+                                     "--log-base", "2", "--lch-floor", "1.0"])
         assert code == 0
         assert [line.split("\t")[0] for line in out.splitlines()] == ["ic", "edge", "prob"]
 

@@ -159,6 +159,9 @@ def workdir(tmp_path_factory):
 @given(seed=st.integers(0, 2**32 - 1))
 @example(seed=0)
 def test_cli_matches_the_oracles(workdir, seed):
+    """``validate``, ``sim``, ``stats`` and ``eval --json-out``, run on
+    random files through the loaders every command uses, must give the
+    oracles' output as the command line formats it."""
     rng = random.Random(seed)
     edge_lines, lexicon_lines, count_lines, rows, queries, flags = _instance(rng)
     paths = {kind: workdir / name for kind, name in (

@@ -207,8 +207,10 @@ class TestPearson:
     @example(columns=([3.0, -3.0, 3.0, -3.0], [1.5, -1.5, -1.5, 1.5]))
     @example(columns=([1e308, -1e308, 1e308], [7, 7, 7]))
     def test_matches_the_generator_reference_bit_for_bit(self, columns):
-        # the C-level passes must give every float of the generator-based
-        # passes they replaced, and raise the same error where it raised
+        """pearson's C-level map passes must give every float of the
+        generator-based passes they replaced, and raise the same error
+        where it raised, on ints, bools, values near +-2**1000, subnormals
+        and values of equal magnitude and opposite sign."""
         xs, ys = columns
         assert _pearson_outcome(pearson, xs, ys) == _pearson_outcome(
             helpers.reference_pearson, xs, ys)
@@ -618,9 +620,10 @@ _ROW_WORD = st.sampled_from(["x", "y", "z", "Y", " z", "ghost", "phantom", 7, No
          + (("x", 2.5, 0.0),))  # words that are not str
 @example(rows=(_GHOST, ("x", "y", 3.0), _GHOST, ("z", "x", 1.0), _GHOST))
 def test_column_built_report_matches_a_row_by_row_build(toy_taxonomy, toy_model, rows):
-    # evaluate builds its items in one constructor pass over columns; a
-    # build that makes each row's item by its own call must give the same
-    # report
+    """evaluate builds its items in one constructor pass over columns; a
+    build that makes each row's item by its own ``EvalItem`` call must
+    give the same report, on random rows that mix excluded rows and
+    non-str words in anywhere."""
     t, bench = toy_taxonomy, Benchmark("cols", tuple(rows))
     usable = sum(bool(t.sense_indices(w1) and t.sense_indices(w2)) for w1, w2, _ in rows)
     for measure in WORD_MEASURES:
@@ -689,7 +692,9 @@ def _oracle_report(measure, rows, oracle, depth):
 def test_evaluate_matches_the_oracles_on_random_dags():
     """evaluate, row by row, against the brute-force oracles on random DAGs
     with diamonds and polysemy, for every measure, and word_similarity's
-    witness and sense pair against the oracles'."""
+    witness and sense pair against the oracles'.  Its rows, scores and r
+    must be the oracles', bit for bit and error for error; ``taxsim
+    eval`` scores each measure by one such evaluate call."""
     ties = rows_scored = 0
     for k, (concepts, edges, senses, counts) in enumerate(
             helpers.random_instances(count=_budget(helpers.N_RANDOM_INSTANCES))):
@@ -799,17 +804,18 @@ def test_report_repr_hash_and_pickle_are_pinned(toy_taxonomy, toy_model):
 
 
 def test_family_slots_match_deep_copies_and_the_oracles():
-    # evaluate keeps the last sweep of each measure family (resnik and
-    # prob on the model, edge and lch on the taxonomy) and the last lookup
-    # of a tuple of rows on the taxonomy; random interleavings of calls
-    # over one rows tuple reused across measures, the same rows in another
-    # tuple or a list, overlapping rows, rows edited in place, two models
-    # on one taxonomy, two taxonomies and varied lch arguments must each
-    # give the report of the same call on deep copies, which carry no
-    # slot, and the oracles' scores, bit for bit.  A family slot hits only
-    # on the sense columns of a rows-slot hit, so the one rows tuple is
-    # given most often.  The calls on copies run after the interleaving,
-    # so that they leave its slots be.
+    """evaluate keeps the last sweep of each measure family (resnik and
+    prob on the model, edge and lch on the taxonomy) and the last lookup
+    of a tuple of rows on the taxonomy, each hit only by the very objects
+    it was computed from.  Random interleavings of calls over one rows
+    tuple reused across measures, the same rows in another tuple or a
+    list, overlapping rows, rows edited in place, two models on one
+    taxonomy, two taxonomies and varied lch arguments must each give the
+    report of the same call on deep copies, which carry no slot, and the
+    oracles' scores, bit for bit.  A family slot hits only on the sense
+    columns of a rows-slot hit, so the one rows tuple is given most
+    often, and every slot both hits and misses.  The calls on copies run
+    after the interleaving, so that they leave its slots be."""
     calls = hits = row_hits = row_misses = 0
     for k, (concepts, edges, senses, counts) in enumerate(
             helpers.random_instances(seed=77, count=_budget(40))):

@@ -53,6 +53,9 @@ def _file_text(rng: random.Random, pairs, eol: str, bom: bool) -> str:
 @given(seed=st.integers(0, 2**32 - 1), eol=st.sampled_from(["\n", "\r\n", "\r"]),
        bom=st.booleans())
 def test_files_load_as_the_same_pairs_build(tmp_path_factory, seed, eol, bom):
+    """A reader-agreement test: random edge, lexicon and counts files, with
+    skipped lines, duplicates, any line ending and an optional BOM, must
+    load as the taxonomy and counts table that the same pairs build."""
     rng = random.Random(seed)
     n = rng.randint(1, 12)
     ids = [f"c{i}{rng.choice(ID_SUFFIXES)}" for i in range(n)]
@@ -125,6 +128,9 @@ def _reference_counts_or_error(data: bytes):
 @example(text="x\t--0\n")
 @example(text="x\t" + "9" * 4301 + "\ny\t-1\n")  # beyond int()'s digit limit
 def test_count_reader_matches_line_by_line_reference(text):
+    """A reader-agreement test: the counts reader must give the counts, or
+    the error, of the line-by-line reference parser in
+    ``tests/helpers.py``, on any text."""
     data = text.encode("utf-8")
     assert _counts_or_error(data) == _reference_counts_or_error(data)
 

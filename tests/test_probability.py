@@ -423,9 +423,11 @@ def test_propagation_under_nested_diamonds_and_trees_below_valleys():
 @given(seed=st.integers(0, 2**32 - 1))
 @example(seed=0)
 def test_propagation_on_sparse_dags(seed):
-    # mostly trees, as at benchmark scale, so that most one-sense mass is
-    # handed up from child to parent rather than walked up from a concept
-    # with two parents
+    """The marked chain walk that propagates counts must give the
+    oracle's frequencies, from the fixpoint closure, with words whose
+    senses nest or meet through merges.  The DAGs are mostly trees, as at
+    benchmark scale, so that most one-sense mass is handed up from child
+    to parent rather than walked up from a concept with two parents."""
     rng = random.Random(seed)
     concepts, edges, senses = helpers.random_sparse_instance(rng)
     # a word with a sense and one of its ancestors, and one with two
@@ -500,8 +502,11 @@ def test_log_base_equivariance(seed, base):
 @given(seed=st.integers(0, 2**32 - 1), sparse=st.booleans(), underflow=st.booleans(),
        base=st.sampled_from([2.0, math.e, 10.0]))
 def test_model_floats_are_exact_and_shared_per_frequency(seed, sparse, underflow, base):
-    # two zero-frequency concepts, so that some frequency is always shared;
-    # with underflow, p of every concept not above "huge" is 0.0
+    """The per-frequency ic and 1 - p tables must give the per-concept
+    formula's floats, bit for bit, underflow included, and equal
+    frequencies must share one float.  Two zero-frequency concepts are
+    added, so that some frequency is always shared; with underflow, p of
+    every concept not above "huge" is 0.0."""
     rng = random.Random(seed)
     if sparse:
         concepts, edges, senses = helpers.random_sparse_instance(rng)

@@ -358,11 +358,14 @@ class TestBestSubsumerOracle:
 
 
 def test_tied_frequencies_match_the_oracles():
-    # DAGs whose frequencies tie: one-child chains, zero-frequency subtrees
-    # and, in a third of them, N > 2**61, where distinct frequencies share
-    # one ic or one 1 - p.  Every witness, sense pair and weighted domain
-    # must be the oracle's, and the model's tied ranks must be reached, on
-    # pairs where the least frequency is not the answer
+    """The model's rank-space argmax (one min, or max, over each sense
+    pair's common ranks), its tied ranks and the weighted domain, held to
+    the full-enumeration oracle on DAGs whose frequencies, ic and 1 - p
+    tie: one-child chains, zero-frequency subtrees and, in a third of
+    them, N > 2**61, where distinct frequencies share one ic or one 1 - p.
+    Every witness, sense pair and weighted domain must be the oracle's,
+    and the model's tied ranks must be reached, on pairs where the least
+    frequency is not the answer."""
     tied = detours = 0
     for k, (concepts, edges, senses, counts) in enumerate(
             helpers.random_tied_instances(count=helpers._budget(200))):
@@ -652,6 +655,10 @@ def _sample_word_pairs(rng, senses, k=6):
 @settings(max_examples=helpers._budget(40), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_measures_match_brute_force(seed):
+    """``word_similarity``, which every word measure runs through and
+    which calls the two family kernels directly (the model's argmax for
+    resnik and prob, the set search for edge and lch), must give the
+    brute-force oracles' values on random DAGs."""
     rng, concepts, edges, senses, counts, t, model = _built_instance(
         seed, max_concepts=30, max_words=15
     )
@@ -674,6 +681,8 @@ def test_measures_match_brute_force(seed):
 @settings(max_examples=helpers._budget(40), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_symmetry_exact(seed):
+    """Every word measure, through ``word_similarity``, must give a word
+    pair in either order the same value, exactly."""
     rng, _, _, senses, _, t, model = _built_instance(seed, max_concepts=30, max_words=15)
     for w1, w2 in _sample_word_pairs(rng, senses):
         assert sim_resnik_words(model, t, w1, w2).value == sim_resnik_words(model, t, w2, w1).value
@@ -686,6 +695,8 @@ def test_symmetry_exact(seed):
 @settings(max_examples=helpers._budget(40), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_witness_attains_reported_value(seed):
+    """The resnik and prob witness must be a common subsumer of the
+    reported sense pair and attain the reported value."""
     rng, _, _, senses, _, t, model = _built_instance(seed, max_concepts=30, max_words=15)
     for w1, w2 in _sample_word_pairs(rng, senses):
         resnik = sim_resnik_words(model, t, w1, w2)
@@ -733,9 +744,12 @@ def _check_weighted(model, t, c1, c2, concepts, edges):
 
 
 def test_weighted_domain_memo_matches_the_oracles():
-    # the weighted domain of the last (model, c1, c2) is kept, keyed by the
-    # objects themselves; every answer must be the oracle's whether a call
-    # hits that slot or misses it
+    """``finite_common_subsumers``, ``uniform_weights`` and
+    ``sim_weighted`` must give the oracle domain and ``fsum(w * ic)`` on
+    random DAGs, with calls interleaved so that the one-slot domain memo
+    both hits and misses.  The domain of the last (model, c1, c2) is
+    kept, keyed by the objects themselves; every answer must be the
+    oracle's whether a call hits that slot or misses it."""
     hits = misses = models_differ = 0
     for k, (concepts, edges, senses, counts) in enumerate(
             helpers.random_instances(count=helpers._budget(200))):
@@ -789,6 +803,24 @@ def test_the_weighted_domain_slot_keeps_no_model_alive(toy_taxonomy):
     model = build_model(t, FrequencyTable.from_counts({"z": 1}))
     assert "_kept_domain" not in vars(model)
     assert uniform_weights(model, t, "A1", "A2") == {"root": 1.0}
+
+
+def test_a_key_whose_hash_follows_a_field_gets_no_stale_domain():
+    # the domain slot is filled only for two ids of exact type str, so a
+    # key that changes its id between calls gets the domain of the id it
+    # holds then, as a fresh key does, and not the last one kept
+    t = Taxonomy.build([("carnivore", "animal"), ("bird", "animal"),
+                        ("cat", "carnivore"), ("dog", "carnivore")],
+                       {w: {w} for w in ("cat", "dog", "bird")})
+    model = build_model(t, FrequencyTable.from_counts({"cat": 1, "dog": 1, "bird": 1}))
+    key = helpers.MutableId("cat")
+    assert finite_common_subsumers(model, t, key, "dog") == {"animal", "carnivore"}
+    key.cid = "bird"
+    assert finite_common_subsumers(model, t, key, "dog") == {"animal"}
+    assert finite_common_subsumers(model, t, helpers.MutableId("bird"), "dog") == {"animal"}
+    assert uniform_weights(model, t, "dog", key) == {"animal": 1.0}
+    assert sim_weighted(model, t, key, "dog", {"animal": 1.0}) == model.ic("animal")
+    assert "_kept_domain" not in vars(model)
 
 
 def test_the_family_slots_keep_no_taxonomy_or_model_alive():

@@ -318,6 +318,9 @@ def _reference_parsed(data: bytes):
 @example(text="a\tb\tc\n")
 @example(text="\ufeffa\tb\n \tb\na\t \n")
 def test_parser_matches_line_by_line_reference(text):
+    """A reader-agreement test: the file reader's line parser must give
+    the pairs, or the error, of the line-by-line reference parser in
+    ``tests/helpers.py``, on any text."""
     data = text.encode("utf-8")
     assert _parsed(data) == _reference_parsed(data)
 
@@ -492,6 +495,11 @@ def test_random_dags_validate_and_subsume(seed):
 @settings(max_examples=_budget(30), derandomize=True, database=None, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_random_dags_path_lengths_match_bfs_oracle(seed):
+    """``path_len``, which steps down only into valleys and, from each
+    side, along the other side's one-parent chains (a start and the
+    concepts above it up to the first with no parent or two or more),
+    must give the one-sided deque BFS oracle's length for every pair of
+    a random DAG, in both argument orders."""
     rng = random.Random(seed)
     concepts, edges, _, _ = helpers.random_instance(rng, max_concepts=25)
     t = Taxonomy.build(edges, concepts=concepts)
@@ -509,8 +517,10 @@ def test_random_dags_path_lengths_match_bfs_oracle(seed):
 @settings(max_examples=_budget(30), derandomize=True, database=None, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_random_dags_path_limit_matches_bfs_oracle(seed):
-    # the limited kernel returns None exactly when the true distance
-    # exceeds the limit, the exact length otherwise, symmetrically
+    """``path_len`` with every limit from -1 to one past the length, held
+    to the one-sided deque BFS oracle: None exactly when the true
+    distance exceeds the limit, the exact length otherwise, in both
+    argument orders."""
     rng = random.Random(seed)
     concepts, edges, _, _ = helpers.random_instance(rng, max_concepts=25)
     t = Taxonomy.build(edges, concepts=concepts)
@@ -530,11 +540,13 @@ def test_random_dags_path_limit_matches_bfs_oracle(seed):
 @settings(max_examples=_budget(30), derandomize=True, database=None, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), sparse=st.booleans())
 def test_random_dags_nearest_path_len_matches_the_oracle(seed, sparse):
-    # one search from every index of both sequences gives the least oracle
-    # length over their pairs, and None exactly when that exceeds limit;
-    # the sequences may overlap, repeat an index or hold two indices of
-    # one chain; word_similarity's edge and lch sense pair is the first
-    # pair in sorted order that has it, for words of 2-4 senses
+    """``nearest_path_len``, one search from every index of two sequences,
+    must give the least deque-BFS length over their pairs, and None
+    exactly when that exceeds the limit, every limit included; the
+    sequences may overlap, repeat an index or hold two indices of one
+    chain.  ``word_similarity``'s edge and lch sense pair must be the
+    oracle's, the first pair in sorted order that has that length, for
+    words of 2-4 senses."""
     rng = random.Random(seed)
     if sparse:
         concepts, edges, senses = helpers.random_sparse_instance(rng, max_concepts=30)
@@ -573,11 +585,14 @@ def test_random_dags_depth_bounded_by_root_path(seed):
 @settings(max_examples=_budget(60), derandomize=True, database=None, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), sparse=st.booleans())
 def test_down_lists_match_the_closure(seed, sparse):
-    # path_len's down lists come from one walk up from the concepts with
-    # two or more parents, and the depths from one memoised walk up the
-    # parent lists; the oracles take the valleys, every ancestor-or-self
-    # of a concept with two or more parents, from the fixpoint closure,
-    # and the depths by recursion
+    """``path_len``'s down lists, each valley listed once under each of
+    its parents, and the closure-free load's depths and order must be the
+    oracles', on dense and on mostly-tree random DAGs.  The down lists
+    come from one walk up from the concepts with two or more parents, and
+    the depths from one memoised walk up the parent lists; the oracles
+    take the valleys, every ancestor-or-self of a concept with two or
+    more parents, from the fixpoint closure, and the depths by
+    recursion."""
     rng = random.Random(seed)
     if sparse:
         concepts, edges, _ = helpers.random_sparse_instance(rng)
@@ -605,9 +620,10 @@ def test_down_lists_match_the_closure(seed, sparse):
 @given(seed=st.integers(0, 2**32 - 1))
 @example(seed=0)
 def test_cycle_message_matches_the_oracle(seed):
-    # the depth walk is the only cycle check: it names the loop reached
-    # from the smallest index that reaches a cycle, through the first
-    # parent that reaches one at each step
+    """The depth walk, the only cycle check, must name the loop the oracle
+    finds, on random graphs that may close cycles: the loop reached from
+    the smallest index that reaches a cycle, through the first parent
+    that reaches one at each step."""
     rng = random.Random(seed)
     edges = helpers.random_edges_with_cycles(rng)
     order = list(dict.fromkeys(c for edge in edges for c in edge))  # index order
@@ -623,10 +639,11 @@ def test_cycle_message_matches_the_oracle(seed):
 @settings(max_examples=_budget(60), derandomize=True, database=None, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), sparse=st.booleans())
 def test_ancestor_tuples_match_the_closure_in_order(seed, sparse):
-    # each stored tuple holds the fixpoint closure once, root first, each
-    # member after its parents and the concept last, whatever the order
-    # the queries miss in: a parent built before its child takes the
-    # one-parent path, a cold concept the walk from it
+    """The memo's ancestor tuples, held to the oracles' fixpoint closure:
+    each stored tuple holds the closure once, root first, each member
+    after its parents and the concept last, whatever the order the
+    queries miss in (a parent built before its child takes the one-parent
+    path, a cold concept the walk from it)."""
     rng = random.Random(seed)
     if sparse:
         concepts, edges, _ = helpers.random_sparse_instance(rng)
